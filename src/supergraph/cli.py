@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import verify as verify_mod
-from .errors import FormatError, SupergraphError, UnsupportedClosedForm
+from .errors import FormatError, OutOfRange, SupergraphError, UnsupportedClosedForm
 from .graphs import commuting_graph, is_connected, super_graph, twin_canonical_form
 from .groups import (
     FiniteGroup,
@@ -31,12 +31,9 @@ from .spectra import (
     jacobi_eigenvalues,
     multiset_match,
     quotient_spectrum,
-    real_root_isolate,
     super_adjacency_charpoly,
     super_laplacian_charpoly,
 )
-
-SPECTRAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -166,44 +163,6 @@ def cmd_graph(args) -> int:
 # ---------------------------------------------------------------------------
 # spectrum subcommand
 
-_CLOSED_CLAIMS = {
-    ("D", "adjacency"): "Thm4.1(i)",
-    ("D", "laplacian"): "Thm4.2(i)",
-    ("Q", "adjacency"): "Thm4.1(ii)",
-    ("Q", "laplacian"): "Thm4.2(ii)",
-    ("PQ", "adjacency"): "Thm4.1(iii)",
-    ("PQ", "laplacian"): "Thm4.2(iii)",
-}
-
-
-def _closed_spectrum(spec: GroupSpec, relation: str, matrix: str) -> Spectrum:
-    """Catalogued exact spectrum, where one is published for the combination."""
-    key = (spec.family, matrix)
-    claim = _CLOSED_CLAIMS.get(key)
-    supported_relation = relation == "order" or (
-        relation == "conjugacy" and (
-            spec.family == "PQ"
-            or (spec.family == "D" and spec.params[0] % 2 == 1)
-        )
-    )
-    if claim is None or not supported_relation:
-        raise UnsupportedClosedForm(
-            f"no closed form for family {spec.family}, relation {relation}, "
-            f"matrix {matrix}"
-        )
-    if spec.family == "PQ":
-        params = {"p": spec.params[0], "q": spec.params[1]}
-    else:
-        params = {"n": spec.params[0]}
-    form = verify_mod.closed_form(claim, **params)
-    if isinstance(form, Spectrum):
-        return form
-    cubic, exp = verify_mod.claim_cubic(claim, params)
-    brackets = verify_mod.claim_brackets(claim, params)
-    roots = real_root_isolate(cubic, brackets)
-    return Spectrum([(r, 1) for r in roots] + [(-1.0, exp)])
-
-
 def cmd_spectrum(args) -> int:
     spec = parse_group_spec(args.group)
     group = build_group(spec)
@@ -214,16 +173,25 @@ def cmd_spectrum(args) -> int:
         graph.adjacency_matrix() if args.matrix == "adjacency" else graph.laplacian_matrix()
     )
 
+    results: dict = {}
+
     def compute(method: str):
+        """Run a route once; --compare reuses what the chosen method computed."""
+        if method in results:
+            return results[method]
         if method == "jacobi":
-            return jacobi_eigenvalues(matrix)
-        if method == "exact":
-            return char_poly_integer(matrix)
-        if method == "quotient":
-            if args.matrix == "adjacency":
-                return super_adjacency_charpoly(base, partition)
-            return super_laplacian_charpoly(base, partition)
-        return _closed_spectrum(spec, args.relation, args.matrix)
+            value = jacobi_eigenvalues(matrix)
+        elif method == "exact":
+            value = char_poly_integer(matrix)
+        elif method == "quotient" and args.matrix == "adjacency":
+            value = super_adjacency_charpoly(base, partition)
+        elif method == "quotient":
+            value = super_laplacian_charpoly(base, partition)
+        else:
+            claim = verify_mod.closed_claim(spec.family, args.relation, args.matrix)
+            value = verify_mod.closed_spectrum(claim.name, claim.point(spec.params))
+        results[method] = value
+        return value
 
     result = compute(args.method)
     out_path = args.output or (
@@ -241,21 +209,17 @@ def cmd_spectrum(args) -> int:
     if not args.compare:
         return 0
 
-    jac = jacobi_eigenvalues(matrix)
-    exact = char_poly_integer(matrix)
-    quotient = compute("quotient")
-    checks = [("exact == quotient (char poly)", exact == quotient)]
+    tol = verify_mod.SPECTRAL_TOL
+    jac = compute("jacobi")
+    checks = [("exact == quotient (char poly)", compute("exact") == compute("quotient"))]
     qspec = quotient_spectrum(base, partition, args.matrix)
-    checks.append(
-        ("jacobi ~ quotient spectrum (1e-08)", multiset_match(jac, qspec, SPECTRAL_TOL))
-    )
+    checks.append((f"jacobi ~ quotient spectrum ({tol:g})", multiset_match(jac, qspec, tol)))
     try:
-        closed = _closed_spectrum(spec, args.relation, args.matrix)
-        checks.append(
-            ("jacobi ~ closed form (1e-08)", grouped_match(closed, jac, SPECTRAL_TOL))
-        )
-    except UnsupportedClosedForm:
+        closed = compute("closed")
+    except (UnsupportedClosedForm, OutOfRange):
         pass
+    else:
+        checks.append((f"jacobi ~ closed form ({tol:g})", grouped_match(closed, jac, tol)))
     ok = True
     for name, passed in checks:
         print(f"compare: {name}: {'agree' if passed else 'DISAGREE'}")
@@ -286,14 +250,22 @@ def _parse_pq(text: str) -> tuple[int, int]:
         raise FormatError(f'pq pair "{text}": values must be integers') from None
 
 
+def _worker_count(flag: int | None) -> int:
+    """--jobs, else SUPERGRAPH_JOBS, else 1; it must be an integer >= 1."""
+    raw = flag if flag is not None else os.environ.get("SUPERGRAPH_JOBS") or "1"
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise FormatError(f'jobs "{raw}": expected an integer >= 1')
+    return jobs
+
+
 def cmd_verify(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("SUPERGRAPH_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
     reports = verify_mod.run_suite(
         args.suite,
-        jobs=jobs,
+        jobs=_worker_count(args.jobs),
         family=args.family,
         odd_n=_parse_range(args.odd_n) if args.odd_n else None,
         n_range=_parse_range(args.n) if args.n else None,
@@ -372,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="count paper-table mismatches as failures")
     v.add_argument("--report", default="verify-report.json")
     v.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: SUPERGRAPH_JOBS or cpu count)")
+                   help="worker processes, at most one per task "
+                        "(default: SUPERGRAPH_JOBS or 1)")
     v.set_defaults(func=cmd_verify)
     return parser
 

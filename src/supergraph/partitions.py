@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidParameter, SizeMismatch
 
@@ -128,7 +128,3 @@ def order_partition(group) -> Partition:
 def conjugacy_partition(group) -> Partition:
     """Partition of a group's elements into conjugacy classes."""
     return group.conjugacy_classes()
-
-
-def partition_from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> Partition:
-    return Partition(n, blocks)

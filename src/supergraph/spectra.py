@@ -24,7 +24,7 @@ from .errors import (
     NotSymmetric,
     SizeMismatch,
 )
-from .graphs import SimpleGraph, compressed_graph, connected_components, is_connected
+from .graphs import SimpleGraph, compressed_graph, connected_components
 from .partitions import Partition
 from .polynomials import PolynomialZ, char_poly_integer
 
@@ -171,8 +171,6 @@ class Spectrum:
             raw = entry["value"]
             if isinstance(raw, dict):
                 value = surd_value(raw["r"], raw["d"], raw["sign"])
-            elif isinstance(raw, float) and raw.is_integer():
-                value = raw
             else:
                 value = raw
             pairs.append((value, entry["multiplicity"]))
@@ -322,14 +320,9 @@ def super_adjacency_charpoly(graph: SimpleGraph, partition: Partition) -> Polyno
 
     Computed as char(N(0)) * (x+1)^(n-k) on each connected component of the
     compressed graph; components multiply because their super graphs are
-    disjoint. A connected graph with at most two blocks yields a complete
-    super graph and is handled directly.
+    disjoint.
     """
     template, sizes, comps = _component_data(graph, partition)
-    n = graph.n
-    k = len(sizes)
-    if k <= 2 and len(comps) == 1 and is_connected(graph):
-        return PolynomialZ((-(n - 1), 1)) * PolynomialZ((1, 1)) ** (n - 1)
     x_plus_1 = PolynomialZ((1, 1))
     result = PolynomialZ.one()
     for comp in comps:
@@ -344,10 +337,6 @@ def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> Polyno
     """Exact characteristic polynomial of the Laplacian of the super graph:
     char(-N(1)) * prod_i (x - N_i - n_i)^(n_i - 1) per compressed component."""
     template, sizes, comps = _component_data(graph, partition)
-    n = graph.n
-    k = len(sizes)
-    if k <= 2 and len(comps) == 1 and is_connected(graph):
-        return PolynomialZ.x() * PolynomialZ((-n, 1)) ** (n - 1)
     result = PolynomialZ.one()
     for comp in comps:
         sub = template.induced_subgraph(comp)

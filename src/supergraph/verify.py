@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameter, OutOfRange
+from .errors import InvalidParameter, NoSignChange, OutOfRange, UnsupportedClosedForm
 from .graphs import (
     SimpleGraph,
     commuting_graph,
@@ -84,12 +85,7 @@ class ClaimReport:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise OutOfRange(message)
-
+# Claim catalogue
 
 def _x_plus_1(exp: int) -> PolynomialZ:
     return PolynomialZ((1, 1)) ** exp
@@ -99,115 +95,251 @@ def _cubic(c0: int, c1: int, c2: int) -> PolynomialZ:
     return PolynomialZ((c0, c1, c2, 1))
 
 
-def claim_cubic(claim: str, params: dict) -> tuple[PolynomialZ, int]:
-    """Cubic factor and the multiplicity of the eigenvalue -1."""
-    if claim == "Thm4.1(i)":
-        n = params["n"]
-        _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
-        return _cubic(2 * n * n - 4 * n + 1, n * n - 5 * n + 3, -(2 * n - 3)), 2 * n - 3
-    if claim == "Thm4.1(ii)":
-        n = params["n"]
-        _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
-        return (
-            _cubic(12 * n * n - 16 * n + 1, 4 * n * n - 12 * n + 3, -(4 * n - 3)),
-            4 * n - 3,
-        )
-    if claim == "Thm4.1(iii)":
-        p, q = params["p"], params["q"]
-        _require(is_prime(p) and is_prime(q) and p != q and (p - 1) % q == 0,
-                 "requires distinct primes with q | p-1")
-        return (
+def _star_join(*sizes: int) -> SimpleGraph:
+    return generalized_join(star_graph(len(sizes)), [complete_graph(s) for s in sizes])
+
+
+def _super(group, relation: str) -> tuple[SimpleGraph, SimpleGraph, Partition]:
+    base = commuting_graph(group)
+    part = order_partition(group) if relation == "order" else conjugacy_partition(group)
+    return super_graph(base, part), base, part
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One catalogued claim: its parameter points, what it builds and what it asserts.
+
+    The callables take the parameters as keywords (``n``, ``m`` or ``p, q``)
+    and look the library functions up when they run, so that rebinding a
+    name in this module reaches them.
+    """
+
+    name: str
+    suite: str  # "4.1" .. "4.5"
+    family: str  # D | Q | PQ | Dc: the tag --family selects
+    axis: str  # odd_n | n | m | pq: the suite option that gives the parameter points
+    group: Callable  # the group whose super graph is built
+    relations: tuple[str, ...]  # the first is built; the others give the same graph where valid
+    default: tuple[int, int] = (0, 0)  # parameter range when the axis option is absent
+    least: int = 0  # smallest valid parameter
+    parity: int | None = None  # required parameter % 2, if any
+    matrix: str | None = None  # adjacency | laplacian; None for a structure claim
+    closed: Callable | None = None  # published polynomial or spectrum, or the claimed graph
+    cubic: Callable | None = None  # (cubic factor, multiplicity of -1) of an adjacency claim
+    brackets: Callable | None = None  # integer brackets of the cubic's roots
+    routes: tuple[str, ...] = ()  # explicit-matrix routes that run: "exact", "jacobi"
+    sides: tuple[str, str] = ("computed", "claimed")  # names of a structure claim's forms
+
+    @property
+    def kind(self) -> str:
+        return "structure" if self.matrix is None else "spectral"
+
+    @property
+    def key(self) -> str:
+        return "m" if self.axis == "m" else "n"
+
+    def point(self, values) -> dict:
+        """Parameters from positional values: (7, 3) -> {"p": 7, "q": 3}."""
+        return dict(zip(("p", "q") if self.axis == "pq" else (self.key,), values))
+
+    def points(self, bounds, pq_pairs) -> list[dict]:
+        """Parameter points in ``bounds`` (else the default range) that the claim covers."""
+        if self.axis == "pq":
+            return [self.point(pair) for pair in pq_pairs]
+        lo, hi = bounds or self.default
+        return [
+            {self.key: v} for v in range(max(lo, self.least), hi + 1)
+            if self.parity in (None, v % 2)
+        ]
+
+    def check(self, params: dict) -> None:
+        """Raise OutOfRange unless the parameters lie in the claim's validity range."""
+        if self.axis == "pq":
+            p, q = params["p"], params["q"]
+            if not (is_prime(p) and is_prime(q) and p != q and (p - 1) % q == 0):
+                raise OutOfRange("requires distinct primes with q | p-1")
+            return
+        v = params[self.key]
+        if v < self.least or self.parity not in (None, v % 2):
+            parity = {None: "", 0: "even ", 1: "odd "}[self.parity]
+            raise OutOfRange(f"requires {parity}{self.key} >= {self.least}")
+
+
+CLAIMS = (
+    Claim(
+        "Thm4.1(i)", "4.1", "D", "odd_n", default=(3, 25), least=3, parity=1,
+        group=lambda n: dihedral(n), relations=("order", "conjugacy"),
+        matrix="adjacency", routes=("jacobi",),
+        cubic=lambda n: (
+            _cubic(2 * n * n - 4 * n + 1, n * n - 5 * n + 3, -(2 * n - 3)), 2 * n - 3
+        ),
+        brackets=lambda n: [(-2, -1), (n - 2, n - 1), (n, n + 1)],
+    ),
+    Claim(
+        "Thm4.1(ii)", "4.1", "Q", "odd_n", default=(3, 15), least=3, parity=1,
+        group=lambda n: generalized_quaternion(n), relations=("order",),
+        matrix="adjacency", routes=("jacobi",),
+        cubic=lambda n: (
+            _cubic(12 * n * n - 16 * n + 1, 4 * n * n - 12 * n + 3, -(4 * n - 3)), 4 * n - 3
+        ),
+        brackets=lambda n: [
+            (-3, -2),
+            (2 * n - 3, 2 * n - 2),
+            (2 * n + 1, 2 * n + 2) if n <= 13 else (2 * n + 2, 2 * n + 3),
+        ],
+    ),
+    Claim(
+        "Thm4.1(iii)", "4.1", "PQ", "pq",
+        group=lambda p, q: semidirect_pq(p, q), relations=("order", "conjugacy"),
+        matrix="adjacency", routes=("jacobi",),
+        cubic=lambda p, q: (
             _cubic(
                 2 * p * p * q - 3 * p * q - 2 * p * p + 2 * p + 1,
                 p * p * q - 3 * p * q - p * p + p + 3,
                 -(p * q - 3),
             ),
             p * q - 3,
-        )
-    raise InvalidParameter(f"unknown adjacency claim {claim!r}")
+        ),
+        brackets=lambda p, q: [(-2, -1), (p - 2, p - 1), (p * q - p, p * q - p + 1)],
+    ),
+    Claim(
+        "Thm4.2(i)", "4.2", "D", "odd_n", default=(3, 25), least=3, parity=1,
+        group=lambda n: dihedral(n), relations=("order", "conjugacy"),
+        matrix="laplacian", routes=("exact", "jacobi"),
+        closed=lambda n: Spectrum([(0, 1), (1, 1), (n, n - 2), (n + 1, n - 1), (2 * n, 1)]),
+    ),
+    Claim(
+        "Thm4.2(ii)", "4.2", "Q", "odd_n", default=(3, 13), least=3, parity=1,
+        group=lambda n: generalized_quaternion(n), relations=("order",),
+        matrix="laplacian", routes=("exact", "jacobi"),
+        closed=lambda n: Spectrum(
+            [(0, 1), (2, 1), (2 * n, 2 * n - 3), (2 * n + 2, 2 * n - 1), (4 * n, 2)]
+        ),
+    ),
+    Claim(
+        "Thm4.2(iii)", "4.2", "PQ", "pq",
+        group=lambda p, q: semidirect_pq(p, q), relations=("order", "conjugacy"),
+        matrix="laplacian", routes=("exact", "jacobi"),
+        closed=lambda p, q: Spectrum(
+            [(0, 1), (1, 1), (p, p - 2), (p * q - p + 1, p * q - p - 1), (p * q, 1)]
+        ),
+    ),
+    # The Sec4.2 displays for the conjugacy super graph of the order-4m
+    # dihedral group are reproduced verbatim, even where the pipelines
+    # contradict them.
+    Claim(
+        "Sec4.2-Dc-adj", "4.2", "Dc", "m", default=(2, 6), least=2,
+        group=lambda m: dihedral(2 * m), relations=("conjugacy",),
+        matrix="adjacency", routes=("exact",),
+        closed=lambda m: _x_plus_1(4 * m - 4) * PolynomialZ((-(m - 1), 1)) * _cubic(
+            10 * m * m - 15 * m + 1, 2 * m * m - 10 * m + 3, -(3 * m - 3)
+        ),
+    ),
+    Claim(
+        "Sec4.2-Dc-lap", "4.2", "Dc", "m", default=(2, 6), least=2,
+        group=lambda m: dihedral(2 * m), relations=("conjugacy",),
+        matrix="laplacian", routes=("exact", "jacobi"),
+        closed=lambda m: Spectrum(
+            [(0, 1), (2, 1), (m + 2, 2 * m - 2), (2 * m, 2 * m - 3), (4 * m, 2)]
+        ),
+    ),
+    Claim(
+        "Sec4.2-Dc-iso", "4.2", "Dc", "m", default=(2, 8), least=2,
+        group=lambda m: dihedral(2 * m), relations=("conjugacy",),
+        closed=lambda m: _super(generalized_quaternion(m), "conjugacy")[0],
+        sides=("Dc(D)", "Dc(Q)"),
+    ),
+    Claim(
+        "Sec4.1-complete(D)", "4.1", "D", "n", default=(4, 12), least=4, parity=0,
+        group=lambda n: dihedral(n), relations=("order",),
+        closed=lambda n: complete_graph(2 * n),
+    ),
+    Claim(
+        "Sec4.1-complete(Q)", "4.1", "Q", "n", default=(2, 8), least=2, parity=0,
+        group=lambda n: generalized_quaternion(n), relations=("order",),
+        closed=lambda n: complete_graph(4 * n),
+    ),
+    Claim(
+        "Thm4.3", "4.3", "D", "n", default=(3, 12), least=3,
+        group=lambda n: dihedral(n), relations=("conjugacy",),
+        closed=lambda n: (
+            _star_join(2, n // 2, n // 2, n - 2) if n % 2 == 0 else _star_join(1, n - 1, n)
+        ),
+    ),
+    Claim(
+        "Thm4.4", "4.4", "Q", "n", default=(2, 8), least=2,
+        group=lambda n: generalized_quaternion(n), relations=("conjugacy",),
+        closed=lambda n: _star_join(2, n, n, 2 * n - 2),
+    ),
+    Claim(
+        "Thm4.5", "4.5", "PQ", "pq",
+        group=lambda p, q: semidirect_pq(p, q), relations=("conjugacy",),
+        closed=lambda p, q: _star_join(1, p - 1, p * q - p),
+    ),
+)
+
+_CATALOGUE = {claim.name: claim for claim in CLAIMS}
+
+
+def _claim(name: str, kind: str | None = None) -> Claim:
+    claim = _CATALOGUE.get(name)
+    if claim is None or kind not in (None, claim.kind):
+        raise InvalidParameter(f"unknown {kind or 'catalogued'} claim {name!r}")
+    return claim
+
+
+def _adjacency_claim(name: str, params: dict) -> Claim:
+    claim = _claim(name)
+    if claim.cubic is None:
+        raise InvalidParameter(f"unknown adjacency claim {name!r}")
+    claim.check(params)
+    return claim
+
+
+def claim_cubic(claim: str, params: dict) -> tuple[PolynomialZ, int]:
+    """Cubic factor and the multiplicity of the eigenvalue -1."""
+    return _adjacency_claim(claim, params).cubic(**params)
 
 
 def claim_brackets(claim: str, params: dict) -> list[tuple[int, int]]:
     """Integer root brackets stated with each adjacency claim."""
-    if claim == "Thm4.1(i)":
-        n = params["n"]
-        return [(-2, -1), (n - 2, n - 1), (n, n + 1)]
-    if claim == "Thm4.1(ii)":
-        n = params["n"]
-        gamma = (2 * n + 1, 2 * n + 2) if n <= 13 else (2 * n + 2, 2 * n + 3)
-        return [(-3, -2), (2 * n - 3, 2 * n - 2), gamma]
-    if claim == "Thm4.1(iii)":
-        p, q = params["p"], params["q"]
-        return [(-2, -1), (p - 2, p - 1), (p * q - p, p * q - p + 1)]
-    raise InvalidParameter(f"unknown adjacency claim {claim!r}")
+    return _adjacency_claim(claim, params).brackets(**params)
 
 
 def closed_form(claim: str, **params):
-    """Catalogued closed form for a claim: a PolynomialZ or a Spectrum.
+    """Catalogued closed form for a spectral claim: a PolynomialZ or a Spectrum.
 
     Laplacian table claims return the table exactly as published, including
     the Dc table whose multiplicities are reproduced verbatim even though the
     verification pipelines contradict them.
     """
-    if claim.startswith("Thm4.1"):
-        cubic, exp = claim_cubic(claim, params)
+    entry = _claim(claim, "spectral")
+    entry.check(params)
+    if entry.cubic is not None:
+        cubic, exp = entry.cubic(**params)
         return cubic * _x_plus_1(exp)
-    if claim == "Thm4.2(i)":
-        n = params["n"]
-        _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
-        return Spectrum([(0, 1), (1, 1), (n, n - 2), (n + 1, n - 1), (2 * n, 1)])
-    if claim == "Thm4.2(ii)":
-        n = params["n"]
-        _require(n >= 3 and n % 2 == 1, "requires odd n >= 3")
-        return Spectrum(
-            [(0, 1), (2, 1), (2 * n, 2 * n - 3), (2 * n + 2, 2 * n - 1), (4 * n, 2)]
-        )
-    if claim == "Thm4.2(iii)":
-        p, q = params["p"], params["q"]
-        _require(is_prime(p) and is_prime(q) and p != q and (p - 1) % q == 0,
-                 "requires distinct primes with q | p-1")
-        return Spectrum(
-            [(0, 1), (1, 1), (p, p - 2), (p * q - p + 1, p * q - p - 1), (p * q, 1)]
-        )
-    if claim == "Sec4.2-Dc-adj":
-        m = params["m"]
-        _require(m >= 2, "requires m >= 2")
-        cubic = _cubic(10 * m * m - 15 * m + 1, 2 * m * m - 10 * m + 3, -(3 * m - 3))
-        return _x_plus_1(4 * m - 4) * PolynomialZ((-(m - 1), 1)) * cubic
-    if claim == "Sec4.2-Dc-lap":
-        m = params["m"]
-        _require(m >= 2, "requires m >= 2")
-        return Spectrum(
-            [(0, 1), (2, 1), (m + 2, 2 * m - 2), (2 * m, 2 * m - 3), (4 * m, 2)]
-        )
-    raise InvalidParameter(f"no closed form catalogued for {claim!r}")
+    return entry.closed(**params)
 
 
-# ---------------------------------------------------------------------------
-# Graph builders
-
-def _order_super(group) -> tuple[SimpleGraph, SimpleGraph, Partition]:
-    base = commuting_graph(group)
-    part = order_partition(group)
-    return super_graph(base, part), base, part
-
-
-def _conjugacy_super(group) -> tuple[SimpleGraph, SimpleGraph, Partition]:
-    base = commuting_graph(group)
-    part = conjugacy_partition(group)
-    return super_graph(base, part), base, part
+def closed_spectrum(claim: str, params: dict) -> Spectrum:
+    """Catalogued spectrum: the published table, or the cubic's roots isolated
+    in their brackets together with the eigenvalue -1."""
+    form = closed_form(claim, **params)
+    if isinstance(form, Spectrum):
+        return form
+    cubic, exp = claim_cubic(claim, params)
+    roots = real_root_isolate(cubic, claim_brackets(claim, params))
+    return Spectrum([(r, 1) for r in roots] + [(-1.0, exp)])
 
 
-def _group_for(claim: str, params: dict):
-    if claim in ("Thm4.1(i)", "Thm4.2(i)"):
-        return dihedral(params["n"])
-    if claim in ("Thm4.1(ii)", "Thm4.2(ii)"):
-        return generalized_quaternion(params["n"])
-    if claim in ("Thm4.1(iii)", "Thm4.2(iii)"):
-        return semidirect_pq(params["p"], params["q"])
-    if claim in ("Sec4.2-Dc-adj", "Sec4.2-Dc-lap"):
-        return dihedral(2 * params["m"])
-    raise InvalidParameter(f"unknown claim {claim!r}")
+def closed_claim(family: str, relation: str, matrix: str) -> Claim:
+    """The spectral claim whose closed form covers a group family, relation and matrix."""
+    for claim in CLAIMS:
+        if claim.family == family and claim.matrix == matrix and relation in claim.relations:
+            return claim
+    raise UnsupportedClosedForm(
+        f"no closed form for family {family}, relation {relation}, matrix {matrix}"
+    )
 
 
 def _poly_from_spectrum(spec: Spectrum) -> PolynomialZ:
@@ -231,205 +363,88 @@ def _spectrum_diff(expected: Spectrum, computed: Spectrum) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Spectral claim verifiers
+# Claim verifiers
 
-def _verify_adjacency_claim(claim: str, params: dict) -> ClaimReport:
-    start = time.perf_counter()
-    group = _group_for(claim, params)
-    graph, base, part = _order_super(group)
-    closed = closed_form(claim, **params)
-    quotient = super_adjacency_charpoly(base, part)
-    jac = jacobi_eigenvalues(graph.adjacency_matrix())
+def _paper_diff(claim: Claim, params: dict, closed, quotient, jac) -> str | None:
+    """How the published form contradicts the computed one; None when it holds.
 
-    qspec = quotient_spectrum(base, part, "adjacency")
-    internal_ok = multiset_match(jac, qspec, SPECTRAL_TOL)
-
-    cubic, exp = claim_cubic(claim, params)
-    brackets = claim_brackets(claim, params)
-    bracket_ok = all(
-        (cubic(lo) > 0) != (cubic(hi) > 0) and cubic(lo) != 0 and cubic(hi) != 0
-        for lo, hi in brackets
-    )
-    paper_ok = closed == quotient and bracket_ok
-    diff = None
-    if closed != quotient:
-        diff = f"closed-form poly {closed} != quotient poly {quotient}"
-    elif not bracket_ok:
-        diff = f"root bracket sign check failed on {brackets}"
-    else:
-        roots = real_root_isolate(cubic, brackets)
-        expected = Spectrum([(r, 1) for r in roots] + [(-1.0, exp)])
-        if not multiset_match(jac, expected, SPECTRAL_TOL):
-            paper_ok = False
-            diff = f"eigenvalues {jac} do not match catalogued roots {expected}"
-
-    report = ClaimReport(claim=claim, params=params)
-    report.artifacts = {
-        "closed": str(closed),
-        "quotient": str(quotient),
-        "brute": str(jac),
-    }
-    report.verdict = MATCH if (internal_ok and paper_ok) else (
-        PAPER_TABLE if internal_ok else MISMATCH
-    )
-    report.diff = None if report.ok else (
-        diff if internal_ok else "quotient pipeline disagrees with brute force"
-    )
-    report.ms = int((time.perf_counter() - start) * 1000)
-    return report
-
-
-def _verify_laplacian_claim(claim: str, params: dict) -> ClaimReport:
-    start = time.perf_counter()
-    group = _group_for(claim, params)
-    if claim == "Sec4.2-Dc-lap":
-        graph, base, part = _conjugacy_super(group)
-    else:
-        graph, base, part = _order_super(group)
-    closed = closed_form(claim, **params)
-    quotient = super_laplacian_charpoly(base, part)
-    brute_poly = char_poly_integer(graph.laplacian_matrix())
-    jac = jacobi_eigenvalues(graph.laplacian_matrix())
-
-    internal_ok = quotient == brute_poly and multiset_match(
-        jac, quotient_spectrum(base, part, "laplacian"), SPECTRAL_TOL
-    )
-    closed_poly = _poly_from_spectrum(closed)
-    paper_ok = closed_poly == quotient and grouped_match(closed, jac, SPECTRAL_TOL)
-
-    report = ClaimReport(claim=claim, params=params)
-    report.artifacts = {
-        "closed": str(closed),
-        "quotient": str(quotient),
-        "brute": str(jac),
-    }
-    if internal_ok and paper_ok:
-        report.verdict = MATCH
-    elif internal_ok:
-        report.verdict = PAPER_TABLE
+    A published table is compared group by group with the Jacobi spectrum; an
+    adjacency cubic's isolated roots, where Jacobi ran, as a multiset.
+    """
+    if isinstance(closed, Spectrum):
+        if _poly_from_spectrum(closed) == quotient and grouped_match(closed, jac, SPECTRAL_TOL):
+            return None
         computed = spectrum_from_integer_charpoly(quotient)
         if computed is None:
             computed = Spectrum([(round(float(v)), m) for v, m in jac.pairs])
-        report.diff = _spectrum_diff(closed, computed)
-    else:
-        report.verdict = MISMATCH
-        report.diff = "quotient pipeline disagrees with brute force"
-    report.ms = int((time.perf_counter() - start) * 1000)
-    return report
+        return _spectrum_diff(closed, computed)
+    if closed != quotient:
+        return f"published poly {closed} != computed {quotient}"
+    if jac is None:
+        return None
+    try:
+        expected = closed_spectrum(claim.name, params)
+    except NoSignChange:
+        return f"root bracket sign check failed on {claim_brackets(claim.name, params)}"
+    if multiset_match(jac, expected, SPECTRAL_TOL):
+        return None
+    return f"eigenvalues {jac} do not match catalogued roots {expected}"
 
 
-def _verify_dc_adjacency(claim: str, params: dict) -> ClaimReport:
+def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
     start = time.perf_counter()
-    group = _group_for(claim, params)
-    graph, base, part = _conjugacy_super(group)
-    closed = closed_form(claim, **params)
-    quotient = super_adjacency_charpoly(base, part)
-    brute = char_poly_integer(graph.adjacency_matrix())
-
-    internal_ok = quotient == brute
-    paper_ok = closed == quotient
-    report = ClaimReport(claim=claim, params=params)
-    report.artifacts = {
-        "closed": str(closed),
-        "quotient": str(quotient),
-        "brute": str(brute),
-    }
-    if internal_ok and paper_ok:
-        report.verdict = MATCH
-    elif internal_ok:
-        report.verdict = PAPER_TABLE
-        report.diff = f"published poly {closed} != computed {quotient}"
+    closed = closed_form(claim.name, **params)
+    graph, base, part = _super(claim.group(**params), claim.relations[0])
+    if claim.matrix == "adjacency":
+        quotient = super_adjacency_charpoly(base, part)
+        matrix = graph.adjacency_matrix()
     else:
+        quotient = super_laplacian_charpoly(base, part)
+        matrix = graph.laplacian_matrix()
+    internal_ok, brute, jac = True, None, None
+    if "exact" in claim.routes:
+        brute = char_poly_integer(matrix)
+        internal_ok = brute == quotient
+    if "jacobi" in claim.routes:
+        brute = jac = jacobi_eigenvalues(matrix)
+        internal_ok = internal_ok and multiset_match(
+            jac, quotient_spectrum(base, part, claim.matrix), SPECTRAL_TOL
+        )
+
+    report = ClaimReport(claim=claim.name, params=params)
+    report.artifacts = {"closed": str(closed), "quotient": str(quotient), "brute": str(brute)}
+    if not internal_ok:
         report.verdict = MISMATCH
         report.diff = "quotient pipeline disagrees with brute force"
+    else:
+        report.diff = _paper_diff(claim, params, closed, quotient, jac)
+        if report.diff is not None:
+            report.verdict = PAPER_TABLE
     report.ms = int((time.perf_counter() - start) * 1000)
     return report
 
 
 def verify_spectral(claim: str, param_list) -> list[ClaimReport]:
     """Check a spectral claim over several parameter points."""
-    dispatch = {
-        "Thm4.1(i)": _verify_adjacency_claim,
-        "Thm4.1(ii)": _verify_adjacency_claim,
-        "Thm4.1(iii)": _verify_adjacency_claim,
-        "Thm4.2(i)": _verify_laplacian_claim,
-        "Thm4.2(ii)": _verify_laplacian_claim,
-        "Thm4.2(iii)": _verify_laplacian_claim,
-        "Sec4.2-Dc-adj": _verify_dc_adjacency,
-        "Sec4.2-Dc-lap": _verify_laplacian_claim,
-    }
-    if claim not in dispatch:
-        raise InvalidParameter(f"unknown spectral claim {claim!r}")
-    return [dispatch[claim](claim, dict(p)) for p in param_list]
-
-
-# ---------------------------------------------------------------------------
-# Structure claim verifiers
-
-def _claimed_join_sizes(claim: str, params: dict):
-    if claim == "Thm4.3":
-        n = params["n"]
-        _require(n >= 3, "requires n >= 3")
-        return (2, n // 2, n // 2, n - 2) if n % 2 == 0 else (1, n - 1, n)
-    if claim == "Thm4.4":
-        n = params["n"]
-        _require(n >= 2, "requires n >= 2")
-        return (2, n, n, 2 * n - 2)
-    if claim == "Thm4.5":
-        p, q = params["p"], params["q"]
-        return (1, p - 1, p * q - p)
-    raise InvalidParameter(f"unknown structure claim {claim!r}")
+    entry = _claim(claim, "spectral")
+    return [_verify_spectral_point(entry, dict(p)) for p in param_list]
 
 
 def verify_structure(claim: str, params) -> ClaimReport:
     """Build both sides of a structural claim and compare canonical forms."""
+    entry = _claim(claim, "structure")
     params = dict(params)
     start = time.perf_counter()
-    if claim == "Thm4.3":
-        built, _, _ = _conjugacy_super(dihedral(params["n"]))
-    elif claim == "Thm4.4":
-        built, _, _ = _conjugacy_super(generalized_quaternion(params["n"]))
-    elif claim == "Thm4.5":
-        built, _, _ = _conjugacy_super(semidirect_pq(params["p"], params["q"]))
-    elif claim == "Sec4.1-complete(D)":
-        n = params["n"]
-        _require(n >= 3 and n % 2 == 0, "requires even n >= 4")
-        built, _, _ = _order_super(dihedral(n))
-    elif claim == "Sec4.1-complete(Q)":
-        n = params["n"]
-        _require(n >= 2 and n % 2 == 0, "requires even n >= 2")
-        built, _, _ = _order_super(generalized_quaternion(n))
-    elif claim == "Sec4.2-Dc-iso":
-        m = params["m"]
-        _require(m >= 2, "requires m >= 2")
-        left, _, _ = _conjugacy_super(dihedral(2 * m))
-        right, _, _ = _conjugacy_super(generalized_quaternion(m))
-        return _compare_forms(claim, params, left, right, start,
-                              left_name="Dc(D)", right_name="Dc(Q)")
-    else:
-        raise InvalidParameter(f"unknown structure claim {claim!r}")
-
-    if claim.startswith("Sec4.1-complete"):
-        claimed = complete_graph(built.n)
-    else:
-        sizes = _claimed_join_sizes(claim, params)
-        claimed = generalized_join(
-            star_graph(len(sizes)), [complete_graph(s) for s in sizes]
-        )
-    return _compare_forms(claim, params, built, claimed, start,
-                          left_name="computed", right_name="claimed")
-
-
-def _compare_forms(claim, params, left, right, start, left_name, right_name):
-    f1 = twin_canonical_form(left)
-    f2 = twin_canonical_form(right)
+    entry.check(params)
+    built, _, _ = _super(entry.group(**params), entry.relations[0])
+    f1 = twin_canonical_form(built)
+    f2 = twin_canonical_form(entry.closed(**params))
+    left, right = entry.sides
     report = ClaimReport(claim=claim, params=params)
-    report.artifacts = {left_name: f1.describe(), right_name: f2.describe()}
-    if f1 == f2:
-        report.verdict = MATCH
-    else:
+    report.artifacts = {left: f1.describe(), right: f2.describe()}
+    if f1 != f2:
         report.verdict = PAPER_TABLE
-        report.diff = f"{left_name} {f1.describe()} != {right_name} {f2.describe()}"
+        report.diff = f"{left} {f1.describe()} != {right} {f2.describe()}"
     report.ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -578,16 +593,9 @@ def verify_generic(seed: int, trials: int) -> list[ClaimReport]:
     return reports
 
 
+
 # ---------------------------------------------------------------------------
 # Suites
-
-def _odd_range(lo: int, hi: int) -> list[int]:
-    return [n for n in range(lo, hi + 1) if n % 2 == 1]
-
-
-def _even_range(lo: int, hi: int) -> list[int]:
-    return [n for n in range(lo, hi + 1) if n % 2 == 0]
-
 
 def suite_tasks(
     suite: str,
@@ -600,59 +608,23 @@ def suite_tasks(
     trials: int = 200,
     seed: int = 42,
 ) -> list[tuple]:
-    """Build the (kind, claim, params) task list for a verification suite."""
+    """Build the (kind, claim, params) task list for a verification suite.
+
+    ``family`` keeps the claims tagged with it. Without it, suite 4.2 leaves
+    out the Dc claims, which ``all`` and ``family="Dc"`` select. The generic
+    suite carries no family tag and runs under any family.
+    """
+    bounds = {"odd_n": odd_n, "n": n_range, "m": m_range}
     pq_pairs = tuple(pq_pairs) if pq_pairs else DEFAULT_PQ_PAIRS
     tasks: list[tuple] = []
-
-    def family_on(tag: str, default: bool = True) -> bool:
+    for claim in CLAIMS:
         if family is None:
-            return default
-        return family == tag
-
-    if suite in ("4.1", "all"):
-        if family_on("D"):
-            lo, hi = odd_n or (3, 25)
-            tasks += [("spectral", "Thm4.1(i)", {"n": n}) for n in _odd_range(lo, hi)]
-            slo, shi = n_range or (3, 12)
-            tasks += [
-                ("structure", "Sec4.1-complete(D)", {"n": n})
-                for n in _even_range(max(slo, 4), shi)
-            ]
-        if family_on("Q"):
-            lo, hi = odd_n or (3, 15)
-            tasks += [("spectral", "Thm4.1(ii)", {"n": n}) for n in _odd_range(lo, hi)]
-            slo, shi = n_range or (2, 8)
-            tasks += [
-                ("structure", "Sec4.1-complete(Q)", {"n": n})
-                for n in _even_range(max(slo, 2), shi)
-            ]
-        if family_on("PQ"):
-            tasks += [("spectral", "Thm4.1(iii)", {"p": p, "q": q}) for p, q in pq_pairs]
-    if suite in ("4.2", "all"):
-        if family_on("D"):
-            lo, hi = odd_n or (3, 25)
-            tasks += [("spectral", "Thm4.2(i)", {"n": n}) for n in _odd_range(lo, hi)]
-        if family_on("Q"):
-            lo, hi = odd_n or (3, 13)
-            tasks += [("spectral", "Thm4.2(ii)", {"n": n}) for n in _odd_range(lo, hi)]
-        if family_on("PQ"):
-            tasks += [("spectral", "Thm4.2(iii)", {"p": p, "q": q}) for p, q in pq_pairs]
-        if family_on("Dc", default=suite == "all"):
-            lo, hi = m_range or (2, 6)
-            tasks += [("spectral", "Sec4.2-Dc-adj", {"m": m}) for m in range(lo, hi + 1)]
-            tasks += [("spectral", "Sec4.2-Dc-lap", {"m": m}) for m in range(lo, hi + 1)]
-            ilo, ihi = m_range or (2, 8)
-            tasks += [
-                ("structure", "Sec4.2-Dc-iso", {"m": m}) for m in range(ilo, ihi + 1)
-            ]
-    if suite in ("4.3", "all"):
-        lo, hi = n_range or (3, 12)
-        tasks += [("structure", "Thm4.3", {"n": n}) for n in range(max(lo, 3), hi + 1)]
-    if suite in ("4.4", "all"):
-        lo, hi = n_range or (2, 8)
-        tasks += [("structure", "Thm4.4", {"n": n}) for n in range(max(lo, 2), hi + 1)]
-    if suite in ("4.5", "all"):
-        tasks += [("structure", "Thm4.5", {"p": p, "q": q}) for p, q in pq_pairs]
+            wanted = suite == "all" or (suite == claim.suite and claim.family != "Dc")
+        else:
+            wanted = suite in ("all", claim.suite) and family == claim.family
+        if wanted:
+            points = claim.points(bounds.get(claim.axis), pq_pairs)
+            tasks += [(claim.kind, claim.name, p) for p in points]
     if suite in ("generic", "all"):
         tasks.append(("generic", "generic", {"seed": seed, "trials": trials}))
     if not tasks:
@@ -675,11 +647,13 @@ def run_claim_task(task: tuple) -> list[ClaimReport]:
 def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
     """Run a verification suite, optionally fanning claims out to workers.
 
-    Reports come back deterministically ordered by (claim, params) regardless
-    of the worker count.
+    At most one worker per task is started. Reports come back
+    deterministically ordered by (claim, params) regardless of the worker
+    count.
     """
     tasks = suite_tasks(suite, **kwargs)
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             grouped = list(pool.map(run_claim_task, tasks))
     else:

@@ -115,6 +115,40 @@ def test_spectrum_compare_agrees(in_tmp, capsys):
     assert "compare:" in out
 
 
+def test_spectrum_compare_skips_out_of_range_closed_form(in_tmp, capsys):
+    for group in ("D:4", "Q:4"):
+        code = main([
+            "spectrum", "--group", group, "--relation", "order", "--matrix",
+            "adjacency", "--method", "quotient", "--compare",
+        ])
+        assert code == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("compare:")]
+        assert len(lines) == 2
+        assert all(ln.endswith(": agree") for ln in lines)
+    assert main([
+        "spectrum", "--group", "D:4", "--relation", "order", "--method", "closed",
+    ]) == 1
+
+
+def test_spectrum_compare_runs_each_route_once(in_tmp, monkeypatch):
+    import supergraph.cli as cli
+
+    calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    for method in ("exact", "jacobi", "quotient", "closed"):
+        calls.update(char_poly_integer=0, jacobi_eigenvalues=0)
+        assert main([
+            "spectrum", "--group", "D:5", "--relation", "order", "--matrix",
+            "laplacian", "--method", method, "--compare",
+        ]) == 0
+        assert calls == {"char_poly_integer": 1, "jacobi_eigenvalues": 1}, method
+
+
 def test_spectrum_closed_unsupported(in_tmp, capsys):
     code = main([
         "spectrum", "--group", "Q:2", "--relation", "conjugacy", "--matrix",
@@ -176,6 +210,15 @@ def test_verify_cli_deterministic_modulo_ms(in_tmp):
 def test_verify_cli_jobs_env(in_tmp, monkeypatch):
     monkeypatch.setenv("SUPERGRAPH_JOBS", "2")
     assert main(["verify", "--suite", "4.5", "--report", "r.json"]) == 0
+
+
+def test_verify_cli_rejects_bad_worker_counts(in_tmp, monkeypatch, capsys):
+    monkeypatch.setenv("SUPERGRAPH_JOBS", "x")
+    assert main(["verify", "--suite", "4.5", "--report", "r.json"]) == 1
+    assert 'jobs "x"' in capsys.readouterr().err
+    monkeypatch.delenv("SUPERGRAPH_JOBS")
+    assert main(["verify", "--suite", "4.5", "--report", "r.json", "--jobs", "0"]) == 1
+    assert not (in_tmp / "r.json").exists()
 
 
 def test_usage_error_exit_code():

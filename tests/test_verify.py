@@ -22,6 +22,7 @@ from supergraph.verify import (
     closed_form,
     format_report_table,
     run_suite,
+    suite_tasks,
     summarize,
     verify_generic,
     verify_spectral,
@@ -237,6 +238,11 @@ def test_run_suite_42_default_excludes_dc_family():
     assert all(r.verdict == MATCH for r in reports)
 
 
+def test_suite_family_filters_every_tagged_claim():
+    claims = {claim for _, claim, _ in suite_tasks("all", family="Q")}
+    assert claims == {"Sec4.1-complete(Q)", "Thm4.1(ii)", "Thm4.2(ii)", "Thm4.4", "generic"}
+
+
 def test_summary_and_table():
     reports = run_suite("4.4", n_range=(2, 4))
     counts = summarize(reports)
@@ -250,3 +256,17 @@ def test_report_json_shape():
     data = report.to_json_dict()
     assert set(data) == {"claim", "params", "verdict", "diff", "ms"}
     json.dumps(data)  # serializable
+
+
+def test_run_suite_all_pins_the_catalogue():
+    reports = run_suite("all", odd_n=(3, 9), trials=5, jobs=1)
+    assert summarize(reports) == {"match": 67, "mismatch": 0, "paper_table": 12}
+    flagged = {
+        (r.claim, tuple(r.params.values())) for r in reports if r.verdict == PAPER_TABLE
+    }
+    assert flagged == (
+        {("Sec4.2-Dc-adj", (m,)) for m in (3, 5)}
+        | {("Sec4.2-Dc-lap", (m,)) for m in range(2, 7)}
+        | {("Thm4.3", (n,)) for n in (6, 10)}
+        | {("Thm4.4", (n,)) for n in (3, 5, 7)}
+    )
