@@ -275,15 +275,16 @@ def cmd_verify(args) -> int:
         seed=args.seed,
     )
     print(verify_mod.format_report_table(reports))
-    payload = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "reports": [r.to_json_dict() for r in reports],
-        "summary": verify_mod.summarize(reports),
-    }
-    _write_text(args.report, _dump_json(payload))
-    print(f"wrote {args.report}")
     counts = verify_mod.summarize(reports)
+    if args.report:
+        payload = {
+            "suite": args.suite,
+            "seed": args.seed,
+            "reports": [r.to_json_dict() for r in reports],
+            "summary": counts,
+        }
+        _write_text(args.report, _dump_json(payload))
+        print(f"wrote {args.report}")
     if counts["mismatch"] > 0:
         return 2
     if args.strict and counts["paper_table"] > 0:
@@ -342,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--strict", action="store_true",
                    help="count paper-table mismatches as failures")
-    v.add_argument("--report", default="verify-report.json")
+    v.add_argument("--report", help="write the JSON report to this path")
     v.add_argument("--jobs", type=int, default=None,
                    help="worker processes, at most one per task "
                         "(default: SUPERGRAPH_JOBS or 1)")

@@ -187,6 +187,12 @@ def test_verify_cli_green_suite(in_tmp, capsys):
         assert set(entry) == {"claim", "params", "verdict", "diff", "ms"}
 
 
+def test_verify_cli_writes_no_report_without_flag(in_tmp, capsys):
+    assert main(["verify", "--suite", "4.5", "--jobs", "1"]) == 0
+    assert list(in_tmp.iterdir()) == []
+    assert "wrote" not in capsys.readouterr().out
+
+
 def test_verify_cli_strict_flips_exit_code(in_tmp):
     base = ["verify", "--suite", "4.4", "--n", "2..4", "--jobs", "1"]
     assert main(base + ["--report", "r1.json"]) == 0
