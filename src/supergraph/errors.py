@@ -8,8 +8,11 @@ class SupergraphError(Exception):
 class NotAGroup(SupergraphError):
     """A multiplication table fails one of the group axioms.
 
-    ``witness`` carries the offending data: a triple (i, j, k) for an
-    associativity failure, or a row/column index for a Latin-square failure.
+    ``witness`` carries the offending data: a triple (x, s, y) with
+    (x*s)*y != x*(s*y) for an associativity failure, whose middle element s
+    is a generator of the table; a row/column index for a Latin-square
+    failure; or the (row, column) of an entry that is not an integer in
+    0..n-1.
     """
 
     def __init__(self, message, witness=None):

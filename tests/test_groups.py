@@ -7,16 +7,24 @@ import pytest
 from supergraph import (
     InvalidParameter,
     NotAGroup,
+    SimpleGraph,
+    char_poly_integer,
     commuting_graph,
+    conjugacy_partition,
     cyclic,
     dihedral,
+    direct_product,
     from_cayley_table,
     generalized_quaternion,
+    order_partition,
     read_cayley_file,
     semidirect_pq,
+    super_graph,
+    super_laplacian_charpoly,
     twin_canonical_form,
     write_cayley_file,
 )
+from supergraph.groups import _generating_set, _validate_table
 
 
 def test_trivial_group():
@@ -35,18 +43,60 @@ def test_z4_from_table():
     assert [g.element_order(x) for x in range(4)] == [1, 4, 2, 4]
 
 
+def _intercalates(table, avoid=0):
+    """Yield every 2x2 Latin subsquare (r1, r2, c1, c2), r1 < r2 and c1 < c2,
+    that misses row and column ``avoid``, in lexicographic order."""
+    t = np.asarray(table)
+    n = len(t)
+    pos = np.argsort(t, axis=1)  # pos[r, v]: the column where row r holds v
+    r2, c1 = np.indices((n, n))
+    for r1 in range(n):
+        c2 = pos[r1][t]  # c2[r2, c1]: the column where row r1 holds t[r2, c1]
+        hit = (r1 < r2) & (c1 < c2) & (t[r2, c2] == t[r1][c1])
+        hit &= (r1 != avoid) & (r2 != avoid) & (c1 != avoid) & (c2 != avoid)
+        for found in zip(r2[hit].tolist(), c1[hit].tolist(), c2[hit].tolist()):
+            yield (r1, *found)
+
+
+def _swap(table, r1, r2, c1, c2):
+    """Swap the entries of an intercalate: the table stays a Latin square."""
+    out = [[int(v) for v in row] for row in table]
+    out[r1][c1], out[r1][c2] = out[r1][c2], out[r1][c1]
+    out[r2][c1], out[r2][c2] = out[r2][c2], out[r2][c1]
+    return out
+
+
 def _intercalate_swap(table):
-    """Swap a 2x2 Latin subsquare away from row/column 0, preserving the
+    """Swap the first 2x2 Latin subsquare away from row/column 0, preserving the
     Latin property and the identity while breaking associativity."""
-    n = len(table)
-    for r1, r2 in itertools.combinations(range(1, n), 2):
-        for c1, c2 in itertools.combinations(range(1, n), 2):
-            if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]:
-                out = [row[:] for row in table]
-                out[r1][c1], out[r1][c2] = out[r1][c2], out[r1][c1]
-                out[r2][c1], out[r2][c2] = out[r2][c2], out[r2][c1]
-                return out
-    raise AssertionError("no intercalate found")
+    return _swap(table, *next(_intercalates(table)))
+
+
+def _associativity_witness(table):
+    """Exhaustive O(n^3) oracle, the check validation ran up to order 256
+    before Light's test: the first triple (i, j, k) with (i*j)*k != i*(j*k),
+    or None when the table is associative."""
+    t = np.asarray(table)
+    for i in range(len(t)):
+        left = t[t[i, :], :]
+        right = t[i, t]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            return i, int(j), int(k)
+    return None
+
+
+def _relabel(table, perm):
+    """The table of the same group with element g renamed perm[g]."""
+    t = np.asarray(table)
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return out
+
+
+def _is_true_witness(table, witness):
+    x, s, y = witness
+    return table[table[x][s]][y] != table[x][table[s][y]]
 
 
 def test_corrupted_s3_reports_witness_triple():
@@ -62,6 +112,180 @@ def test_corrupted_s3_reports_witness_triple():
 def test_non_latin_table_rejected():
     with pytest.raises(NotAGroup):
         from_cayley_table([[0, 0], [1, 1]])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 0], [1, 1]], "row 0 is not a permutation"),
+        ([[0, 1, 2], [1, 1, 2], [2, 0, 1]], "row 1 is not a permutation"),
+        ([[0, 1, 2], [1, 0, 2], [2, 0, 1]], "column 1 is not a permutation"),
+    ],
+)
+def test_latin_failure_names_first_bad_row_or_column(table, message):
+    # Index i is checked as row i, then column i, before index i + 1.
+    with pytest.raises(NotAGroup, match=message) as exc:
+        from_cayley_table(table)
+    assert exc.value.witness == int(message.split()[1])
+
+
+def test_light_test_agrees_with_exhaustive_oracle():
+    rng = np.random.default_rng(20231)
+    bases = [dihedral(n).table for n in range(3, 9)]
+    bases += [generalized_quaternion(n).table for n in (2, 3, 4)]
+    # Groups of odd order have no intercalates, so the PQ tables have q = 2.
+    bases += [semidirect_pq(p, 2).table for p in (3, 5, 7, 11)]
+    bases += [cyclic(n).table for n in (4, 6, 8, 10, 12, 16)]
+    accepted = rejected = 0
+    for base in bases:
+        for _ in range(24):
+            perm = rng.permutation(len(base))
+            table = _relabel(base, perm).tolist()
+            identity = int(perm[0])
+            for _ in range(rng.integers(1, 4)):
+                found = list(_intercalates(table, avoid=identity))
+                if not found:
+                    break
+                table = _swap(table, *found[rng.integers(len(found))])
+            oracle = _associativity_witness(table)
+            t = np.array(table)
+            if oracle is None:
+                assert _validate_table(t) == identity
+                accepted += 1
+                continue
+            with pytest.raises(NotAGroup) as exc:
+                _validate_table(t)
+            assert _is_true_witness(table, exc.value.witness), exc.value
+            assert exc.value.witness[1] in _generating_set(t, identity)
+            rejected += 1
+    assert accepted + rejected >= 400
+    assert accepted > 0 and rejected > 0
+
+
+def test_relabelled_identity_away_from_zero_accepted():
+    # As the benchmark's D20xD10 Cayley file: D20 x D10 with seeded labels.
+    product = direct_product(dihedral(10), dihedral(5))
+    perm = np.random.default_rng(1).permutation(product.order)
+    assert perm[0] != 0
+    g = from_cayley_table(_relabel(product.table, perm))
+    assert g.identity == perm[0]
+    assert g.center() == tuple(sorted(int(perm[z]) for z in product.center()))
+
+
+def test_corrupted_table_above_order_256_rejected():
+    table = dihedral(150).table.tolist()
+    bad = _swap(table, *next(_intercalates(table)))
+    with pytest.raises(NotAGroup) as exc:
+        from_cayley_table(bad)
+    assert _is_true_witness(bad, exc.value.witness)
+
+
+def test_group_needing_many_generators():
+    g = cyclic(2)
+    for _ in range(7):
+        g = direct_product(g, cyclic(2))
+    assert g.order == 256
+    assert _generating_set(g.table, g.identity) == [1, 2, 4, 8, 16, 32, 64, 128]
+    bad = _swap(g.table, *next(_intercalates(g.table)))
+    with pytest.raises(NotAGroup) as exc:
+        from_cayley_table(bad)
+    assert _is_true_witness(bad, exc.value.witness)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0.0, 1.0], [1.0, 0.5]],
+        [[0, 1], [1]],
+        [[0.0, float("nan")], [1.0, 0.0]],
+        [[0, "1"], [1, 0]],
+        [[0, 2**70], [1, 0]],
+    ],
+    ids=["fraction", "ragged", "nan", "string", "beyond-int64"],
+)
+def test_inexact_table_entries_rejected(table):
+    with pytest.raises(NotAGroup):
+        from_cayley_table(table)
+
+
+def test_integer_valued_entries_accepted():
+    z2 = [[0, 1], [1, 0]]
+    for table in (z2, [[0.0, 1.0], [1.0, 0.0]], np.array(z2, dtype=np.uint8),
+                  np.array(z2, dtype=np.int32), np.array(z2, dtype=np.float32)):
+        g = from_cayley_table(table)
+        assert g.table.dtype == np.int64
+        assert g.table.tolist() == z2
+
+
+def test_direct_product():
+    d6, z2 = dihedral(3), cyclic(2)
+    g = direct_product(d6, z2)
+    assert g.order == 12 and g.name == "D6xZ2"
+    assert g.labels[:3] == ("(e,e)", "(e,a)", "(a,e)")
+    for x1, y1, x2, y2 in itertools.product(range(6), range(2), range(6), range(2)):
+        product = g.multiply(2 * x1 + y1, 2 * x2 + y2)
+        assert product == 2 * d6.multiply(x1, x2) + z2.multiply(y1, y2)
+    assert g.center() == (0, 1)
+
+
+def _symmetric(n):
+    """S_n on the permutations of 0..n-1 in lexicographic order, (p*q)(i) = p(q(i))."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    m = len(perms)
+    composed = perms[np.arange(m)[:, None, None], perms[None, :, :]]
+    code = n ** np.arange(n - 1, -1, -1)  # lexicographic order is code order
+    return from_cayley_table(np.searchsorted(perms @ code, composed @ code), name=f"S{n}")
+
+
+def _wider_groups():
+    return [
+        _symmetric(4),
+        _symmetric(5),
+        direct_product(dihedral(4), dihedral(3)),
+        direct_product(dihedral(3), generalized_quaternion(2)),
+        direct_product(dihedral(5), cyclic(6)),
+    ]
+
+
+def test_symmetric_groups():
+    s4, s5 = _symmetric(4), _symmetric(5)
+    assert sorted(len(b) for b in s4.conjugacy_classes().blocks) == [1, 3, 6, 6, 8]
+    assert sorted(len(b) for b in s5.conjugacy_classes().blocks) == [1, 10, 15, 20, 20, 24, 30]
+    assert s5.center() == (0,)
+
+
+def test_wider_groups_quotient_route_matches_explicit_laplacian():
+    for g in _wider_groups():
+        base = commuting_graph(g)
+        for partition in (order_partition, conjugacy_partition):
+            part = partition(g)
+            explicit = char_poly_integer(super_graph(base, part).laplacian_matrix())
+            assert super_laplacian_charpoly(base, part) == explicit, (g.name, partition)
+
+
+def test_wider_groups_twin_form_agrees_with_isomorphism():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(5)
+    graphs = []
+    for g in _wider_groups():
+        base = commuting_graph(g)
+        graphs += [super_graph(base, p(g)) for p in (order_partition, conjugacy_partition)]
+    relabelled = []
+    for graph in graphs:
+        perm = rng.permutation(graph.n)
+        relabelled.append(SimpleGraph.from_adjacency(graph.adjacency[np.ix_(perm, perm)]))
+    graphs += relabelled
+    forms = [twin_canonical_form(graph) for graph in graphs]
+    nets = [nx.from_numpy_array(graph.adjacency.astype(int)) for graph in graphs]
+    outcomes = set()
+    for i, j in itertools.combinations(range(len(graphs)), 2):
+        if graphs[i].n != graphs[j].n:
+            continue
+        # VF2++: plain VF2 (nx.is_isomorphic) needs minutes on some of these pairs.
+        isomorphic = nx.vf2pp_is_isomorphic(nets[i], nets[j])
+        assert (forms[i] == forms[j]) == isomorphic, (i, j, forms[i], forms[j])
+        outcomes.add(isomorphic)
+    assert outcomes == {True, False}
 
 
 def test_dihedral_enumeration_and_labels():
