@@ -145,13 +145,13 @@ def cmd_graph(args) -> int:
     base = commuting_graph(group)
     graph = base if args.relation == "none" else super_graph(base, partition)
 
+    form = twin_canonical_form(graph)  # before writing: a failure leaves no file
     out_path = args.output or f"{spec.slug()}-{args.relation.replace(':', '_')}.{args.out}"
     if args.out == "json":
         _write_text(out_path, _dump_json(graph.to_json_dict()))
     else:
         _write_text(out_path, graph.to_dot())
 
-    form = twin_canonical_form(graph)
     print(f"group {args.group} (order {group.order}); relation {args.relation}")
     connected = "connected" if is_connected(graph) else "disconnected"
     print(f"graph: {graph.n} vertices, {graph.edge_count} edges; {connected}")

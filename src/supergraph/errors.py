@@ -37,11 +37,7 @@ class NotSymmetric(SupergraphError):
 
 
 class NoConvergence(SupergraphError):
-    """The eigensolver failed to converge; ``residual`` is the final off-norm."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """LAPACK's symmetric eigensolver failed to converge."""
 
 
 class NoSignChange(SupergraphError):

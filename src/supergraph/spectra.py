@@ -1,10 +1,11 @@
 """Spectra and characteristic polynomials of super graphs.
 
-Three independent routes are provided: a cyclic Jacobi eigensolver for dense
-symmetric matrices, exact integer characteristic polynomials of explicit
+Three independent routes are provided: LAPACK's symmetric eigensolver on the
+explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
-join of cliques on a small matrix. Closed forms for star joins of cliques are
-implemented exactly, with irrational eigenvalues kept as surds.
+join of cliques on a small matrix. Root isolation and integer-root
+factorization serve the verifier; the star-join Laplacian closed form and the
+interlacing check serve the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     ArityMismatch,
+    FormatError,
     InvalidParameter,
     NoConvergence,
     NoSignChange,
@@ -28,61 +29,20 @@ from .graphs import SimpleGraph, compressed_graph, connected_components
 from .partitions import Partition
 from .polynomials import PolynomialZ, char_poly_integer
 
-_MAX_SWEEPS = 100
-_CONVERGENCE_FACTOR = 1e-12
 _GROUPING_FACTOR = 1e-8
 _ROOT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Surd:
-    """Exact value (r + sign*sqrt(d)) / 2 with integer r and nonsquare d > 0."""
-
-    r: int
-    d: int
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise InvalidParameter("surd sign must be +1 or -1")
-        if self.d <= 0:
-            raise InvalidParameter("surd radicand must be positive")
-        if math.isqrt(self.d) ** 2 == self.d:
-            raise InvalidParameter("perfect-square radicand: use surd_value()")
-
-    def __float__(self) -> float:
-        return (self.r + self.sign * math.sqrt(self.d)) / 2.0
-
-    def __str__(self) -> str:
-        op = "+" if self.sign > 0 else "-"
-        return f"({self.r}{op}sqrt({self.d}))/2"
-
-
-def surd_value(r: int, d: int, sign: int):
-    """Normalizing constructor: returns an int/Fraction when d is a perfect square."""
-    if d < 0:
-        raise InvalidParameter("surd radicand must be nonnegative")
-    root = math.isqrt(d)
-    if root * root == d:
-        num = r + sign * root
-        return num // 2 if num % 2 == 0 else Fraction(num, 2)
-    return Surd(int(r), int(d), int(sign))
-
-
 def _values_equal(a, b) -> bool:
-    if isinstance(a, Surd) or isinstance(b, Surd):
-        if isinstance(a, Surd) and isinstance(b, Surd):
-            return a == b
-        return False  # a surd is irrational, never equal to a rational/float
     if isinstance(a, float) or isinstance(b, float):
         return float(a) == float(b)
-    return a == b  # int/Fraction compare exactly
+    return a == b  # ints compare exactly
 
 
 class Spectrum:
     """Multiset of eigenvalues as (value, multiplicity) pairs, sorted ascending.
 
-    Values may be ints, Fractions, Surds or floats; equal values are merged on
+    Values are ints (exact) or floats (numeric); equal values are merged on
     construction.
     """
 
@@ -152,12 +112,7 @@ class Spectrum:
     def to_json_dict(self) -> dict:
         eigs = []
         for v, m in self._pairs:
-            if isinstance(v, Surd):
-                encoded = {"r": v.r, "d": v.d, "sign": v.sign}
-            elif isinstance(v, int):
-                encoded = v
-            else:
-                encoded = float(v)
+            encoded = v if isinstance(v, int) else float(v)
             eigs.append({"value": encoded, "multiplicity": m})
         return {"eigenvalues": eigs}
 
@@ -168,11 +123,9 @@ class Spectrum:
     def from_json_dict(cls, data: dict) -> "Spectrum":
         pairs = []
         for entry in data["eigenvalues"]:
-            raw = entry["value"]
-            if isinstance(raw, dict):
-                value = surd_value(raw["r"], raw["d"], raw["sign"])
-            else:
-                value = raw
+            value = entry["value"]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"eigenvalue must be a number, got {value!r}")
             pairs.append((value, entry["multiplicity"]))
         return cls(pairs)
 
@@ -181,64 +134,28 @@ class Spectrum:
         return cls.from_json_dict(json.loads(text))
 
 
-def jacobi_eigenvalues(matrix, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigenvalues(matrix) -> Spectrum:
+    """All eigenvalues of a symmetric matrix by LAPACK's symmetric solver.
 
-    Sweeps until the off-diagonal Frobenius norm drops below 1e-12 times the
-    Frobenius norm of the input; eigenvalues are then grouped into
-    multiplicities with tolerance 1e-8 * max(1, ||M||_F).
+    The name is historical: the solver is ``numpy.linalg.eigvalsh``. The
+    eigenvalues are grouped into multiplicities with tolerance
+    1e-8 * max(1, ||M||_F).
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidParameter("matrix must be square and nonempty")
     n = a.shape[0]
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise InvalidParameter(f"matrix Frobenius norm is not finite ({norm})")
     if float(np.abs(a - a.T).max()) > 1e-12 * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
-    a = (a + a.T) / 2.0
-    target = _CONVERGENCE_FACTOR * norm
+    try:
+        eigs = np.linalg.eigvalsh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver did not converge: {exc}") from exc
 
-    def off_norm():
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    converged = off_norm() <= target
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e10:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-        converged = off_norm() <= target
-    if not converged:
-        residual = off_norm()
-        raise NoConvergence(
-            f"Jacobi sweeps did not converge: off-norm {residual:.3e} > {target:.3e}",
-            residual=residual,
-        )
-
-    eigs = np.sort(np.diagonal(a))
     tol = _GROUPING_FACTOR * max(1.0, norm)
     pairs = []
     start = 0
@@ -352,9 +269,10 @@ def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> Polyno
 def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> Spectrum:
     """Numeric spectrum of the super graph via the quotient route.
 
-    The small quotient matrices are solved with the Jacobi eigensolver and the
-    clique eigenvalues (-1, or N_i + n_i for the Laplacian) contribute the rest
-    exactly; independent of any catalogued closed form.
+    The small quotient matrices are solved with LAPACK's symmetric solver
+    (``jacobi_eigenvalues``) and the clique eigenvalues (-1, or N_i + n_i for
+    the Laplacian) contribute the rest exactly; independent of any catalogued
+    closed form.
     """
     if matrix not in ("adjacency", "laplacian"):
         raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
@@ -375,50 +293,6 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
             for n_i, big_n in zip(qm.sizes, qm.neighbor_sums):
                 if n_i > 1:
                     pairs.append((float(big_n + n_i), n_i - 1))
-    return Spectrum(pairs)
-
-
-def star_join_adjacency_charpoly(sizes) -> PolynomialZ:
-    """Exact adjacency characteristic polynomial of a star join of cliques.
-
-    sizes[0] is the center block; the result is (x+1)^(n-k) times the product
-    over blocks of (x - n_i + 1) minus the star's cross terms, expanded exactly.
-    """
-    sizes = [int(s) for s in sizes]
-    if len(sizes) < 2:
-        raise InvalidParameter("star join needs at least two blocks")
-    if any(s < 1 for s in sizes):
-        raise InvalidParameter("all block sizes must be >= 1")
-    k = len(sizes)
-    n = sum(sizes)
-    factors = [PolynomialZ((-(s - 1), 1)) for s in sizes]
-    bracket = PolynomialZ.one()
-    for f in factors:
-        bracket = bracket * f
-    for ell in range(1, k):
-        term = PolynomialZ((sizes[0] * sizes[ell],))
-        for i in range(1, k):
-            if i != ell:
-                term = term * factors[i]
-        bracket = bracket - term
-    return bracket * PolynomialZ((1, 1)) ** (n - k)
-
-
-def uniform_star_join_adjacency_spectrum(l: int, m: int, k: int) -> Spectrum:
-    """Exact adjacency spectrum of a star join with center clique size l and
-    k-1 outer cliques of size m; the two non-integer eigenvalues are surds."""
-    if l < 1 or m < 1:
-        raise InvalidParameter("clique sizes must be >= 1")
-    if k < 2:
-        raise InvalidParameter("star join needs at least two blocks")
-    d = m * m + l * l + (4 * k - 6) * m * l
-    r = m + l - 2
-    pairs = [
-        (surd_value(r, d, -1), 1),
-        (-1, m * (k - 1) + l - k),
-        (m - 1, k - 2),
-        (surd_value(r, d, 1), 1),
-    ]
     return Spectrum(pairs)
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from supergraph import FormatError, dihedral, write_cayley_file
+from supergraph import FormatError, dihedral, direct_product, write_cayley_file
 from supergraph.cli import GroupSpec, main, parse_group_spec
 
 
@@ -70,6 +70,15 @@ def test_graph_command_cayley_group(in_tmp, capsys):
     write_cayley_file(dihedral(3), in_tmp / "d6.txt")
     assert main(["graph", "--group", "cayley:d6.txt", "--relation", "conjugacy"]) == 0
     assert "6 vertices" in capsys.readouterr().out
+
+
+def test_graph_command_failure_writes_no_file(in_tmp, capsys):
+    # the commuting graph of D8 x D6 has too many tie-break orderings for the
+    # canonical form, so the command fails; it must fail before writing
+    write_cayley_file(direct_product(dihedral(4), dihedral(3)), in_tmp / "d8d6.txt")
+    assert main(["graph", "--group", "cayley:d8d6.txt", "--relation", "none"]) == 1
+    assert "orderings" in capsys.readouterr().err
+    assert sorted(p.name for p in in_tmp.iterdir()) == ["d8d6.txt"]
 
 
 def test_spectrum_closed_laplacian_csv(in_tmp, capsys):

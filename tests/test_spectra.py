@@ -1,12 +1,13 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from supergraph import (
+    FormatError,
     InvalidParameter,
+    NoConvergence,
     NoSignChange,
     NotSymmetric,
     Partition,
@@ -14,12 +15,10 @@ from supergraph import (
     SimpleGraph,
     SizeMismatch,
     Spectrum,
-    Surd,
     char_poly_integer,
     commuting_graph,
     complete_graph,
     dihedral,
-    generalized_join,
     generalized_quaternion,
     conjugacy_partition,
     greatest_partition,
@@ -34,13 +33,10 @@ from supergraph import (
     real_root_isolate,
     spectrum_from_integer_charpoly,
     star_graph,
-    star_join_adjacency_charpoly,
     star_join_laplacian_spectrum,
     super_adjacency_charpoly,
     super_graph,
     super_laplacian_charpoly,
-    surd_value,
-    uniform_star_join_adjacency_spectrum,
 )
 
 # frozen by bisection (independent of the quotient pipeline); the trace
@@ -63,18 +59,7 @@ def _random_partition(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# Surd and Spectrum
-
-def test_surd_normalization():
-    assert surd_value(2, 28, 1) == Surd(2, 28, 1)
-    assert surd_value(2, 16, 1) == 3  # (2 + 4) / 2
-    assert surd_value(1, 16, -1) == Fraction(-3, 2)
-    assert abs(float(Surd(2, 28, -1)) - (1 - math.sqrt(7))) < 1e-15
-    with pytest.raises(InvalidParameter):
-        Surd(0, 4, 1)  # perfect squares must normalize
-    with pytest.raises(InvalidParameter):
-        surd_value(0, -1, 1)
-
+# Spectrum
 
 def test_spectrum_merging_and_order():
     s = Spectrum([(3, 1), (0, 2), (3, 2), (1, 0)])
@@ -85,11 +70,19 @@ def test_spectrum_merging_and_order():
 
 
 def test_spectrum_json_round_trip():
-    s = Spectrum([(surd_value(2, 28, -1), 1), (-1, 4), (2, 1), (surd_value(2, 28, 1), 1)])
+    s = Spectrum([(1 - math.sqrt(7), 1), (-1, 4), (2, 1), (1 + math.sqrt(7), 1)])
     back = Spectrum.from_json(s.to_json())
     assert back == s
-    payload = s.to_json_dict()["eigenvalues"][0]["value"]
-    assert payload == {"r": 2, "d": 28, "sign": -1}
+    values = [e["value"] for e in s.to_json_dict()["eigenvalues"]]
+    assert values == [1 - math.sqrt(7), -1, 2, 1 + math.sqrt(7)]
+    assert [type(v) for v in values] == [float, int, int, float]
+    assert [type(v) for v in back.values()] == [float, int, int, float]
+
+
+def test_spectrum_json_rejects_non_numbers():
+    for bad in ({"r": 2}, "3", None, True, [1]):
+        with pytest.raises(FormatError, match="eigenvalue must be a number"):
+            Spectrum.from_json_dict({"eigenvalues": [{"value": bad, "multiplicity": 1}]})
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +115,34 @@ def test_jacobi_rejects_asymmetric():
 
 
 def test_jacobi_agrees_with_numpy_on_randoms():
+    # oracle: the general (nonsymmetric QR) driver, not the symmetric one
     rng = np.random.default_rng(99)
     for n in (2, 5, 11, 24):
         m = rng.standard_normal((n, n))
         m = (m + m.T) / 2
         ours = jacobi_eigenvalues(m).expand()
-        ref = sorted(np.linalg.eigvalsh(m))
+        ref = sorted(np.linalg.eigvals(m).real)
         assert max(abs(a - b) for a, b in zip(ours, ref)) < 1e-9
+        assert abs(sum(ours) - np.trace(m)) < 1e-9
+        assert abs(sum(v * v for v in ours) - np.linalg.norm(m) ** 2) < 1e-9
+
+
+def test_jacobi_rejects_non_finite_entries():
+    for entry in (np.nan, np.inf, -np.inf, 1e308):
+        with pytest.raises(InvalidParameter, match="not finite"):
+            jacobi_eigenvalues(np.array([[entry, 0.0], [0.0, 1.0]]))
+    # finite entries whose squares overflow the Frobenius norm
+    with pytest.raises(InvalidParameter, match="not finite"):
+        jacobi_eigenvalues(np.full((2, 2), 1e200))
+
+
+def test_jacobi_maps_lapack_failure_to_no_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        jacobi_eigenvalues(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -229,52 +243,6 @@ def test_quotient_spectrum_matches_jacobi():
 
 # ---------------------------------------------------------------------------
 # Star join closed forms
-
-def test_star_join_adjacency_charpoly_cross_check():
-    sizes = (1, 2, 3)
-    join = generalized_join(star_graph(3), [complete_graph(s) for s in sizes])
-    assert star_join_adjacency_charpoly(sizes) == char_poly_integer(join.adjacency_matrix())
-
-
-def test_star_join_adjacency_charpoly_d6_instance():
-    assert star_join_adjacency_charpoly((1, 2, 3)) == PolynomialZ((1, 1)) ** 3 * PolynomialZ(
-        (7, -3, -3, 1)
-    )
-
-
-def test_star_join_two_blocks_is_complete():
-    assert star_join_adjacency_charpoly((2, 2)) == char_poly_integer(
-        complete_graph(4).adjacency_matrix()
-    )
-
-
-def test_uniform_star_join_spectrum_exact():
-    s = uniform_star_join_adjacency_spectrum(1, 3, 3)
-    assert s.pairs == (
-        (Surd(2, 28, -1), 1),
-        (-1, 4),
-        (2, 1),
-        (Surd(2, 28, 1), 1),
-    )
-    assert abs(float(s.values()[0]) - (1 - math.sqrt(7))) < 1e-15
-
-
-def test_uniform_star_join_spectrum_vs_jacobi():
-    s = uniform_star_join_adjacency_spectrum(2, 2, 4)
-    g = generalized_join(star_graph(4), [complete_graph(2)] * 4)
-    assert multiset_match(s, jacobi_eigenvalues(g.adjacency_matrix()), 1e-8)
-
-
-def test_uniform_star_join_dimension_count():
-    for l, m, k in ((1, 3, 3), (2, 2, 4), (3, 1, 2), (1, 1, 5)):
-        s = uniform_star_join_adjacency_spectrum(l, m, k)
-        assert s.total_multiplicity == m * (k - 1) + l
-
-
-def test_uniform_star_join_k2_collapses_to_complete():
-    s = uniform_star_join_adjacency_spectrum(2, 3, 2)
-    assert s.pairs == ((-1, 4), (4, 1))  # K_5
-
 
 def test_star_join_laplacian_examples():
     assert star_join_laplacian_spectrum((1, 2, 3)).pairs == (
