@@ -104,7 +104,7 @@ def build_partition(group: FiniteGroup, relation: str) -> Partition:
         path = relation[len("file:"):]
         try:
             return Partition.from_json(Path(path).read_text())
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, FormatError) as exc:
             raise FormatError(f"partition file {path}: {exc}") from None
     raise FormatError(f'unknown relation "{relation}"')
 

@@ -77,14 +77,6 @@ class SimpleGraph:
     def labels(self):
         return self._labels
 
-    def with_labels(self, labels) -> "SimpleGraph":
-        g = SimpleGraph.__new__(SimpleGraph)
-        g._finish(self._adj.copy(), labels)
-        return g
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._adj[i, j])
-
     def degree(self, v: int) -> int:
         return int(self._adj[v].sum())
 
@@ -293,10 +285,6 @@ def is_spanning_subgraph(g1: SimpleGraph, g2: SimpleGraph) -> bool:
     return not np.any(g1.adjacency & ~g2.adjacency)
 
 
-def is_complete(graph: SimpleGraph) -> bool:
-    return graph.edge_count == graph.n * (graph.n - 1) // 2
-
-
 @dataclass(frozen=True)
 class TwinForm:
     """Canonical form of a graph as a join of cliques over its twin classes.
@@ -308,10 +296,6 @@ class TwinForm:
 
     sizes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-
-    @property
-    def size_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.sizes))
 
     def describe(self) -> str:
         k = len(self.sizes)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .errors import InvalidParameter, SizeMismatch
+from .errors import FormatError, InvalidParameter, SizeMismatch
 
 
 class Partition:
@@ -28,6 +28,11 @@ class Partition:
                 raise InvalidParameter("partition blocks must be nonempty")
             norm.append(b)
         norm.sort(key=lambda b: b[0])
+        # Checked before the size-n table is allocated; with at least n
+        # elements in range and none repeated, every element is covered.
+        total = sum(map(len, norm))
+        if total < n:
+            raise InvalidParameter(f"blocks hold {total} elements, fewer than the ground size {n}")
         block_of = [-1] * n
         for idx, b in enumerate(norm):
             for v in b:
@@ -36,9 +41,6 @@ class Partition:
                 if block_of[v] != -1:
                     raise InvalidParameter(f"element {v} appears in two blocks")
                 block_of[v] = idx
-        if any(i == -1 for i in block_of):
-            missing = block_of.index(-1)
-            raise InvalidParameter(f"element {missing} not covered by any block")
         self._n = n
         self._blocks = tuple(norm)
         self._block_of = tuple(block_of)
@@ -85,12 +87,25 @@ class Partition:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Partition":
+    def from_json_dict(cls, data) -> "Partition":
+        """Partition from ``{"n": int, "blocks": [[int, ...], ...]}``; any
+        other shape raises ``FormatError``."""
+        if not (
+            isinstance(data, dict)
+            and _is_int(data.get("n"))
+            and isinstance(data.get("blocks"), list)
+            and all(isinstance(b, list) and all(map(_is_int, b)) for b in data["blocks"])
+        ):
+            raise FormatError('a partition must be {"n": int, "blocks": [[int, ...], ...]}')
         return cls(data["n"], data["blocks"])
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
         return cls.from_json_dict(json.loads(text))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def least_partition(n: int) -> Partition:

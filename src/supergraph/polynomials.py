@@ -11,6 +11,7 @@ characteristic polynomial", ISSAC 2005). The result is exact at any size.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -49,18 +50,27 @@ class PolynomialZ:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "PolynomialZ":
-        if degree < 0:
-            raise InvalidParameter("monomial degree must be nonnegative")
-        return cls((0,) * degree + (coeff,))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[tuple[int, int]]) -> "PolynomialZ":
-        """Monic polynomial with the given integer (root, multiplicity) pairs."""
-        p = cls.one()
+        """Monic polynomial with the given integer (root, multiplicity) pairs.
+
+        Equal roots are merged. The power of the most repeated root is written
+        down by the binomial theorem; every other linear factor (x - r) is
+        multiplied in synthetically, one O(degree) pass per factor.
+        """
+        merged: dict[int, int] = {}
         for root, mult in roots:
-            p = p * cls((-int(root), 1)) ** int(mult)
-        return p
+            root, mult = int(root), int(mult)
+            if mult < 0:
+                raise InvalidParameter("root multiplicity must be nonnegative")
+            merged[root] = merged.get(root, 0) + mult
+        coeffs = [1]
+        for root, mult in sorted(merged.items(), key=lambda rm: rm[1], reverse=True):
+            if coeffs == [1]:  # nothing multiplied in yet
+                coeffs = [math.comb(mult, k) * (-root) ** (mult - k) for k in range(mult + 1)]
+                continue
+            for _ in range(mult):
+                coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        return cls(coeffs)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

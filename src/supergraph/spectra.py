@@ -3,7 +3,10 @@
 Three independent routes are provided: LAPACK's symmetric eigensolver on the
 explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
-join of cliques on a small matrix. Root isolation and integer-root
+join of cliques on a small matrix. The quotient route is one pass over the
+connected components of the compressed graph: each gives a quotient matrix
+and one clique eigenvalue per block, and the two exact char polys and the
+quotient spectrum fold the same pass. Root isolation and integer-root
 factorization serve the verifier; the star-join Laplacian closed form and the
 interlacing check serve the acceptance criteria.
 """
@@ -18,7 +21,6 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
-    FormatError,
     InvalidParameter,
     NoConvergence,
     NoSignChange,
@@ -119,20 +121,6 @@ class Spectrum:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Spectrum":
-        pairs = []
-        for entry in data["eigenvalues"]:
-            value = entry["value"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FormatError(f"eigenvalue must be a number, got {value!r}")
-            pairs.append((value, entry["multiplicity"]))
-        return cls(pairs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Spectrum":
-        return cls.from_json_dict(json.loads(text))
-
 
 def jacobi_eigenvalues(matrix) -> Spectrum:
     """All eigenvalues of a symmetric matrix by LAPACK's symmetric solver.
@@ -171,22 +159,19 @@ def jacobi_eigenvalues(matrix) -> Spectrum:
 class QuotientMatrix:
     """The small matrix carrying the non-clique part of a join's spectrum.
 
-    ``symmetric`` has sqrt(n_i n_j) * rho_ij off the diagonal and
-    n_i - 1 - t * (n_i - 1 + N_i) on it; ``companion`` is the integer matrix
-    with n_j * rho_ij off-diagonal and the same diagonal, similar to
-    ``symmetric`` by the diag(sqrt(n_i)) scaling, hence with the same
-    characteristic polynomial.
+    For the ``t`` given to ``quotient_matrix``, ``symmetric`` has
+    sqrt(n_i n_j) off the diagonal where blocks i and j are joined and
+    n_i - 1 - t * (n_i - 1 + N_i) on it, where N_i is ``neighbor_sums[i]``,
+    the number of vertices joined to block i;
+    ``companion`` is the integer matrix with n_j off the diagonal where the
+    blocks are joined and the same diagonal, similar to ``symmetric`` by the
+    diag(sqrt(n_i)) scaling, hence with the same characteristic polynomial.
     """
 
     symmetric: np.ndarray
     companion: tuple[tuple[int, ...], ...]
-    t: int
     sizes: tuple[int, ...]
     neighbor_sums: tuple[int, ...]
-    rho: tuple[tuple[int, ...], ...]
-
-    def char_poly(self) -> PolynomialZ:
-        return char_poly_integer(self.companion)
 
 
 def quotient_matrix(template: SimpleGraph, sizes, t: int) -> QuotientMatrix:
@@ -200,70 +185,62 @@ def quotient_matrix(template: SimpleGraph, sizes, t: int) -> QuotientMatrix:
         raise InvalidParameter("all block sizes must be >= 1")
     if t not in (0, 1):
         raise InvalidParameter("parameter t must be 0 or 1")
-    k = len(sizes)
-    rho = template.adjacency.astype(np.int64)
-    neighbor_sums = tuple(int((rho[i] * np.asarray(sizes)).sum()) for i in range(k))
-    sym = np.zeros((k, k), dtype=float)
-    comp = [[0] * k for _ in range(k)]
-    for i in range(k):
-        r_i = sizes[i] - 1
-        diag = r_i - t * (r_i + neighbor_sums[i])
-        sym[i, i] = float(diag)
-        comp[i][i] = diag
-        for j in range(k):
-            if i != j and rho[i][j]:
-                sym[i, j] = math.sqrt(sizes[i] * sizes[j])
-                comp[i][j] = sizes[j]
+    n = np.array(sizes, dtype=np.int64)
+    rho = template.adjacency
+    neighbor_sums = rho.astype(np.int64) @ n
+    diag = np.diag(n - 1 - t * (n - 1 + neighbor_sums))
+    sym = np.where(rho, np.sqrt(np.outer(n, n).astype(float)), 0.0) + diag
     sym.setflags(write=False)
     return QuotientMatrix(
         symmetric=sym,
-        companion=tuple(tuple(row) for row in comp),
-        t=t,
+        companion=tuple(map(tuple, (np.where(rho, n, 0) + diag).tolist())),
         sizes=sizes,
-        neighbor_sums=neighbor_sums,
-        rho=tuple(tuple(int(v) for v in row) for row in rho),
+        neighbor_sums=tuple(neighbor_sums.tolist()),
     )
 
 
-def _component_data(graph: SimpleGraph, partition: Partition):
-    """Compressed graph, block sizes, and its connected components."""
+def _component_quotients(graph: SimpleGraph, partition: Partition, t: int):
+    """The quotient route, one connected component of the compressed graph at a time.
+
+    The super graph's adjacency (t = 0) or Laplacian (t = 1) spectrum is the
+    union over components of the eigenvalues of N(0), or of -N(1), and one
+    clique eigenvalue per block, -1 or N_i + n_i, with multiplicity n_i - 1
+    (Cardoso, de Freitas, Martins & Robbiano, *Discrete Math.* 313, 2013).
+    Yields (companion, symmetric, cliques) per component: the two quotient
+    matrices with that sign applied and the (eigenvalue, multiplicity) pairs
+    of the cliques.
+    """
     template = compressed_graph(graph, partition)
     sizes = partition.sizes
-    return template, sizes, connected_components(template)
+    sign = -1 if t else 1
+    for comp in connected_components(template):
+        qm = quotient_matrix(template.induced_subgraph(comp), [sizes[i] for i in comp], t)
+        cliques = [
+            (big_n + n_i if t else -1, n_i - 1)
+            for n_i, big_n in zip(qm.sizes, qm.neighbor_sums)
+        ]
+        yield sign * np.array(qm.companion, dtype=np.int64), sign * qm.symmetric, cliques
+
+
+def _quotient_charpoly(graph: SimpleGraph, partition: Partition, t: int) -> PolynomialZ:
+    core = PolynomialZ.one()
+    cliques = []
+    for companion, _, pairs in _component_quotients(graph, partition, t):
+        core = core * char_poly_integer(companion)
+        cliques.extend(pairs)
+    return core * PolynomialZ.from_roots(cliques)
 
 
 def super_adjacency_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
-    """Exact characteristic polynomial of the adjacency matrix of the super graph.
-
-    Computed as char(N(0)) * (x+1)^(n-k) on each connected component of the
-    compressed graph; components multiply because their super graphs are
-    disjoint.
-    """
-    template, sizes, comps = _component_data(graph, partition)
-    x_plus_1 = PolynomialZ((1, 1))
-    result = PolynomialZ.one()
-    for comp in comps:
-        sub = template.induced_subgraph(comp)
-        sub_sizes = [sizes[i] for i in comp]
-        qm = quotient_matrix(sub, sub_sizes, 0)
-        result = result * qm.char_poly() * x_plus_1 ** (sum(sub_sizes) - len(comp))
-    return result
+    """Exact characteristic polynomial of the adjacency matrix of the super graph:
+    char(N(0)) per compressed component times (x + 1)^(n - k)."""
+    return _quotient_charpoly(graph, partition, 0)
 
 
 def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the Laplacian of the super graph:
-    char(-N(1)) * prod_i (x - N_i - n_i)^(n_i - 1) per compressed component."""
-    template, sizes, comps = _component_data(graph, partition)
-    result = PolynomialZ.one()
-    for comp in comps:
-        sub = template.induced_subgraph(comp)
-        sub_sizes = [sizes[i] for i in comp]
-        qm = quotient_matrix(sub, sub_sizes, 1)
-        neg = tuple(tuple(-v for v in row) for row in qm.companion)
-        result = result * char_poly_integer(neg)
-        for n_i, big_n in zip(qm.sizes, qm.neighbor_sums):
-            result = result * PolynomialZ((-(big_n + n_i), 1)) ** (n_i - 1)
-    return result
+    char(-N(1)) per compressed component times prod_i (x - N_i - n_i)^(n_i - 1)."""
+    return _quotient_charpoly(graph, partition, 1)
 
 
 def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> Spectrum:
@@ -276,23 +253,11 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
     """
     if matrix not in ("adjacency", "laplacian"):
         raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
-    template, sizes, comps = _component_data(graph, partition)
     pairs: list[tuple[float, int]] = []
     t = 0 if matrix == "adjacency" else 1
-    for comp in comps:
-        sub = template.induced_subgraph(comp)
-        sub_sizes = [sizes[i] for i in comp]
-        qm = quotient_matrix(sub, sub_sizes, t)
-        sym = qm.symmetric if t == 0 else -qm.symmetric
-        pairs.extend(jacobi_eigenvalues(sym).pairs)
-        if t == 0:
-            extra = sum(sub_sizes) - len(comp)
-            if extra:
-                pairs.append((-1.0, extra))
-        else:
-            for n_i, big_n in zip(qm.sizes, qm.neighbor_sums):
-                if n_i > 1:
-                    pairs.append((float(big_n + n_i), n_i - 1))
+    for _, symmetric, cliques in _component_quotients(graph, partition, t):
+        pairs.extend(jacobi_eigenvalues(symmetric).pairs)
+        pairs.extend((float(value), mult) for value, mult in cliques)
     return Spectrum(pairs)
 
 

@@ -87,10 +87,6 @@ class ClaimReport:
 # ---------------------------------------------------------------------------
 # Claim catalogue
 
-def _x_plus_1(exp: int) -> PolynomialZ:
-    return PolynomialZ((1, 1)) ** exp
-
-
 def _cubic(c0: int, c1: int, c2: int) -> PolynomialZ:
     return PolynomialZ((c0, c1, c2, 1))
 
@@ -231,7 +227,7 @@ CLAIMS = (
         "Sec4.2-Dc-adj", "4.2", "Dc", "m", default=(2, 6), least=2,
         group=lambda m: dihedral(2 * m), relations=("conjugacy",),
         matrix="adjacency", routes=("exact",),
-        closed=lambda m: _x_plus_1(4 * m - 4) * PolynomialZ((-(m - 1), 1)) * _cubic(
+        closed=lambda m: PolynomialZ.from_roots([(-1, 4 * m - 4), (m - 1, 1)]) * _cubic(
             10 * m * m - 15 * m + 1, 2 * m * m - 10 * m + 3, -(3 * m - 3)
         ),
     ),
@@ -317,7 +313,7 @@ def closed_form(claim: str, **params):
     entry.check(params)
     if entry.cubic is not None:
         cubic, exp = entry.cubic(**params)
-        return cubic * _x_plus_1(exp)
+        return cubic * PolynomialZ.from_roots([(-1, exp)])
     return entry.closed(**params)
 
 

@@ -66,6 +66,19 @@ def test_graph_command_relation_file(in_tmp, capsys):
     assert "9 edges" in capsys.readouterr().out
 
 
+def test_graph_command_malformed_relation_file(in_tmp, capsys):
+    for bad in (
+        {"n": "x", "blocks": []},
+        {"n": 6, "blocks": 5},
+        [1, 2],
+        {"n": 6, "blocks": [[0, 1, 2], [3, 4, 5.5]]},
+    ):
+        (in_tmp / "part.json").write_text(json.dumps(bad))
+        assert main(["graph", "--group", "D:3", "--relation", "file:part.json"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["part.json"]
+
+
 def test_graph_command_cayley_group(in_tmp, capsys):
     write_cayley_file(dihedral(3), in_tmp / "d6.txt")
     assert main(["graph", "--group", "cayley:d6.txt", "--relation", "conjugacy"]) == 0

@@ -19,7 +19,6 @@ from supergraph import (
     generalized_join,
     generalized_quaternion,
     greatest_partition,
-    is_complete,
     is_connected,
     is_spanning_subgraph,
     least_partition,
@@ -66,7 +65,8 @@ def test_from_adjacency_validation():
 
 
 def test_commuting_graph_abelian_is_complete():
-    assert is_complete(commuting_graph(cyclic(4)))
+    g = commuting_graph(cyclic(4))
+    assert g == complete_graph(g.n)
 
 
 def test_commuting_graph_d6():
@@ -86,7 +86,7 @@ def _example_path():
 def test_super_graph_worked_example():
     graph, part = _example_path()
     sup = super_graph(graph, part)
-    assert is_complete(sup) and sup.n == 3
+    assert sup == complete_graph(3)
 
 
 def test_super_graph_extreme_relations():
@@ -94,7 +94,7 @@ def test_super_graph_extreme_relations():
     for _ in range(20):
         g = _random_graph(rng, rng.randint(1, 8))
         assert super_graph(g, least_partition(g.n)) == g
-        assert is_complete(super_graph(g, greatest_partition(g.n)))
+        assert super_graph(g, greatest_partition(g.n)) == complete_graph(g.n)
 
 
 def test_super_graph_invariants_random():
@@ -105,7 +105,7 @@ def test_super_graph_invariants_random():
         sup = super_graph(g, p)
         assert is_spanning_subgraph(g, sup)
         for block in p.blocks:
-            assert is_complete(sup.induced_subgraph(block))
+            assert sup.induced_subgraph(block) == complete_graph(len(block))
 
 
 def test_super_graph_size_mismatch():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from supergraph import (
+    FormatError,
     InvalidParameter,
     Partition,
     SizeMismatch,
@@ -86,6 +87,26 @@ def test_json_round_trip():
     p = Partition(4, [[0, 2], [1], [3]])
     assert Partition.from_json(p.to_json()) == p
     assert p.to_json_dict() == {"n": 4, "blocks": [[0, 2], [1], [3]]}
+
+
+def test_from_json_dict_rejects_malformed_shapes():
+    for bad in (
+        [1, 2],
+        {"blocks": [[0]]},
+        {"n": "x", "blocks": []},
+        {"n": True, "blocks": [[0]]},
+        {"n": 2.0, "blocks": [[0, 1]]},
+        {"n": 2},
+        {"n": 6, "blocks": 5},
+        {"n": 2, "blocks": [0, 1]},
+        {"n": 6, "blocks": [[0, 1, 2], [3, 4, 5.5]]},
+        {"n": 2, "blocks": [[0, False]]},
+    ):
+        with pytest.raises(FormatError):
+            Partition.from_json_dict(bad)
+    # a ground size far beyond the blocks is rejected before any allocation
+    with pytest.raises(InvalidParameter, match="fewer than the ground size"):
+        Partition.from_json_dict({"n": 10 ** 18, "blocks": [[0]]})
 
 
 @st.composite

@@ -53,6 +53,14 @@ def test_from_roots_and_multiplicity():
     assert p.root_multiplicity(2) == 0
     q, rem = p.deflate(0)
     assert rem == 0 and q.degree == 3
+    # a root split across entries and a zero multiplicity
+    split = PolynomialZ.from_roots([(-1, 2), (3, 0), (5, 1), (-1, 3), (0, 2), (5, 0)])
+    assert split == (
+        PolynomialZ((1, 1)) ** 5 * PolynomialZ((-5, 1)) * PolynomialZ((0, 1)) ** 2
+    )
+    assert PolynomialZ.from_roots([]) == PolynomialZ.from_roots([(7, 0)]) == PolynomialZ.one()
+    with pytest.raises(InvalidParameter):
+        PolynomialZ.from_roots([(2, 1), (1, -1)])
 
 
 def test_pow_and_errors():

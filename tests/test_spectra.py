@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from supergraph import (
-    FormatError,
     InvalidParameter,
     NoConvergence,
     NoSignChange,
@@ -71,18 +71,14 @@ def test_spectrum_merging_and_order():
 
 def test_spectrum_json_round_trip():
     s = Spectrum([(1 - math.sqrt(7), 1), (-1, 4), (2, 1), (1 + math.sqrt(7), 1)])
-    back = Spectrum.from_json(s.to_json())
-    assert back == s
-    values = [e["value"] for e in s.to_json_dict()["eigenvalues"]]
+    data = json.loads(s.to_json())
+    assert data == s.to_json_dict()
+    values = [e["value"] for e in data["eigenvalues"]]
     assert values == [1 - math.sqrt(7), -1, 2, 1 + math.sqrt(7)]
     assert [type(v) for v in values] == [float, int, int, float]
-    assert [type(v) for v in back.values()] == [float, int, int, float]
-
-
-def test_spectrum_json_rejects_non_numbers():
-    for bad in ({"r": 2}, "3", None, True, [1]):
-        with pytest.raises(FormatError, match="eigenvalue must be a number"):
-            Spectrum.from_json_dict({"eigenvalues": [{"value": bad, "multiplicity": 1}]})
+    mults = [e["multiplicity"] for e in data["eigenvalues"]]
+    assert mults == [1, 4, 1, 1]
+    assert all(type(m) is int for m in mults)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def test_quotient_symmetric_and_companion_share_spectrum():
         for t in (0, 1):
             qm = quotient_matrix(template, sizes, t)
             sym_eigs = jacobi_eigenvalues(qm.symmetric).expand()
-            poly = qm.char_poly()
+            poly = char_poly_integer(qm.companion)
             assert poly.degree == k and poly.is_monic()
             # the companion polynomial vanishes at the symmetric eigenvalues
             for eig in sym_eigs:
@@ -225,6 +221,14 @@ def test_super_charpolys_match_brute_force_random():
         sup = super_graph(g, p)
         assert super_adjacency_charpoly(g, p) == char_poly_integer(sup.adjacency_matrix())
         assert super_laplacian_charpoly(g, p) == char_poly_integer(sup.laplacian_matrix())
+        # the compressed graphs here are often disconnected
+        for matrix, explicit in (
+            ("adjacency", sup.adjacency_matrix()),
+            ("laplacian", sup.laplacian_matrix()),
+        ):
+            assert multiset_match(
+                quotient_spectrum(g, p, matrix), jacobi_eigenvalues(explicit), 1e-8
+            )
         trials += 1
 
 
