@@ -329,7 +329,8 @@ def twin_canonical_form(graph: SimpleGraph) -> TwinForm:
 
     Classes are colored by (size, degree) and refined by neighbor colors;
     remaining ties are broken by exhaustive permutation within color classes,
-    which is feasible because quotients of joins of cliques are tiny. Raises
+    of runs of identical quotient rows rather than of single classes, which
+    is feasible because quotients of joins of cliques are tiny. Raises
     CanonicalAmbiguity if the tie-break search space exceeds the bound.
     """
     if graph.n < 1:
@@ -338,11 +339,7 @@ def twin_canonical_form(graph: SimpleGraph) -> TwinForm:
     k = len(classes)
     sizes = [len(c) for c in classes]
     reps = [c[0] for c in classes]
-    q = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if graph.adjacency[reps[i], reps[j]]:
-                q[i, j] = q[j, i] = True
+    q = graph.adjacency[np.ix_(reps, reps)]
 
     colors = _refine_colors(q, sizes)
     order = _canonical_order(q, colors)
@@ -375,13 +372,15 @@ def _refine_colors(q: np.ndarray, sizes: list[int]) -> list[int]:
 
 
 def _canonical_order(q: np.ndarray, colors: list[int]) -> list[int]:
+    # Vertices of one color with identical rows of q give the same matrix in
+    # either order, so only runs of them, each contiguous and in index order,
+    # are permuted. That set of orderings is isomorphism-invariant, so the
+    # least upper triangle over it is still canonical.
     k = len(colors)
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, dict[bytes, list[int]]] = {}
     for v in range(k):
-        groups.setdefault(colors[v], []).append(v)
-    ordered_groups = [groups[c] for c in sorted(groups)]
-    if not q.any():
-        return [v for g in ordered_groups for v in g]
+        groups.setdefault(colors[v], {}).setdefault(q[v].tobytes(), []).append(v)
+    ordered_groups = [list(groups[c].values()) for c in sorted(groups)]
     space = math.prod(math.factorial(len(g)) for g in ordered_groups)
     if space > _SEARCH_LIMIT:
         raise CanonicalAmbiguity(
@@ -390,7 +389,7 @@ def _canonical_order(q: np.ndarray, colors: list[int]) -> list[int]:
     best_bits = None
     best_order = None
     for perms in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
-        order = [v for perm in perms for v in perm]
+        order = [v for perm in perms for run in perm for v in run]
         bits = tuple(
             int(q[order[i], order[j]]) for i in range(k) for j in range(i + 1, k)
         )

@@ -2,6 +2,9 @@
 
 Element identity is a plain index 0..order-1; each family constructor fixes a
 canonical element enumeration so vertex numbering is reproducible everywhere.
+Family tables come from their presentations by numpy index arithmetic, D_2n
+and Q_4n from one dicyclic builder (b^2 = e against b^2 = a^n); inverses,
+element orders, conjugacy classes and the center are gathers on the table.
 
 Validation is exact at every order: a table is accepted only if its entries
 are integers in 0..n-1, it is a Latin square with an identity, and it passes
@@ -41,11 +44,15 @@ class FiniteGroup:
             identity = _find_identity(arr)
             if identity is None:
                 raise NotAGroup("table has no identity element")
+        holds_identity = arr == identity
+        missing = np.flatnonzero(~holds_identity.any(axis=1))
+        if missing.size:
+            raise NotAGroup(f"row {missing[0]} holds no identity", witness=int(missing[0]))
         arr.setflags(write=False)
         self._table = arr
         self._identity = identity
         self._labels = labels
-        self._inverses = tuple(int(np.nonzero(arr[g] == identity)[0][0]) for g in range(n))
+        self._inverses = holds_identity.argmax(axis=1)
         self.name = name
 
     @property
@@ -64,14 +71,11 @@ class FiniteGroup:
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
-    def label(self, g: int) -> str:
-        return self._labels[g]
-
     def multiply(self, a: int, b: int) -> int:
         return int(self._table[a, b])
 
     def inverse(self, g: int) -> int:
-        return self._inverses[g]
+        return int(self._inverses[g])
 
     def power(self, g: int, k: int) -> int:
         if k < 0:
@@ -81,42 +85,57 @@ class FiniteGroup:
             acc = int(self._table[acc, g])
         return acc
 
+    def element_orders(self) -> np.ndarray:
+        """Every element's order, the least t >= 1 with g^t = identity.
+
+        Step t gathers g^(t+1) = g^t * g for each element still pending. In a
+        group every order divides n, so an element left after n steps has
+        no finite order and the table is not a group.
+        """
+        orders = np.zeros(self.order, dtype=np.int64)
+        pending = np.arange(self.order)
+        acc = pending
+        for t in range(1, self.order + 1):
+            done = acc == self._identity
+            orders[pending[done]] = t
+            pending, acc = pending[~done], acc[~done]
+            if not pending.size:
+                return orders
+            acc = self._table[acc, pending]
+        g = int(pending[0])
+        raise NotAGroup(f"element {g} has no finite order: its powers miss the identity",
+                        witness=g)
+
     def element_order(self, g: int) -> int:
         """Least t >= 1 with g^t = identity."""
         if not 0 <= g < self.order:
             raise InvalidParameter(f"element {g} outside group of order {self.order}")
-        acc = g
-        t = 1
-        while acc != self._identity:
-            acc = int(self._table[acc, g])
-            t += 1
-        return t
-
-    def commutes(self, a: int, b: int) -> bool:
-        return self._table[a, b] == self._table[b, a]
+        return int(self.element_orders()[g])
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self._table, self._table.T))
 
     def conjugacy_classes(self) -> Partition:
-        """Orbits under conjugation, ordered by minimum element index."""
-        n = self.order
+        """Orbits under conjugation, ordered by minimum element index.
+
+        The orbit of g is {h g h^-1}: column g of the table holds every h*g,
+        and gathering those rows at the columns h^-1 conjugates by all h at once.
+        """
         t = self._table
-        seen = [False] * n
+        seen = np.zeros(self.order, dtype=bool)
         blocks = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            orbit = sorted({int(t[t[h, g], self._inverses[h]]) for h in range(n)})
-            for x in orbit:
-                seen[x] = True
-            blocks.append(orbit)
-        return Partition(n, blocks)
+        while not seen.all():
+            g = int(np.argmin(seen))
+            orbit = np.zeros(self.order, dtype=bool)
+            orbit[t[t[:, g], self._inverses]] = True
+            seen |= orbit
+            blocks.append(np.flatnonzero(orbit))
+        return Partition(self.order, blocks)
 
     def center(self) -> tuple[int, ...]:
         """Elements commuting with every group element."""
         t = self._table
-        return tuple(int(z) for z in range(self.order) if np.array_equal(t[z, :], t[:, z]))
+        return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -240,9 +259,27 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with elements e, a, a^2, ..."""
     if n < 1:
         raise InvalidParameter("cyclic group order must be >= 1")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    labels = ["e"] + [_pow_label("a", i) for i in range(1, n)]
-    return FiniteGroup(table, labels=labels, name=f"Z{n}")
+    i = np.arange(n)
+    labels = ["e"] + [_pow_label("a", k) for k in range(1, n)]
+    return FiniteGroup((i[:, None] + i) % n, labels=labels, name=f"Z{n}")
+
+
+def _dicyclic(m: int, s: int, prefix: str) -> FiniteGroup:
+    """<a, b | a^m = e, b^2 = a^s, a*b = b*a^-1> on b^f a^i at index f*m + i.
+
+    Moving a^i1 past b^f2 gives b^f2 a^((-1)^f2 i1), and b*b = a^s, so
+    b^f1 a^i1 * b^f2 a^i2 = b^(f1 xor f2) a^((-1)^f2 i1 + i2 + s f1 f2).
+    """
+    f, i = np.divmod(np.arange(2 * m), m)
+    table = np.outer(i, 1 - 2 * f)  # updated in place: one n x n array
+    table += i
+    table[m:, m:] += s  # f1 = f2 = 1
+    table %= m
+    table[:m, m:] += m  # f1 xor f2 = 1
+    table[m:, :m] += m
+    labels = ["e"] + [_pow_label("a", k) for k in range(1, m)]
+    labels += ["b" + _pow_label("a", k) for k in range(m)]
+    return FiniteGroup(table, labels=labels, name=f"{prefix}{2 * m}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -252,23 +289,7 @@ def dihedral(n: int) -> FiniteGroup:
     """
     if n < 3:
         raise InvalidParameter("dihedral parameter must be >= 3")
-    size = 2 * n
-
-    def mul(x, y):
-        xf, xi = divmod(x, n)
-        yf, yi = divmod(y, n)
-        if xf == 0 and yf == 0:
-            return (xi + yi) % n
-        if xf == 0 and yf == 1:
-            return n + (yi - xi) % n
-        if xf == 1 and yf == 0:
-            return n + (xi + yi) % n
-        return (yi - xi) % n
-
-    table = [[mul(x, y) for y in range(size)] for x in range(size)]
-    labels = ["e"] + [_pow_label("a", i) for i in range(1, n)]
-    labels += ["b" + _pow_label("a", i) for i in range(n)]
-    return FiniteGroup(table, labels=labels, name=f"D{size}")
+    return _dicyclic(n, 0, "D")
 
 
 def generalized_quaternion(n: int) -> FiniteGroup:
@@ -278,24 +299,7 @@ def generalized_quaternion(n: int) -> FiniteGroup:
     """
     if n < 2:
         raise InvalidParameter("generalized quaternion parameter must be >= 2")
-    m = 2 * n
-    size = 4 * n
-
-    def mul(x, y):
-        xf, xi = divmod(x, m)
-        yf, yi = divmod(y, m)
-        if xf == 0 and yf == 0:
-            return (xi + yi) % m
-        if xf == 0 and yf == 1:
-            return m + (yi - xi) % m
-        if xf == 1 and yf == 0:
-            return m + (xi + yi) % m
-        return (n + yi - xi) % m
-
-    table = [[mul(x, y) for y in range(size)] for x in range(size)]
-    labels = ["e"] + [_pow_label("a", i) for i in range(1, m)]
-    labels += ["b" + _pow_label("a", i) for i in range(m)]
-    return FiniteGroup(table, labels=labels, name=f"Q{size}")
+    return _dicyclic(2 * n, n, "Q")
 
 
 def is_prime(n: int) -> bool:
@@ -329,18 +333,12 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
     if (p - 1) % q != 0:
         raise InvalidParameter(f"{q} does not divide {p} - 1")
     m = next(c for c in range(2, p) if pow(c, q, p) == 1)
-    size = p * q
-
-    def mul(x, y):
-        j1, i1 = divmod(x, p)
-        j2, i2 = divmod(y, p)
-        return ((j1 + j2) % q) * p + (i1 + i2 * pow(m, j1, p)) % p
-
-    table = [[mul(x, y) for y in range(size)] for x in range(size)]
-    labels = []
-    for j in range(q):
-        for i in range(p):
-            labels.append("e" if i == 0 and j == 0 else _pow_label("b", i) + _pow_label("a", j))
+    labels = ["e" if i == j == 0 else _pow_label("b", i) + _pow_label("a", j)
+              for j in range(q) for i in range(p)]
+    # b^i1 a^j1 * b^i2 a^j2 = b^(i1 + i2 m^j1) a^(j1 + j2)
+    j, i = np.divmod(np.arange(p * q), p)
+    twist = np.array([pow(m, k, p) for k in range(q)])[j]
+    table = (j[:, None] + j) % q * p + (i[:, None] + twist[:, None] * i) % p
     return FiniteGroup(table, labels=labels, name=f"Z{p}xZ{q}")
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
+import numpy as np
+
 from .errors import FormatError, InvalidParameter, SizeMismatch
 
 
@@ -134,10 +136,8 @@ def refines(p1: Partition, p2: Partition) -> bool:
 
 def order_partition(group) -> Partition:
     """Partition of a group's elements into fibers of equal element order."""
-    fibers: dict[int, list[int]] = {}
-    for g in range(group.order):
-        fibers.setdefault(group.element_order(g), []).append(g)
-    return Partition(group.order, fibers.values())
+    orders = group.element_orders()
+    return Partition(group.order, [np.flatnonzero(orders == t) for t in set(orders.tolist())])
 
 
 def conjugacy_partition(group) -> Partition:

@@ -85,6 +85,14 @@ def test_graph_command_cayley_group(in_tmp, capsys):
     assert "6 vertices" in capsys.readouterr().out
 
 
+def test_graph_command_commuting_graph_of_d18(in_tmp, capsys):
+    # nine reflections, each its own twin class with the same quotient row:
+    # one run for the canonical-form tie-break, not 9! orderings
+    assert main(["graph", "--group", "D:9"]) == 0
+    assert "K_{1,10}[K_1, " in capsys.readouterr().out
+    assert json.loads((in_tmp / "D9-none.json").read_text())["n"] == 18
+
+
 def test_graph_command_failure_writes_no_file(in_tmp, capsys):
     # the commuting graph of D8 x D6 has too many tie-break orderings for the
     # canonical form, so the command fails; it must fail before writing

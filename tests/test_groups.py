@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from supergraph import (
     InvalidParameter,
     NotAGroup,
+    Partition,
     SimpleGraph,
     char_poly_integer,
     commuting_graph,
@@ -24,7 +26,8 @@ from supergraph import (
     twin_canonical_form,
     write_cayley_file,
 )
-from supergraph.groups import _generating_set, _validate_table
+from supergraph.groups import FiniteGroup, _generating_set, _validate_table
+from supergraph.verify import DEFAULT_PQ_PAIRS
 
 
 def test_trivial_group():
@@ -270,6 +273,12 @@ def test_wider_groups_twin_form_agrees_with_isomorphism():
     for g in _wider_groups():
         base = commuting_graph(g)
         graphs += [super_graph(base, p(g)) for p in (order_partition, conjugacy_partition)]
+    # Commuting graphs with more than 8 reflection-type twin classes, whose
+    # identical quotient rows collapse into one run of the tie-break search;
+    # D36 and Q36 have isomorphic commuting graphs.
+    families = (dihedral(9), dihedral(18), generalized_quaternion(9),
+                generalized_quaternion(10), semidirect_pq(19, 3))
+    graphs += [commuting_graph(g) for g in families]
     relabelled = []
     for graph in graphs:
         perm = rng.permutation(graph.n)
@@ -481,3 +490,108 @@ def test_group_table_is_readonly():
     g = dihedral(3)
     with pytest.raises(ValueError):
         g.table[0, 0] = 1
+
+
+# Reference multiplication rules, one Python call per table entry: the
+# family constructors build the same tables by index arithmetic.
+def _dihedral_mul(n, x, y):
+    xf, xi = divmod(x, n)
+    yf, yi = divmod(y, n)
+    if xf == 0 and yf == 0:
+        return (xi + yi) % n
+    if xf == 0 and yf == 1:
+        return n + (yi - xi) % n
+    if xf == 1 and yf == 0:
+        return n + (xi + yi) % n
+    return (yi - xi) % n
+
+
+def _quaternion_mul(n, x, y):
+    m = 2 * n
+    xf, xi = divmod(x, m)
+    yf, yi = divmod(y, m)
+    if xf == 0 and yf == 0:
+        return (xi + yi) % m
+    if xf == 0 and yf == 1:
+        return m + (yi - xi) % m
+    if xf == 1 and yf == 0:
+        return m + (xi + yi) % m
+    return (n + yi - xi) % m
+
+
+def _semidirect_mul(p, q, m, x, y):
+    j1, i1 = divmod(x, p)
+    j2, i2 = divmod(y, p)
+    return ((j1 + j2) % q) * p + (i1 + i2 * pow(m, j1, p)) % p
+
+
+def _cyclic_mul(n, x, y):
+    return (x + y) % n
+
+
+def _family_cases():
+    """(group, order, reference multiplication) for every family size checked."""
+    cases = [(dihedral(n), 2 * n, functools.partial(_dihedral_mul, n)) for n in range(3, 41)]
+    cases += [(generalized_quaternion(n), 4 * n, functools.partial(_quaternion_mul, n))
+              for n in range(2, 41)]
+    for p, q in DEFAULT_PQ_PAIRS + ((19, 3), (31, 5), (127, 3)):
+        m = next(c for c in range(2, p) if pow(c, q, p) == 1)
+        cases.append((semidirect_pq(p, q), p * q, functools.partial(_semidirect_mul, p, q, m)))
+    cases += [(cyclic(n), n, functools.partial(_cyclic_mul, n)) for n in range(1, 41)]
+    return cases
+
+
+def test_family_tables_match_reference_rules():
+    for g, size, mul in _family_cases():
+        reference = np.array([[mul(x, y) for y in range(size)] for x in range(size)])
+        assert g.table.dtype == np.int64, g.name
+        assert np.array_equal(g.table, reference), g.name
+
+
+def _oracle_groups():
+    return [g for g, _, _ in _family_cases()] + _wider_groups()
+
+
+def test_element_orders_match_power_loop():
+    for g in _oracle_groups():
+        t = g.table.tolist()
+        expected = []
+        for x in range(g.order):
+            acc, k = x, 1
+            while acc != g.identity:
+                acc, k = t[acc][x], k + 1
+            expected.append(k)
+        assert g.element_orders().tolist() == expected, g.name
+        assert [g.element_order(x) for x in (0, g.order - 1)] == [expected[0], expected[-1]]
+
+
+def test_conjugacy_classes_and_center_match_definitions():
+    for g in _oracle_groups():
+        t = g.table.tolist()
+        inverse = [row.index(g.identity) for row in t]
+        seen, blocks = set(), []
+        for x in range(g.order):
+            if x not in seen:
+                orbit = {t[t[h][x]][inverse[h]] for h in range(g.order)}
+                seen |= orbit
+                blocks.append(orbit)
+        assert g.conjugacy_classes() == Partition(g.order, blocks), g.name
+        assert [g.inverse(x) for x in range(g.order)] == inverse, g.name
+        center = tuple(z for z in range(g.order)
+                       if all(t[z][x] == t[x][z] for x in range(g.order)))
+        assert g.center() == center, g.name
+
+
+def test_element_without_finite_order_raises():
+    # Unvalidated: identity 0 and every row holds it, but the powers of 1
+    # cycle 1, 2, 3, 2, 3, ... and never come back to the identity.
+    g = FiniteGroup([[0, 1, 2, 3], [1, 2, 0, 3], [2, 3, 0, 1], [3, 2, 1, 0]], validate=False)
+    with pytest.raises(NotAGroup, match="element 1 has no finite order") as exc:
+        order_partition(g)
+    assert exc.value.witness == 1
+
+
+def test_row_without_identity_raises():
+    with pytest.raises(NotAGroup, match="row 1 holds no identity") as exc:
+        FiniteGroup([[0, 1], [1, 1]], validate=False)
+    assert exc.value.witness == 1
