@@ -235,9 +235,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise FormatError(f'range "{text}": expected LO..HI')
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise FormatError(f'range "{text}": bounds must be integers') from None
+    if lo > hi:
+        raise FormatError(f'range "{text}": LO must not exceed HI')
+    return lo, hi
 
 
 def _parse_pq(text: str) -> tuple[int, int]:

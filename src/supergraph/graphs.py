@@ -142,7 +142,8 @@ class SimpleGraph:
         lines = [f"graph {name} {{"]
         for v in range(self.n):
             if self._labels is not None:
-                lines.append(f'  {v} [label="{self._labels[v]}"];')
+                label = self._labels[v].replace("\\", "\\\\").replace('"', '\\"')
+                lines.append(f'  {v} [label="{label}"];')
             else:
                 lines.append(f"  {v};")
         for i, j in self.edges():

@@ -3,12 +3,11 @@
 Three independent routes are provided: LAPACK's symmetric eigensolver on the
 explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
-join of cliques on a small matrix. The quotient route is one pass over the
-connected components of the compressed graph: each gives a quotient matrix
-and one clique eigenvalue per block, and the two exact char polys and the
-quotient spectrum fold the same pass. Root isolation and integer-root
-factorization serve the verifier; the star-join Laplacian closed form and the
-interlacing check serve the acceptance criteria.
+join of cliques on a small matrix. The quotient route builds one quotient
+matrix of the whole compressed graph and one clique eigenvalue per block; the
+two exact char polys and the quotient spectrum share it. Root isolation and
+integer-root factorization serve the verifier; the star-join Laplacian closed
+form and the interlacing check serve the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import (
     NotSymmetric,
     SizeMismatch,
 )
-from .graphs import SimpleGraph, compressed_graph, connected_components
+from .graphs import SimpleGraph, compressed_graph
 from .partitions import Partition
 from .polynomials import PolynomialZ, char_poly_integer
 
@@ -132,7 +131,6 @@ def jacobi_eigenvalues(matrix) -> Spectrum:
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidParameter("matrix must be square and nonempty")
-    n = a.shape[0]
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
     if not math.isfinite(norm):
@@ -144,15 +142,17 @@ def jacobi_eigenvalues(matrix) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver did not converge: {exc}") from exc
 
-    tol = _GROUPING_FACTOR * max(1.0, norm)
-    pairs = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or eigs[i] - eigs[i - 1] > tol:
-            group = eigs[start:i]
-            pairs.append((float(group.mean()), len(group)))
-            start = i
-    return Spectrum(pairs)
+    return _grouped(eigs, np.ones(len(eigs), dtype=np.int64), _GROUPING_FACTOR * max(1.0, norm))
+
+
+def _grouped(values, mults, tol: float) -> Spectrum:
+    """Spectrum of ascending values with the given multiplicities, where
+    neighbours within tol merge into one eigenvalue at their weighted mean."""
+    values, mults = np.asarray(values, dtype=float), np.asarray(mults, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+    counts = np.add.reduceat(mults, starts)
+    means = np.add.reduceat(values * mults, starts) / counts
+    return Spectrum(zip(means.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,14 @@ class QuotientMatrix:
     sqrt(n_i n_j) off the diagonal where blocks i and j are joined and
     n_i - 1 - t * (n_i - 1 + N_i) on it, where N_i is ``neighbor_sums[i]``,
     the number of vertices joined to block i;
-    ``companion`` is the integer matrix with n_j off the diagonal where the
+    ``companion`` is the int64 matrix with n_j off the diagonal where the
     blocks are joined and the same diagonal, similar to ``symmetric`` by the
     diag(sqrt(n_i)) scaling, hence with the same characteristic polynomial.
+    Both arrays are read-only.
     """
 
     symmetric: np.ndarray
-    companion: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
+    companion: np.ndarray
     neighbor_sums: tuple[int, ...]
 
 
@@ -190,75 +190,66 @@ def quotient_matrix(template: SimpleGraph, sizes, t: int) -> QuotientMatrix:
     neighbor_sums = rho.astype(np.int64) @ n
     diag = np.diag(n - 1 - t * (n - 1 + neighbor_sums))
     sym = np.where(rho, np.sqrt(np.outer(n, n).astype(float)), 0.0) + diag
-    sym.setflags(write=False)
-    return QuotientMatrix(
-        symmetric=sym,
-        companion=tuple(map(tuple, (np.where(rho, n, 0) + diag).tolist())),
-        sizes=sizes,
-        neighbor_sums=tuple(neighbor_sums.tolist()),
-    )
+    companion = np.where(rho, n, 0) + diag
+    for a in (sym, companion):
+        a.setflags(write=False)
+    return QuotientMatrix(sym, companion, tuple(neighbor_sums.tolist()))
 
 
-def _component_quotients(graph: SimpleGraph, partition: Partition, t: int):
-    """The quotient route, one connected component of the compressed graph at a time.
+def _quotient(graph: SimpleGraph, partition: Partition, t: int):
+    """The quotient route on one quotient matrix of the compressed graph.
 
     The super graph's adjacency (t = 0) or Laplacian (t = 1) spectrum is the
-    union over components of the eigenvalues of N(0), or of -N(1), and one
-    clique eigenvalue per block, -1 or N_i + n_i, with multiplicity n_i - 1
-    (Cardoso, de Freitas, Martins & Robbiano, *Discrete Math.* 313, 2013).
-    Yields (companion, symmetric, cliques) per component: the two quotient
-    matrices with that sign applied and the (eigenvalue, multiplicity) pairs
-    of the cliques.
+    eigenvalues of N(0), or of -N(1), and one clique eigenvalue per block,
+    -1 or N_i + n_i, with multiplicity n_i - 1 (Cardoso, de Freitas, Martins
+    & Robbiano, *Discrete Math.* 313, 2013). The theorem holds for any
+    template: on a disconnected compressed graph N(t) is block diagonal up to
+    a permutation, so its char poly is the product of the components' and its
+    eigenvalues their union. Returns the companion and symmetric matrices
+    with that sign applied and the clique (eigenvalue, multiplicity) pairs.
     """
-    template = compressed_graph(graph, partition)
     sizes = partition.sizes
+    qm = quotient_matrix(compressed_graph(graph, partition), sizes, t)
+    cliques = [
+        (big_n + n_i if t else -1, n_i - 1) for n_i, big_n in zip(sizes, qm.neighbor_sums)
+    ]
     sign = -1 if t else 1
-    for comp in connected_components(template):
-        qm = quotient_matrix(template.induced_subgraph(comp), [sizes[i] for i in comp], t)
-        cliques = [
-            (big_n + n_i if t else -1, n_i - 1)
-            for n_i, big_n in zip(qm.sizes, qm.neighbor_sums)
-        ]
-        yield sign * np.array(qm.companion, dtype=np.int64), sign * qm.symmetric, cliques
+    return sign * qm.companion, sign * qm.symmetric, cliques
 
 
 def _quotient_charpoly(graph: SimpleGraph, partition: Partition, t: int) -> PolynomialZ:
-    core = PolynomialZ.one()
-    cliques = []
-    for companion, _, pairs in _component_quotients(graph, partition, t):
-        core = core * char_poly_integer(companion)
-        cliques.extend(pairs)
-    return core * PolynomialZ.from_roots(cliques)
+    companion, _, cliques = _quotient(graph, partition, t)
+    return char_poly_integer(companion) * PolynomialZ.from_roots(cliques)
 
 
 def super_adjacency_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the adjacency matrix of the super graph:
-    char(N(0)) per compressed component times (x + 1)^(n - k)."""
+    char(N(0)) of the compressed graph's quotient matrix times (x + 1)^(n - k)."""
     return _quotient_charpoly(graph, partition, 0)
 
 
 def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the Laplacian of the super graph:
-    char(-N(1)) per compressed component times prod_i (x - N_i - n_i)^(n_i - 1)."""
+    char(-N(1)) of the compressed graph's quotient matrix times
+    prod_i (x - N_i - n_i)^(n_i - 1)."""
     return _quotient_charpoly(graph, partition, 1)
 
 
 def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> Spectrum:
     """Numeric spectrum of the super graph via the quotient route.
 
-    The small quotient matrices are solved with LAPACK's symmetric solver
+    The quotient matrix is solved with LAPACK's symmetric solver
     (``jacobi_eigenvalues``) and the clique eigenvalues (-1, or N_i + n_i for
-    the Laplacian) contribute the rest exactly; independent of any catalogued
-    closed form.
+    the Laplacian) contribute the rest exactly; values within the solver's
+    grouping tolerance, 1e-8 * max(1, ||N||_F), merge into one eigenvalue.
+    Independent of any catalogued closed form.
     """
     if matrix not in ("adjacency", "laplacian"):
         raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
-    pairs: list[tuple[float, int]] = []
-    t = 0 if matrix == "adjacency" else 1
-    for _, symmetric, cliques in _component_quotients(graph, partition, t):
-        pairs.extend(jacobi_eigenvalues(symmetric).pairs)
-        pairs.extend((float(value), mult) for value, mult in cliques)
-    return Spectrum(pairs)
+    _, symmetric, cliques = _quotient(graph, partition, 0 if matrix == "adjacency" else 1)
+    pairs = sorted([*jacobi_eigenvalues(symmetric).pairs, *((v, m) for v, m in cliques if m)])
+    values, mults = zip(*pairs)
+    return _grouped(values, mults, _GROUPING_FACTOR * max(1.0, float(np.linalg.norm(symmetric))))
 
 
 def star_join_laplacian_spectrum(sizes) -> Spectrum:

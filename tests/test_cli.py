@@ -229,6 +229,13 @@ def test_verify_cli_strict_flips_exit_code(in_tmp):
     assert main(base + ["--strict", "--report", "r2.json"]) == 2
 
 
+def test_verify_cli_rejects_reversed_range(in_tmp, capsys):
+    for args in (["--suite", "4.1", "--odd-n", "9..3"], ["--suite", "4.3", "--n", "12..3"]):
+        assert main(["verify", *args, "--jobs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f'range "{args[-1]}"' in err
+
+
 def test_verify_cli_deterministic_modulo_ms(in_tmp):
     args = ["verify", "--suite", "generic", "--trials", "25", "--seed", "42", "--jobs", "1"]
     assert main(args + ["--report", "r1.json"]) == 0

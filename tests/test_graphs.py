@@ -287,6 +287,14 @@ def test_json_round_trip_and_dot():
     )
 
 
+def test_dot_escapes_labels():
+    g = SimpleGraph(2, [(0, 1)], labels=['a"b', "c\\d"])
+    assert g.to_dot().splitlines()[1:3] == [
+        '  0 [label="a\\"b"];',
+        '  1 [label="c\\\\d"];',
+    ]
+
+
 def test_adjacency_and_laplacian_matrices():
     g = star_graph(4)
     a = g.adjacency_matrix()

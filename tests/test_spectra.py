@@ -154,7 +154,7 @@ def test_quotient_matrix_star_example():
         ]
     )
     assert np.allclose(qm.symmetric, expected)
-    assert qm.companion == ((0, 2, 3), (1, 1, 0), (1, 0, 2))
+    assert qm.companion.tolist() == [[0, 2, 3], [1, 1, 0], [1, 0, 2]]
     assert qm.neighbor_sums == (5, 1, 1)
 
     qm1 = quotient_matrix(star_graph(3), (1, 2, 3), 1)
@@ -243,6 +243,38 @@ def test_quotient_spectrum_matches_jacobi():
         assert multiset_match(
             quotient_spectrum(base, part, matrix), jacobi_eigenvalues(explicit), 1e-8
         )
+
+
+def test_quotient_route_on_disconnected_compressed_graph():
+    # two disjoint K_{1,2}: the compressed graph is two identical edges, so
+    # N(t) is block diagonal and both components give the same eigenvalues
+    g = SimpleGraph(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+    part = Partition(6, [[0], [1, 2], [3], [4, 5]])
+    sup = super_graph(g, part)
+    assert super_adjacency_charpoly(g, part) == char_poly_integer(sup.adjacency_matrix())
+    assert super_laplacian_charpoly(g, part) == char_poly_integer(sup.laplacian_matrix())
+    for matrix, explicit in (
+        ("adjacency", sup.adjacency_matrix()),
+        ("laplacian", sup.laplacian_matrix()),
+    ):
+        assert grouped_match(
+            quotient_spectrum(g, part, matrix), jacobi_eigenvalues(explicit), 1e-8
+        )
+    assert quotient_spectrum(g, part, "laplacian").multiplicities() == (2, 4)
+
+
+def test_quotient_spectrum_merges_quotient_and_clique_eigenvalues():
+    # a quotient eigenvalue equal to a clique eigenvalue comes out of LAPACK a
+    # few ulps off; it must still join the exact clique value in one group
+    for group, partition, matrix in (
+        (dihedral(49), order_partition, "laplacian"),
+        (generalized_quaternion(17), conjugacy_partition, "adjacency"),
+    ):
+        base, part = commuting_graph(group), partition(group)
+        sup = super_graph(base, part)
+        explicit = getattr(sup, f"{matrix}_matrix")()
+        got = quotient_spectrum(base, part, matrix)
+        assert grouped_match(got, jacobi_eigenvalues(explicit), 1e-8), str(got)
 
 
 # ---------------------------------------------------------------------------
