@@ -302,18 +302,42 @@ def generalized_quaternion(n: int) -> FiniteGroup:
     return _dicyclic(2 * n, n, "Q")
 
 
+# The first 13 primes. A strong probable prime to all of them below
+# _MILLER_RABIN_LIMIT is prime (Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", *Math. Comp.* 86, 2017): the limit is the least strong
+# pseudoprime to these bases.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin for n below 3.3 * 10^24.
+
+    Larger n raise ``InvalidParameter``: these bases are not proven to
+    decide them.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MILLER_RABIN_LIMIT:
+        raise InvalidParameter(
+            f"{n} is too large: primality is decided only below {_MILLER_RABIN_LIMIT}")
+    for base in _MILLER_RABIN_BASES:
+        if n % base == 0:
+            return n == base
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -4,9 +4,12 @@ Coefficients are arbitrary-precision Python ints stored in ascending degree
 order. Characteristic polynomials are computed multi-modularly: Hessenberg
 reduction and the Hessenberg recurrence mod word-size primes in numpy int64
 (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9),
-then Chinese remaindering over enough primes to cover the coefficient bound
-(1 + rho)^n (Dumas, Pernet & Wan, "Efficient computation of the
-characteristic polynomial", ISSAC 2005). The result is exact at any size.
+run on all primes at once as one (P, n, n) stack of residues, in chunks of
+at most 2^16 int64 entries, then Chinese remaindering (Dumas, Pernet & Wan,
+"Efficient computation of the characteristic polynomial", ISSAC 2005). The
+primes cover 2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))), a proven
+bound on every coefficient by Maclaurin's and Schur's inequalities (see
+``char_poly_integer``). The result is exact at any size.
 """
 
 from __future__ import annotations
@@ -212,6 +215,11 @@ class PolynomialZ:
 # Largest dimension accepted; it keeps the primes at 21 bits or more.
 MAX_DIMENSION = 1 << 20
 
+# Int64 entries in one stacked residue array: the primes of a call are
+# reduced in chunks of max(1, _STACK_ENTRIES // n^2), so the working set of a
+# call stays at a few hundred kB however many primes it needs.
+_STACK_ENTRIES = 1 << 16
+
 
 def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
     """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
@@ -220,13 +228,20 @@ def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
     form by similarity transforms and the Hessenberg recurrence gives the
     characteristic polynomial mod p (Cohen, *A Course in Computational
     Algebraic Number Theory*, Alg. 2.2.9), in O(n^3) int64 operations. The
-    integer coefficients are rebuilt by the Chinese remainder theorem into
-    the symmetric range (Dumas, Pernet & Wan, ISSAC 2005). The coefficient of
-    x^(n-k) is a signed sum of the C(n, k) principal k x k minors, each at
-    most rho^k in absolute value, where rho is the largest absolute row sum;
-    so every coefficient is at most (1 + rho)^n, and primes are taken until
-    their product exceeds 2 (1 + rho)^n. The result is exact, not
-    probabilistic, and does not depend on machine-integer width.
+    primes run as one stack, in chunks of at most ``_STACK_ENTRIES`` int64
+    entries. The integer coefficients are rebuilt by the Chinese remainder
+    theorem (Garner) into the symmetric range (Dumas, Pernet & Wan, ISSAC
+    2005).
+
+    The primes are chosen up front so that their product exceeds 2 (1 + S)^n,
+    where S = ceil(sqrt(ceil(||M||_F^2 / n))) and ||M||_F^2 is the sum of the
+    squared entries. With eigenvalues lambda, the coefficient c_k of x^(n-k)
+    is +-e_k(lambda), so, for any square M,
+    |c_k| <= e_k(|lambda|) <= C(n, k) (sum |lambda| / n)^k (Maclaurin)
+          <= C(n, k) (sum |lambda|^2 / n)^(k/2) (power means)
+          <= C(n, k) (||M||_F^2 / n)^(k/2) (Schur) <= C(n, k) S^k <= (1 + S)^n.
+    The result is exact, not probabilistic, and does not depend on
+    machine-integer width.
 
     Entries must be integral (integer-valued floats are accepted); any other
     entry raises ``InvalidParameter``.
@@ -238,31 +253,45 @@ def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
         raise InvalidParameter(f"matrix dimension {n} exceeds {MAX_DIMENSION}")
     if n == 0 or any(len(row) != n for row in matrix):
         raise InvalidParameter("matrix must be square and nonempty")
-    rows = [[_integer_entry(v) for v in row] for row in matrix]
+    rows = [[v if type(v) is int else _integer_entry(v) for v in row] for row in matrix]
     try:
         entries = np.array(rows, dtype=np.int64)
     except OverflowError:
         entries = np.array(rows, dtype=object)
-    rho = max(sum(abs(v) for v in row) for row in rows)
-    bound = 2 * (1 + rho) ** n
+    bound = _coefficient_bound(rows)
 
-    coeffs = [0] * (n + 1)
+    primes = []
     modulus = 1
     for p in _primes(_prime_bits(n)):
-        reduced = np.remainder(entries, p).astype(np.int64, copy=False)
-        residues = _char_poly_mod(reduced, p)
-        # Garner step: the unique value mod modulus * p that is coeffs mod
-        # modulus and residues mod p.
-        inverse = pow(modulus, -1, p)
-        coeffs = [
-            c + modulus * ((r - c % p) * inverse % p)
-            for c, r in zip(coeffs, residues.tolist())
-        ]
+        primes.append(p)
         modulus *= p
         if modulus > bound:
             break
+
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    chunk = max(1, _STACK_ENTRIES // (n * n))
+    for lo in range(0, len(primes), chunk):
+        moduli = np.array(primes[lo:lo + chunk], dtype=np.int64)
+        residues = np.remainder(entries, moduli[:, None, None]).astype(np.int64, copy=False)
+        for p, row in zip(moduli.tolist(), _char_poly_mod(residues, moduli).tolist()):
+            # Garner step: the unique value mod modulus * p that is coeffs
+            # mod modulus and row mod p.
+            inverse = pow(modulus, -1, p)
+            coeffs = [c + modulus * ((r - c % p) * inverse % p) for c, r in zip(coeffs, row)]
+            modulus *= p
     half = modulus // 2
     return PolynomialZ(c - modulus if c > half else c for c in coeffs)
+
+
+def _coefficient_bound(rows: list[list[int]]) -> int:
+    """2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))): more than twice
+    the absolute value of every coefficient of det(xI - M) (see
+    ``char_poly_integer`` for the proof)."""
+    n = len(rows)
+    mean_square = -(-sum(v * v for row in rows for v in row) // n)
+    root = math.isqrt(mean_square - 1) + 1 if mean_square else 0
+    return 2 * (1 + root) ** n
 
 
 def _integer_entry(value) -> int:
@@ -298,48 +327,68 @@ def _primes(bits: int) -> Iterator[int]:
     raise InvalidParameter(f"ran out of primes below 2^{bits}")
 
 
-def _char_poly_mod(h: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients of det(xI - H) mod p; H (int64, entries in
-    [0, p)) is overwritten by its Hessenberg form."""
-    n = h.shape[0]
+def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of det(xI - H_k) mod p_k, one row per prime.
+
+    ``h`` is a (P, n, n) int64 stack whose layer k holds entries in [0, p_k)
+    for the k-th of the P ``primes``; it is overwritten by the Hessenberg
+    forms. Every step runs on all layers at once.
+    """
+    count, n, _ = h.shape
+    plist = primes.tolist()
+    mods = primes[:, None]
+    mods3 = primes[:, None, None]
     # Reduce to upper Hessenberg form by similarity: column j is cleared
     # below row j + 1 by row operations R_i -= u_i R_{j+1}, and the inverse
     # column operation C_{j+1} += sum_i u_i C_i keeps the characteristic
-    # polynomial.
+    # polynomial. Each layer takes its first nonzero entry as pivot; a layer
+    # with none gets u = 0, which leaves it unchanged.
     for j in range(n - 2):
-        nonzero = h[j + 1:, j].nonzero()[0]
-        if nonzero.size == 0:
+        below = h[:, j + 1:, j]
+        if not np.count_nonzero(below):
             continue
-        pivot = j + 1 + int(nonzero[0])
-        if pivot != j + 1:
-            h[[j + 1, pivot]] = h[[pivot, j + 1]]
-            h[:, [j + 1, pivot]] = h[:, [pivot, j + 1]]
-        u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
-        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(u, h[j + 1, j:])) % p
-        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ u) % p
+        offset = (below != 0).argmax(axis=1)
+        if any(offset.tolist()):
+            swap = offset.nonzero()[0]
+            a, b = j + 1, j + 1 + offset[swap]
+            h[swap, a], h[swap, b] = h[swap, b], h[swap, a]
+            h[swap, :, a], h[swap, :, b] = h[swap, :, b], h[swap, :, a]
+        inverses = [pow(v, -1, p) if v else 0 for v, p in zip(h[:, j + 1, j].tolist(), plist)]
+        u = h[:, j + 2:, j] * np.array(inverses)[:, None]
+        u %= mods
+        block = h[:, j + 2:, j:]
+        block -= u[:, :, None] * h[:, j + 1, None, j:]
+        block %= mods3
+        column = h[:, :, j + 1]
+        column += np.matmul(h[:, :, j + 2:], u[:, :, None])[:, :, 0]
+        column %= mods
 
     # Hessenberg recurrence on the leading m x m blocks:
-    # p_m = (x - h[m-1, m-1]) p_{m-1}
-    #       - sum_{i<m} h[i-1, m-1] * prod_{i<=k<m} h[k, k-1] * p_{i-1}.
-    # chain[i-1] holds the product; it vanishes for every i <= start once a
-    # subdiagonal entry is zero, so the sum runs over i > start only.
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    chain = np.zeros(n, dtype=np.int64)
+    # p_m = x p_{m-1} - sum_{start<i<=m} h[i-1, m-1] c_i p_{i-1},
+    # c_i = prod_{i<=k<m} h[k, k-1] (so c_m = 1), held in chain[:, i-1].
+    # The products are carried through zero subdiagonal entries, where they
+    # vanish for that layer; start moves up to m - 1 once h[m-1, m-2] is zero
+    # in every layer, and then p_m = (x - h[m-1, m-1]) p_{m-1}. Before a row
+    # is reduced its entries are below (n + 1) (p - 1)^2 < 2^63 in absolute
+    # value.
+    polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    chain = np.ones((count, n), dtype=np.int64)
     start = 0
     for m in range(1, n + 1):
-        prev = polys[m - 1, :m]
-        row = polys[m]
-        row[1:m + 1] = prev
-        row[:m] = (row[:m] - h[m - 1, m - 1] * prev) % p
-        if m == 1:
-            continue
-        sub = h[m - 1, m - 2]
-        if sub == 0:
+        prev = polys[:, m - 1, :m]
+        row = polys[:, m, :m + 1]
+        row[:, 1:] = prev
+        head = row[:, :m]
+        if m > 1 and any(h[:, m - 1, m - 2].tolist()):
+            links = chain[:, start:m - 1]
+            links *= h[:, m - 1, m - 2, None]
+            links %= mods
+            weights = h[:, start:m, m - 1] * chain[:, start:m]
+            weights %= mods
+            head -= np.matmul(weights[:, None, :], polys[:, start:m, :m])[:, 0]
+        else:
             start = m - 1
-            continue
-        chain[start:m - 2] = chain[start:m - 2] * sub % p
-        chain[m - 2] = sub
-        weights = h[start:m - 1, m - 1] * chain[start:m - 1] % p
-        row[:m - 1] = (row[:m - 1] - weights @ polys[start:m - 1, :m - 1]) % p
-    return polys[n]
+            head -= h[:, m - 1, m - 1, None] * prev
+        head %= mods
+    return polys[:, n]

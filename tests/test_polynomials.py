@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,14 @@ from supergraph import (
     super_graph,
     super_laplacian_charpoly,
 )
-from supergraph.polynomials import MAX_DIMENSION, _prime_bits, _primes
+from supergraph import polynomials
+from supergraph.polynomials import (
+    MAX_DIMENSION,
+    _char_poly_mod,
+    _coefficient_bound,
+    _prime_bits,
+    _primes,
+)
 
 
 def test_arithmetic_basics():
@@ -150,6 +158,86 @@ def _faddeev_leverrier_char_poly(matrix):
     return PolynomialZ(coeffs)
 
 
+def _char_poly_mod_reference(h, p):
+    """Ascending coefficients of det(xI - H) mod p for one prime: Hessenberg
+    reduction with the first nonzero pivot, then the Hessenberg recurrence,
+    one 2-D numpy pass per prime. H (int64, entries in [0, p)) is overwritten."""
+    n = h.shape[0]
+    for j in range(n - 2):
+        nonzero = h[j + 1:, j].nonzero()[0]
+        if nonzero.size == 0:
+            continue
+        pivot = j + 1 + int(nonzero[0])
+        if pivot != j + 1:
+            h[[j + 1, pivot]] = h[[pivot, j + 1]]
+            h[:, [j + 1, pivot]] = h[:, [pivot, j + 1]]
+        u = h[j + 2:, j] * pow(int(h[j + 1, j]), -1, p) % p
+        h[j + 2:, j:] = (h[j + 2:, j:] - np.outer(u, h[j + 1, j:])) % p
+        h[:, j + 1] = (h[:, j + 1] + h[:, j + 2:] @ u) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    chain = np.zeros(n, dtype=np.int64)
+    start = 0
+    for m in range(1, n + 1):
+        prev = polys[m - 1, :m]
+        row = polys[m]
+        row[1:m + 1] = prev
+        row[:m] = (row[:m] - h[m - 1, m - 1] * prev) % p
+        if m == 1:
+            continue
+        sub = h[m - 1, m - 2]
+        if sub == 0:
+            start = m - 1
+            continue
+        chain[start:m - 2] = chain[start:m - 2] * sub % p
+        chain[m - 2] = sub
+        weights = h[start:m - 1, m - 1] * chain[start:m - 1] % p
+        row[:m - 1] = (row[:m - 1] - weights @ polys[start:m - 1, :m - 1]) % p
+    return polys[n]
+
+
+def _per_prime_char_poly(matrix):
+    """The multi-modular route one prime at a time through the reference
+    kernel, with primes covering the row-sum bound 2 (1 + rho)^n."""
+    rows = [[int(v) for v in row] for row in matrix]
+    n = len(rows)
+    bound = 2 * (1 + max(sum(abs(v) for v in row) for row in rows)) ** n
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    for p in _primes(_prime_bits(n)):
+        reduced = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+        residues = _char_poly_mod_reference(reduced, p).tolist()
+        inverse = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c % p) * inverse % p) for c, r in zip(coeffs, residues)]
+        modulus *= p
+        if modulus > bound:
+            break
+    half = modulus // 2
+    return PolynomialZ(c - modulus if c > half else c for c in coeffs)
+
+
+def _recording_stacks(monkeypatch):
+    """Record the primes of every stack that ``char_poly_integer`` runs."""
+    stacks = []
+    kernel = polynomials._char_poly_mod
+
+    def recorded(h, primes):
+        stacks.append(primes.tolist())
+        return kernel(h, primes)
+
+    monkeypatch.setattr(polynomials, "_char_poly_mod", recorded)
+    return stacks
+
+
+def _assert_stack_matches_reference(matrix, primes):
+    """The stacked kernel gives the reference residues, layer by layer."""
+    rows = [[int(v) for v in row] for row in matrix]
+    layers = [[[v % p for v in row] for row in rows] for p in primes]
+    stacked = _char_poly_mod(np.array(layers, dtype=np.int64), np.array(primes, dtype=np.int64))
+    for layer, p, residues in zip(layers, primes, stacked.tolist()):
+        assert residues == _char_poly_mod_reference(np.array(layer, dtype=np.int64), p).tolist(), p
+
+
 def test_char_poly_against_cofactor_oracle():
     rng = random.Random(2024)
     for _ in range(5):
@@ -194,12 +282,44 @@ def test_char_poly_matches_faddeev_leverrier_on_random_matrices():
             assert char_poly_integer(m) == _faddeev_leverrier_char_poly(m), (magnitude, n)
 
 
+def _trial_division_is_prime(n):
+    """Primality by trial division: the oracle for ``is_prime``."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _trial_division_is_prime(n) for n in range(10 ** 5))
+    # the least strong pseudoprimes to the bases 2 ... 7 and to the bases 2 ... 31
+    for pseudoprime in (3215031751, 3825123056546413051):
+        assert _trial_division_is_prime(pseudoprime) is False
+        assert is_prime(pseudoprime) is False
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    for bits in range(21, 31):
+        for p in itertools.islice(_primes(bits), 5):
+            assert _trial_division_is_prime(p), (bits, p)
+    # no base set is proven above the least strong pseudoprime to the 13 bases
+    limit = 3317044064679887385961981
+    assert not is_prime(limit - 1)
+    for too_large in (limit, 10 ** 30 + 1):
+        with pytest.raises(InvalidParameter, match="decided only below"):
+            is_prime(too_large)
+    with pytest.raises(InvalidParameter, match="decided only below"):
+        semidirect_pq(10 ** 25 + 13, 2)
+
+
 def test_prime_size_keeps_int64_sums_exact():
     assert _prime_bits(2047) == 26
     for n in (1, 2, 98, 200, 400, 2047, 2048, MAX_DIMENSION):
         primes = list(itertools.islice(_primes(_prime_bits(n)), 3))
         assert all(n * (p - 1) ** 2 < 2 ** 63 for p in primes), n
-        assert all(is_prime(p) for p in primes)
+        assert all(_trial_division_is_prime(p) for p in primes)
     assert primes[0] > 2 ** 20
     with pytest.raises(InvalidParameter, match="exceeds"):
         char_poly_integer([[0]] * (MAX_DIMENSION + 1))
@@ -277,3 +397,158 @@ def test_char_poly_is_monic_of_full_degree():
 def test_char_poly_rejects_nonsquare():
     with pytest.raises(InvalidParameter):
         char_poly_integer([[1, 2, 3], [4, 5, 6]])
+
+
+def test_stacked_kernel_matches_per_prime_reference():
+    rng = random.Random(17)
+    for n, count in ((1, 3), (2, 2), (3, 5), (7, 4), (12, 3)):
+        primes = list(itertools.islice(_primes(_prime_bits(n)), count))
+        for density in (0.2, 1.0):
+            m = [[rng.randint(-50, 50) if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(n)]
+            _assert_stack_matches_reference(m, primes)
+
+
+def test_stack_pivot_zero_mod_one_prime(monkeypatch):
+    n = 5
+    primes = list(itertools.islice(_primes(_prime_bits(n)), 3))
+    rng = random.Random(23)
+    big = primes[0]
+    for first_column in (
+        # zero pivot mod primes[1] only: that layer swaps rows 1 and 2
+        (0, primes[1], 1, rng.randint(1, big), rng.randint(1, big)),
+        # whole column zero mod primes[1] only: that layer gets u = 0
+        (0, primes[1], 2 * primes[1], 3 * primes[1], 0),
+    ):
+        m = [[v] + [rng.randint(-big, big) for _ in range(n - 1)] for v in first_column]
+        _assert_stack_matches_reference(m, primes)
+        stacks = _recording_stacks(monkeypatch)
+        result = char_poly_integer(m)
+        assert len(stacks) == 1 and len(stacks[0]) > 2 and primes[1] in stacks[0]
+        assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def test_stack_subdiagonal_zero_mod_one_prime(monkeypatch):
+    # upper Hessenberg input: the reduction leaves it as it is, and the
+    # subdiagonal entry h[3, 2] vanishes mod primes[2] only
+    n = 6
+    primes = list(itertools.islice(_primes(_prime_bits(n)), 4))
+    rng = random.Random(29)
+    big = primes[0]
+    m = [[rng.randint(-big, big) if j >= i else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        m[i][i - 1] = rng.randint(1, 9)
+    m[3][2] = primes[2]
+    _assert_stack_matches_reference(m, primes)
+    stacks = _recording_stacks(monkeypatch)
+    result = char_poly_integer(m)
+    assert len(stacks) == 1 and primes[2] in stacks[0]
+    assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def _order_laplacian(group):
+    return super_graph(commuting_graph(group), order_partition(group)).laplacian_matrix()
+
+
+def _wide_matrix(seed):
+    """60 x 60 with entries up to 10^12: about 90 primes, 18 to a stack."""
+    rng = random.Random(seed)
+    return [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(60)] for _ in range(60)]
+
+
+def test_char_poly_across_several_chunks(monkeypatch):
+    for m in (_order_laplacian(dihedral(49)), _wide_matrix(31)):
+        stacks = _recording_stacks(monkeypatch)
+        result = char_poly_integer(m)
+        n = len(m)
+        assert len(stacks) > 2
+        assert all(len(primes) * n * n <= polynomials._STACK_ENTRIES for primes in stacks)
+        assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def test_char_poly_entries_beyond_int64_match_per_prime_reference():
+    rng = random.Random(37)
+    for n in (1, 3, 6, 10):
+        m = [[rng.randint(-10 ** 20, 10 ** 20) for _ in range(n)] for _ in range(n)]
+        assert char_poly_integer(m) == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+    # entries beyond int64 on only some rows, and a multiple of 2^64
+    m = [[2 ** 64, -(2 ** 70) + 1, 3], [1, 0, -(10 ** 19)], [5, 7, 11]]
+    assert char_poly_integer(m) == _per_prime_char_poly(m) == _cofactor_char_poly(m)
+
+
+def _bench_matrices():
+    """The explicit matrices of the spectrum-compare benchmark workload."""
+    q17 = generalized_quaternion(17)
+    pq = semidirect_pq(19, 3)
+    return [
+        _order_laplacian(dihedral(49)),
+        super_graph(commuting_graph(q17), conjugacy_partition(q17)).adjacency_matrix(),
+        super_graph(commuting_graph(pq), order_partition(pq)).adjacency_matrix(),
+    ]
+
+
+def test_coefficient_bound_covers_complex_spectra():
+    x = PolynomialZ.x()
+    one = PolynomialZ.one()
+    cases = []
+    # direct sums of rotation blocks [[0, -a], [a, 0]]: eigenvalues +-ia
+    for scales in ((1,), (3, 7), (2, 2, 2, 2, 2), (1, 10, 100, 1000)):
+        n = 2 * len(scales)
+        m = [[0] * n for _ in range(n)]
+        expected = one
+        for k, a in enumerate(scales):
+            m[2 * k][2 * k + 1], m[2 * k + 1][2 * k] = -a, a
+            expected = expected * (x * x + PolynomialZ((a * a,)))
+        cases.append((m, expected))
+    # companion matrices of x^n + 1: eigenvalues on the unit circle
+    for n in (1, 2, 5, 12, 31):
+        m = [[0] * n for _ in range(n)]
+        for i in range(1, n):
+            m[i][i - 1] = 1
+        m[0][n - 1] -= 1
+        cases.append((m, x ** n + one))
+    # scalar matrices: |c_k| = C(n, k) c^k, the Maclaurin equality case
+    for n, c in ((4, 1), (9, -3), (20, 50)):
+        cases.append(([[c if i == j else 0 for j in range(n)] for i in range(n)],
+                      (x - PolynomialZ((c,))) ** n))
+    rng = random.Random(41)
+    for n in (2, 4, 7):
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        cases.append((m, _faddeev_leverrier_char_poly(m)))
+    for m in _bench_matrices():
+        cases.append((m, _per_prime_char_poly(m)))
+    for m, expected in cases:
+        assert char_poly_integer(m) == expected
+        rows = [[int(v) for v in row] for row in m]
+        assert 2 * max(abs(c) for c in expected.coeffs) <= _coefficient_bound(rows)
+
+
+def test_coefficient_bound_never_above_row_sum_bound():
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        magnitude = rng.choice((1, 3, 100, 10 ** 9, 10 ** 20))
+        density = rng.random()
+        rows = [[rng.randint(-magnitude, magnitude) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(n)]
+        rho = max(sum(abs(v) for v in row) for row in rows)
+        assert _coefficient_bound(rows) <= 2 * (1 + rho) ** n
+
+
+@pytest.mark.parametrize("matrix_of", [
+    lambda: _order_laplacian(dihedral(49)),
+    lambda: _order_laplacian(dihedral(100)),
+    lambda: _wide_matrix(47),
+], ids=["D98 order Laplacian", "D200 order Laplacian", "60x60 +-10^12"])
+def test_char_poly_traced_memory_stays_small(matrix_of):
+    # numpy reports its buffers to tracemalloc; a stack of all primes at once
+    # would read 4.6 MB at n = 98 and grow as P n^2
+    matrix = matrix_of()
+    char_poly_integer(matrix)  # the primes are found once per process
+    tracemalloc.start()
+    try:
+        char_poly_integer(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
