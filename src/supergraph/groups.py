@@ -16,6 +16,7 @@ table raises ``NotAGroup`` with a witness; for associativity it is a triple
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,12 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"{g.name}x{h.name}")
 
 
+# A table row as ``write_cayley_file`` writes it: ASCII digits, one space
+# between entries. Plain rows are parsed together by numpy; any other row goes
+# through ``int`` token by token.
+_PLAIN_ROW = re.compile(r"[0-9 ]*")
+
+
 def read_cayley_file(path) -> FiniteGroup:
     """Load a group from a plain-text Cayley table.
 
@@ -384,7 +391,7 @@ def read_cayley_file(path) -> FiniteGroup:
     """
     text = Path(path).read_text()
     labels = None
-    rows = []
+    rows: list = []  # a plain row's text, or any other row's values
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -395,29 +402,41 @@ def read_cayley_file(path) -> FiniteGroup:
             continue
         if line.startswith("#"):
             continue
-        try:
-            values = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from None
-        if n is None:
-            if len(values) != 1:
-                raise FormatError(f"{path}: line {lineno}: expected a single order value")
-            n = values[0]
-            if n < 1:
-                raise FormatError(f"{path}: line {lineno}: order must be >= 1")
-            continue
-        if len(values) != n:
-            raise FormatError(
-                f"{path}: line {lineno}: expected {n} entries, got {len(values)}"
-            )
-        rows.append(values)
+        if n is not None and _PLAIN_ROW.fullmatch(line) and "  " not in line:
+            rows.append(line)
+            count = line.count(" ") + 1
+        else:
+            try:
+                values = [int(tok) for tok in line.split()]
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            if n is None:
+                if len(values) != 1:
+                    raise FormatError(f"{path}: line {lineno}: expected a single order value")
+                n = values[0]
+                if n < 1:
+                    raise FormatError(f"{path}: line {lineno}: order must be >= 1")
+                continue
+            rows.append(values)
+            count = len(values)
+        if count != n:
+            raise FormatError(f"{path}: line {lineno}: expected {n} entries, got {count}")
     if n is None:
         raise FormatError(f"{path}: empty table file")
     if len(rows) != n:
         raise FormatError(f"{path}: expected {n} table rows, found {len(rows)}")
     if labels is not None and len(labels) != n:
         raise FormatError(f"{path}: #labels: line has {len(labels)} names, expected {n}")
-    return from_cayley_table(rows, labels=labels, name=Path(path).stem)
+    plain = all(isinstance(row, str) for row in rows)
+    table = np.fromstring(" ".join(rows), dtype=np.int64, sep=" ") if plain else None
+    # numpy saturates beyond int64, so a table with an entry >= n is read again
+    # by int(), which keeps the entry exact for validation to report.
+    if table is None or table.max() >= n:
+        table = [[int(tok) for tok in row.split()] if isinstance(row, str) else row
+                 for row in rows]
+    else:
+        table = table.reshape(n, n)
+    return from_cayley_table(table, labels=labels, name=Path(path).stem)
 
 
 def write_cayley_file(group: FiniteGroup, path) -> None:

@@ -1,20 +1,24 @@
 """Exact integer univariate polynomials and exact characteristic polynomials.
 
 Coefficients are arbitrary-precision Python ints stored in ascending degree
-order. Characteristic polynomials are computed multi-modularly: Hessenberg
-reduction and the Hessenberg recurrence mod word-size primes in numpy int64
-(Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9),
-run on all primes at once as one (P, n, n) stack of residues, in chunks of
-at most 2^16 int64 entries, then Chinese remaindering (Dumas, Pernet & Wan,
-"Efficient computation of the characteristic polynomial", ISSAC 2005). The
-primes cover 2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))), a proven
-bound on every coefficient by Maclaurin's and Schur's inequalities (see
-``char_poly_integer``). The result is exact at any size.
+order. Characteristic polynomials are computed multi-modularly, many
+matrices per call: Hessenberg reduction and the Hessenberg recurrence mod
+word-size primes in numpy int64 (Cohen, *A Course in Computational Algebraic
+Number Theory*, Alg. 2.2.9), then Chinese remaindering per matrix (Dumas,
+Pernet & Wan, "Efficient computation of the characteristic polynomial",
+ISSAC 2005). The matrices of one dimension share one list of primes, which
+covers 2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))) for each of
+them, a proven bound on every coefficient by Maclaurin's and Schur's
+inequalities (see ``char_poly_integers``). Each (matrix, prime) pair is one
+layer of a (P, n, n) stack of residues, run in chunks of at most 2^16 int64
+entries. The result is exact at any size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -215,37 +219,99 @@ class PolynomialZ:
 # Largest dimension accepted; it keeps the primes at 21 bits or more.
 MAX_DIMENSION = 1 << 20
 
-# Int64 entries in one stacked residue array: the primes of a call are
-# reduced in chunks of max(1, _STACK_ENTRIES // n^2), so the working set of a
-# call stays at a few hundred kB however many primes it needs.
+# Int64 entries in one stacked residue array: the (matrix, prime) layers of a
+# dimension group are reduced in chunks of max(1, _STACK_ENTRIES // n^2), so
+# the residues of a call take a few hundred kB however many matrices and
+# primes it has.
 _STACK_ENTRIES = 1 << 16
 
 
 def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
     """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
 
+    This is ``char_poly_integers`` on a batch of one: the matrix is its own
+    dimension group, so its primes cover its own coefficient bound and every
+    layer of the stack is one of its primes.
+    """
+    return char_poly_integers([matrix])[0]
+
+
+def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[PolynomialZ]:
+    """Exact monic characteristic polynomials det(xI - M) of integer matrices.
+
     Multi-modular: for each prime p, M mod p is reduced to upper Hessenberg
     form by similarity transforms and the Hessenberg recurrence gives the
     characteristic polynomial mod p (Cohen, *A Course in Computational
     Algebraic Number Theory*, Alg. 2.2.9), in O(n^3) int64 operations. The
-    primes run as one stack, in chunks of at most ``_STACK_ENTRIES`` int64
-    entries. The integer coefficients are rebuilt by the Chinese remainder
+    matrices are grouped by dimension, and each group gets one list of
+    primes, chosen for the largest bound (below) in the group. Every
+    (matrix, prime) pair of a group is one layer of a stack of residues,
+    matrix by matrix and prime by prime, run in chunks of at most
+    ``_STACK_ENTRIES`` int64 entries; a chunk may end inside a matrix. The
+    integer coefficients of each matrix are rebuilt by the Chinese remainder
     theorem (Garner) into the symmetric range (Dumas, Pernet & Wan, ISSAC
     2005).
 
-    The primes are chosen up front so that their product exceeds 2 (1 + S)^n,
-    where S = ceil(sqrt(ceil(||M||_F^2 / n))) and ||M||_F^2 is the sum of the
-    squared entries. With eigenvalues lambda, the coefficient c_k of x^(n-k)
-    is +-e_k(lambda), so, for any square M,
+    The primes of a group are chosen up front so that their product exceeds
+    2 (1 + S)^n for every matrix in it, where S = ceil(sqrt(ceil(||M||_F^2 /
+    n))) and ||M||_F^2 is the sum of the squared entries. With eigenvalues
+    lambda, the coefficient c_k of x^(n-k) is +-e_k(lambda), so, for any
+    square M,
     |c_k| <= e_k(|lambda|) <= C(n, k) (sum |lambda| / n)^k (Maclaurin)
           <= C(n, k) (sum |lambda|^2 / n)^(k/2) (power means)
           <= C(n, k) (||M||_F^2 / n)^(k/2) (Schur) <= C(n, k) S^k <= (1 + S)^n.
-    The result is exact, not probabilistic, and does not depend on
+    A matrix given more primes than its own bound needs gets the same result.
+    The results are exact, not probabilistic, and do not depend on
     machine-integer width.
 
     Entries must be integral (integer-valued floats are accepted); any other
     entry raises ``InvalidParameter``.
     """
+    checked = [_integer_rows(m) for m in matrices]
+    groups: dict[int, list[int]] = {}
+    for index, rows in enumerate(checked):
+        groups.setdefault(len(rows), []).append(index)
+    results: list = [None] * len(checked)
+    for n, members in groups.items():
+        group = [checked[i] for i in members]
+        bound = max(_coefficient_bound(rows) for rows in group)
+        primes = []
+        modulus = 1
+        for p in _primes(_prime_bits(n)):
+            primes.append(p)
+            modulus *= p
+            if modulus > bound:
+                break
+        # Garner step k: the unique value mod moduli[k] * p_k that is c mod
+        # moduli[k] and r mod p_k is c + moduli[k] * ((r - c) * inverses[k] % p_k).
+        moduli = list(itertools.accumulate(primes[:-1], operator.mul, initial=1))
+        inverses = [pow(m, -1, p) for m, p in zip(moduli, primes)]
+        try:
+            stack = np.array(group, dtype=np.int64)
+        except OverflowError:  # some entry beyond int64
+            stack = np.array(group, dtype=object)
+        layer_primes = np.array(primes, dtype=np.int64)
+        count = len(primes)
+        coeffs = [[0] * (n + 1) for _ in members]
+        chunk = max(1, _STACK_ENTRIES // (n * n))
+        for lo in range(0, len(members) * count, chunk):
+            layers = np.arange(lo, min(lo + chunk, len(members) * count))
+            which, prime_index = np.divmod(layers, count)
+            mods = layer_primes[prime_index]
+            residues = stack[which]  # a copy, reduced in place
+            np.remainder(residues, mods[:, None, None], out=residues)
+            polys = _char_poly_mod(residues.astype(np.int64, copy=False), mods).tolist()
+            for j, k, p, row in zip(which.tolist(), prime_index.tolist(), mods.tolist(), polys):
+                m, inverse = moduli[k], inverses[k]
+                coeffs[j] = [c + m * ((r - c % p) * inverse % p) for c, r in zip(coeffs[j], row)]
+        half = modulus // 2
+        for i, cs in zip(members, coeffs):
+            results[i] = PolynomialZ(c - modulus if c > half else c for c in cs)
+    return results
+
+
+def _integer_rows(matrix) -> list[list[int]]:
+    """The entries of a square integer matrix as Python ints."""
     if isinstance(matrix, np.ndarray):
         matrix = matrix.tolist()
     n = len(matrix)
@@ -253,41 +319,13 @@ def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
         raise InvalidParameter(f"matrix dimension {n} exceeds {MAX_DIMENSION}")
     if n == 0 or any(len(row) != n for row in matrix):
         raise InvalidParameter("matrix must be square and nonempty")
-    rows = [[v if type(v) is int else _integer_entry(v) for v in row] for row in matrix]
-    try:
-        entries = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        entries = np.array(rows, dtype=object)
-    bound = _coefficient_bound(rows)
-
-    primes = []
-    modulus = 1
-    for p in _primes(_prime_bits(n)):
-        primes.append(p)
-        modulus *= p
-        if modulus > bound:
-            break
-
-    coeffs = [0] * (n + 1)
-    modulus = 1
-    chunk = max(1, _STACK_ENTRIES // (n * n))
-    for lo in range(0, len(primes), chunk):
-        moduli = np.array(primes[lo:lo + chunk], dtype=np.int64)
-        residues = np.remainder(entries, moduli[:, None, None]).astype(np.int64, copy=False)
-        for p, row in zip(moduli.tolist(), _char_poly_mod(residues, moduli).tolist()):
-            # Garner step: the unique value mod modulus * p that is coeffs
-            # mod modulus and row mod p.
-            inverse = pow(modulus, -1, p)
-            coeffs = [c + modulus * ((r - c % p) * inverse % p) for c, r in zip(coeffs, row)]
-            modulus *= p
-    half = modulus // 2
-    return PolynomialZ(c - modulus if c > half else c for c in coeffs)
+    return [[v if type(v) is int else _integer_entry(v) for v in row] for row in matrix]
 
 
 def _coefficient_bound(rows: list[list[int]]) -> int:
     """2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))): more than twice
     the absolute value of every coefficient of det(xI - M) (see
-    ``char_poly_integer`` for the proof)."""
+    ``char_poly_integers`` for the proof)."""
     n = len(rows)
     mean_square = -(-sum(v * v for row in rows for v in row) // n)
     root = math.isqrt(mean_square - 1) + 1 if mean_square else 0

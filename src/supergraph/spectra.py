@@ -5,9 +5,11 @@ explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
 join of cliques on a small matrix. The quotient route builds one quotient
 matrix of the whole compressed graph and one clique eigenvalue per block; the
-two exact char polys and the quotient spectrum share it. Root isolation and
-integer-root factorization serve the verifier; the star-join Laplacian closed
-form and the interlacing check serve the acceptance criteria.
+two exact char polys and the quotient spectrum share it, and
+``super_charpolys`` runs the quotient cores of many super graphs in one exact
+kernel call. Root isolation and integer-root factorization serve the
+verifier; the star-join Laplacian closed form and the interlacing check serve
+the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
 )
 from .graphs import SimpleGraph, compressed_graph
 from .partitions import Partition
-from .polynomials import PolynomialZ, char_poly_integer
+from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 
 _GROUPING_FACTOR = 1e-8
 _ROOT_TOL = 1e-10
@@ -233,6 +235,22 @@ def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> Polyno
     char(-N(1)) of the compressed graph's quotient matrix times
     prod_i (x - N_i - n_i)^(n_i - 1)."""
     return _quotient_charpoly(graph, partition, 1)
+
+
+def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
+    """Exact characteristic polynomials of many super graphs, one per
+    (graph, partition) case, of the adjacency or the Laplacian matrix as
+    ``matrix`` says: ``super_adjacency_charpoly`` or
+    ``super_laplacian_charpoly`` of each case, with the quotient cores of all
+    cases computed in one ``char_poly_integers`` call."""
+    if matrix not in ("adjacency", "laplacian"):
+        raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
+    t = 0 if matrix == "adjacency" else 1
+    quotients = [_quotient(graph, partition, t) for graph, partition in cases]
+    cores = char_poly_integers([companion for companion, _, _ in quotients])
+    return [
+        core * PolynomialZ.from_roots(cliques) for core, (_, _, cliques) in zip(cores, quotients)
+    ]
 
 
 def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> Spectrum:

@@ -486,6 +486,54 @@ def test_cayley_file_errors(tmp_path):
         read_cayley_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty table file"),
+    ("# comment\n\n#labels: a b\n", "empty table file"),
+    ("x\n0\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("2 3\n0 1\n1 0\n", "line 1: expected a single order value"),
+    ("0\n", "line 1: order must be >= 1"),
+    ("2\n0 1\n1 x\n", "line 3: invalid literal for int() with base 10: 'x'"),
+    ("2\n0 1\n1 0.0\n", "line 3: invalid literal for int() with base 10: '0.0'"),
+    ("2\n0 1 0\n1 0 1\n", "line 2: expected 2 entries, got 3"),
+    ("3\n# rows follow\n0 1 2\n\n1 2\n", "line 5: expected 3 entries, got 2"),
+    ("2\n0 1 1\n1 x\n", "line 2: expected 2 entries, got 3"),
+    ("2\nx 1 1\n1 0\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("2\n0 1\n", "expected 2 table rows, found 1"),
+    ("2\n0 1\n1 0\n0 1\n", "expected 2 table rows, found 3"),
+    ("2\n0 1\n1 0\n#labels: e\n", "#labels: line has 1 names, expected 2"),
+])
+def test_cayley_file_error_messages(tmp_path, text, message):
+    from supergraph import FormatError
+
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError) as caught:
+        read_cayley_file(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_cayley_file_rows_off_the_plain_path(tmp_path):
+    # rows numpy does not parse go through int(): other whitespace, signs,
+    # underscores, non-ASCII digits, leading zeros, entries beyond int64
+    path = tmp_path / "z3.txt"
+    path.write_text("3\n+0 1  2\n1\t2\t0\n 2 0 \uff11 \n#labels: e a b\n")
+    g = read_cayley_file(path)
+    assert g.table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert g.labels == ("e", "a", "b") and g.name == "z3"
+    for text in ("2\n0_0 1\n1 0\n", "2\n0 1\n1 0000000000000000000000000\n"):
+        path.write_text(text)
+        assert read_cayley_file(path).table.tolist() == [[0, 1], [1, 0]]
+    for entry, message in (
+        ("100000000000000000000", "found entries beyond int64"),
+        ("9223372036854775807", r"table entry at \(1, 1\) outside 0..1"),
+        ("2", r"table entry at \(1, 1\) outside 0..1"),
+        ("-1", r"table entry at \(1, 1\) outside 0..1"),
+    ):
+        path.write_text(f"2\n0 1\n1 {entry}\n")
+        with pytest.raises(NotAGroup, match=message):
+            read_cayley_file(path)
+
+
 def test_group_table_is_readonly():
     g = dihedral(3)
     with pytest.raises(ValueError):

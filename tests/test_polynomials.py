@@ -10,6 +10,7 @@ from supergraph import (
     InvalidParameter,
     PolynomialZ,
     char_poly_integer,
+    char_poly_integers,
     commuting_graph,
     complete_graph,
     conjugacy_partition,
@@ -474,6 +475,103 @@ def test_char_poly_entries_beyond_int64_match_per_prime_reference():
     # entries beyond int64 on only some rows, and a multiple of 2^64
     m = [[2 ** 64, -(2 ** 70) + 1, 3], [1, 0, -(10 ** 19)], [5, 7, 11]]
     assert char_poly_integer(m) == _per_prime_char_poly(m) == _cofactor_char_poly(m)
+
+
+# ---------------------------------------------------------------------------
+# Batches: char_poly_integers
+
+def _assert_batch_matches_oracles(batch):
+    """The batch gives, matrix by matrix, what the single-matrix kernel, the
+    per-prime reference and Faddeev-LeVerrier give."""
+    results = char_poly_integers(batch)
+    assert len(results) == len(batch)
+    for m, result in zip(batch, results):
+        assert result == char_poly_integer(m) == _per_prime_char_poly(m)
+        assert result == _faddeev_leverrier_char_poly(m)
+
+
+def _primes_at(n, count):
+    return list(itertools.islice(_primes(_prime_bits(n)), count))
+
+
+def test_char_poly_integers_mixed_dimensions_and_repeats():
+    rng = random.Random(53)
+    shared = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
+    batch = [[[7]], shared, [[0, 1], [1, 0]], np.array(shared), [[-3]], shared]
+    for n in (1, 2, 3, 5, 4, 9, 1):
+        batch.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    batch.append([[0] * 3 for _ in range(3)])
+    _assert_batch_matches_oracles(batch)
+
+
+def test_char_poly_integers_one_matrix_needs_more_primes(monkeypatch):
+    # at n = 5 one matrix with entries near 10^12 needs several primes and
+    # the 0/1 matrices one; the group takes the larger list for all of them
+    rng = random.Random(59)
+    small = [[[rng.randint(0, 1) for _ in range(5)] for _ in range(5)] for _ in range(3)]
+    wide = [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(5)] for _ in range(5)]
+    batch = [small[0], [[2, 1], [1, 2]], small[1], wide, small[2]]
+    stacks = _recording_stacks(monkeypatch)
+    counts = []
+    for m in (small[0], wide, batch[1]):
+        char_poly_integer(m)
+        counts.append(len(stacks.pop()))
+    alone, needed, two = counts
+    assert needed > alone
+    char_poly_integers(batch)
+    assert sorted(len(primes) for primes in stacks) == [two, 4 * needed]
+    assert [primes for primes in stacks if len(primes) > two] == [_primes_at(5, needed) * 4]
+    _assert_batch_matches_oracles(batch)
+
+
+def test_char_poly_integers_object_entries_beside_small_ones():
+    rng = random.Random(61)
+    huge = [[rng.randint(-2 ** 80, 2 ** 80) for _ in range(3)] for _ in range(3)]
+    huge[1][2] = 2 ** 64
+    batch = [
+        [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)],
+        huge,
+        [[1, 2], [3, 4]],
+        [[2 ** 70]],
+        [[rng.randint(0, 1) for _ in range(3)] for _ in range(3)],
+    ]
+    _assert_batch_matches_oracles(batch)
+
+
+def test_char_poly_integers_chunk_boundary_inside_a_matrix(monkeypatch):
+    # n = 6 with entries near 10^9 needs several primes per matrix; two
+    # layers to a chunk, so chunks end inside matrices and some chunk holds
+    # the last prime of one matrix and the first of the next
+    n = 6
+    rng = random.Random(67)
+    batch = [[[rng.randint(-10 ** 9, 10 ** 9) for _ in range(n)] for _ in range(n)]
+             for _ in range(4)]
+    monkeypatch.setattr(polynomials, "_STACK_ENTRIES", 2 * n * n)
+    stacks = _recording_stacks(monkeypatch)
+    results = char_poly_integers(batch)
+    per_matrix = sum(len(primes) for primes in stacks) // len(batch)
+    assert per_matrix % 2 == 1 and all(len(primes) == 2 for primes in stacks[:-1])
+    order = _primes_at(n, per_matrix)
+    assert any(primes == [order[-1], order[0]] for primes in stacks)
+    for m, result in zip(batch, results):
+        assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def test_char_poly_integers_edge_cases():
+    assert char_poly_integers([]) == []
+    good = [[1, 2], [2, 1]]
+    for bad, message in (
+        ([[0.5, 0], [0, 1]], "matrix entry 0.5 is not an integer"),
+        ([["1"]], "matrix entry '1' is not an integer"),
+        ([[1, 2, 3], [4, 5, 6]], "matrix must be square and nonempty"),
+        ([], "matrix must be square and nonempty"),
+    ):
+        for batch in ([bad], [good, bad], [good, [[3]], bad, good]):
+            with pytest.raises(InvalidParameter) as batched:
+                char_poly_integers(batch)
+            with pytest.raises(InvalidParameter) as single:
+                char_poly_integer(bad)
+            assert str(batched.value) == str(single.value) == message
 
 
 def _bench_matrices():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from supergraph import (
     semidirect_pq,
     super_graph,
 )
+from supergraph import verify
 from supergraph.verify import (
     MATCH,
     PAPER_TABLE,
@@ -211,6 +213,75 @@ def test_verify_generic_deterministic():
     assert [(r.claim, r.verdict, r.diff) for r in a] == [
         (r.claim, r.verdict, r.diff) for r in b
     ]
+
+
+def test_verify_generic_reports_at_seed_42():
+    reports = verify_generic(42, 200)
+    assert [(r.claim, r.verdict, r.diff, r.artifacts) for r in reports] == [
+        (name, MATCH, None, {"trials": "200"})
+        for name in ("Lemma1.2", "Prop3.2", "Thm3.3", "Thm3.4", "Thm3.5")
+    ]
+
+
+def _thm35_draws(seed, trials):
+    """The (n, partition blocks) of each Thm 3.5 trial, drawn one trial at a
+    time from the trial's own rng."""
+    draws = []
+    for t in range(trials):
+        rng = random.Random(f"{seed}:Thm3.5:{t}")
+        n = rng.randint(2, 9)
+        verify._random_connected_graph(rng, n)
+        draws.append((n, verify._random_partition(rng, n).blocks))
+    return draws
+
+
+def _recording_super_charpolys(monkeypatch, wrong_at=()):
+    """Record the cases of every batched quotient call; the polynomials of
+    the trials in ``wrong_at`` are made wrong."""
+    calls = []
+    batched = verify.super_charpolys
+
+    def recorded(cases, matrix):
+        calls.append((matrix, [(g.n, part.blocks) for g, part in cases]))
+        polys = batched(cases, matrix)
+        return [p + PolynomialZ.one() if t in wrong_at else p for t, p in enumerate(polys)]
+
+    monkeypatch.setattr(verify, "super_charpolys", recorded)
+    return calls
+
+
+def test_thm35_batch_samples_what_each_trial_draws(monkeypatch):
+    calls = _recording_super_charpolys(monkeypatch)
+    verify_generic(7, 40)
+    draws = _thm35_draws(7, 40)
+    assert calls == [("adjacency", draws), ("laplacian", draws)]
+
+
+def test_thm35_reports_the_first_wrong_trial(monkeypatch):
+    _recording_super_charpolys(monkeypatch, wrong_at=(3, 7))
+    report = verify_generic(42, 200)[-1]
+    n, blocks = _thm35_draws(42, 4)[3]
+    assert report.claim == "Thm3.5" and report.verdict == "Mismatch"
+    assert report.diff == (
+        f"2/200 counterexamples; first: trial 3: adjacency char poly mismatch "
+        f"(n={n}, partition={blocks})"
+    )
+
+
+def test_thm35_reports_a_laplacian_mismatch(monkeypatch):
+    batched = verify.super_charpolys
+
+    def wrong_laplacian(cases, matrix):
+        polys = batched(cases, matrix)
+        return [-p if matrix == "laplacian" and t == 5 else p for t, p in enumerate(polys)]
+
+    monkeypatch.setattr(verify, "super_charpolys", wrong_laplacian)
+    report = verify_generic(42, 20)[-1]
+    n, blocks = _thm35_draws(42, 6)[5]
+    assert report.diff == (
+        f"1/20 counterexamples; first: trial 5: Laplacian char poly mismatch "
+        f"(n={n}, partition={blocks})"
+    )
 
 
 # ---------------------------------------------------------------------------
