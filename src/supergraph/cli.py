@@ -109,6 +109,16 @@ def build_partition(group: FiniteGroup, relation: str) -> Partition:
     raise FormatError(f'unknown relation "{relation}"')
 
 
+def build_graph(args):
+    """--group and --relation as spec, group, partition, commuting graph and graph."""
+    spec = parse_group_spec(args.group)
+    group = build_group(spec)
+    partition = build_partition(group, args.relation)
+    base = commuting_graph(group)
+    graph = base if args.relation == "none" else super_graph(base, partition)
+    return spec, group, partition, base, graph
+
+
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text)
 
@@ -139,11 +149,7 @@ def _poly_csv(poly: PolynomialZ) -> str:
 # graph subcommand
 
 def cmd_graph(args) -> int:
-    spec = parse_group_spec(args.group)
-    group = build_group(spec)
-    partition = build_partition(group, args.relation)
-    base = commuting_graph(group)
-    graph = base if args.relation == "none" else super_graph(base, partition)
+    spec, group, _, _, graph = build_graph(args)
 
     form = twin_canonical_form(graph)  # before writing: a failure leaves no file
     out_path = args.output or f"{spec.slug()}-{args.relation.replace(':', '_')}.{args.out}"
@@ -164,11 +170,7 @@ def cmd_graph(args) -> int:
 # spectrum subcommand
 
 def cmd_spectrum(args) -> int:
-    spec = parse_group_spec(args.group)
-    group = build_group(spec)
-    partition = build_partition(group, args.relation)
-    base = commuting_graph(group)
-    graph = base if args.relation == "none" else super_graph(base, partition)
+    spec, _, partition, base, graph = build_graph(args)
     matrix = (
         graph.adjacency_matrix() if args.matrix == "adjacency" else graph.laplacian_matrix()
     )
@@ -309,16 +311,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="supergraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    group_help = "D:n | Q:n | PQ:p,q | cayley:path"
     relation_help = "conjugacy | order | none | file:PATH"
     g = sub.add_parser("graph", help="build and export a (super) commuting graph")
-    g.add_argument("--group", required=True, help="D:n | Q:n | PQ:p,q | cayley:path")
+    g.add_argument("--group", required=True, help=group_help)
     g.add_argument("--relation", default="none", help=relation_help)
     g.add_argument("--out", choices=("json", "dot"), default="json")
     g.add_argument("--output", help="output path (default: derived)")
     g.set_defaults(func=cmd_graph)
 
     s = sub.add_parser("spectrum", help="compute a spectrum or characteristic polynomial")
-    s.add_argument("--group", required=True, help="D:n | Q:n | PQ:p,q | cayley:path")
+    s.add_argument("--group", required=True, help=group_help)
     s.add_argument("--relation", default="none", help=relation_help)
     s.add_argument("--matrix", choices=("adjacency", "laplacian"), default="adjacency")
     s.add_argument(

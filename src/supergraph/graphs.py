@@ -53,6 +53,13 @@ class SimpleGraph:
         self._labels = labels
 
     @classmethod
+    def _of(cls, adj, labels=None) -> "SimpleGraph":
+        """Graph on a fresh boolean adjacency already symmetric with zero diagonal."""
+        g = cls.__new__(cls)
+        g._finish(adj, labels)
+        return g
+
+    @classmethod
     def from_adjacency(cls, matrix, labels=None) -> "SimpleGraph":
         arr = np.asarray(matrix, dtype=bool)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -61,9 +68,7 @@ class SimpleGraph:
             raise InvalidParameter("adjacency matrix must be symmetric")
         if arr.diagonal().any():
             raise InvalidParameter("adjacency matrix must have zero diagonal")
-        g = cls.__new__(cls)
-        g._finish(arr.copy(), labels)
-        return g
+        return cls._of(arr.copy(), labels)
 
     @property
     def n(self) -> int:
@@ -99,9 +104,7 @@ class SimpleGraph:
         verts = [int(v) for v in vertices]
         sub = self._adj[np.ix_(verts, verts)].copy()
         labels = None if self._labels is None else [self._labels[v] for v in verts]
-        g = SimpleGraph.__new__(SimpleGraph)
-        g._finish(sub, labels)
-        return g
+        return SimpleGraph._of(sub, labels)
 
     def adjacency_matrix(self) -> np.ndarray:
         return self._adj.astype(np.int64)
@@ -155,14 +158,16 @@ class SimpleGraph:
 def complete_graph(n: int, labels=None) -> SimpleGraph:
     if n < 1:
         raise InvalidParameter("complete graph needs at least one vertex")
-    return SimpleGraph(n, itertools.combinations(range(n), 2), labels=labels)
+    return SimpleGraph._of(~np.eye(n, dtype=bool), labels)
 
 
 def star_graph(k: int) -> SimpleGraph:
     """Star on k vertices with center 0 (every other vertex is a leaf)."""
     if k < 2:
         raise InvalidParameter("star graph needs at least two vertices")
-    return SimpleGraph(k, ((0, v) for v in range(1, k)))
+    adj = np.zeros((k, k), dtype=bool)
+    adj[0, 1:] = adj[1:, 0] = True
+    return SimpleGraph._of(adj)
 
 
 def commuting_graph(group) -> SimpleGraph:
@@ -170,9 +175,7 @@ def commuting_graph(group) -> SimpleGraph:
     t = group.table
     adj = np.array(t == t.T)
     np.fill_diagonal(adj, False)
-    g = SimpleGraph.__new__(SimpleGraph)
-    g._finish(adj, group.labels)
-    return g
+    return SimpleGraph._of(adj, group.labels)
 
 
 def _check_partition(graph: SimpleGraph, partition: Partition) -> None:
@@ -202,9 +205,7 @@ def super_graph(graph: SimpleGraph, partition: Partition) -> SimpleGraph:
     same = bo[:, None] == bo[None, :]
     adj = same | cross[bo[:, None], bo[None, :]]
     np.fill_diagonal(adj, False)
-    g = SimpleGraph.__new__(SimpleGraph)
-    g._finish(adj, graph.labels)
-    return g
+    return SimpleGraph._of(adj, graph.labels)
 
 
 def compressed_graph(graph: SimpleGraph, partition: Partition) -> SimpleGraph:
@@ -215,9 +216,7 @@ def compressed_graph(graph: SimpleGraph, partition: Partition) -> SimpleGraph:
     labels = None
     if graph.labels is not None:
         labels = ["{" + ",".join(graph.labels[v] for v in b) + "}" for b in partition.blocks]
-    g = SimpleGraph.__new__(SimpleGraph)
-    g._finish(cross, labels)
-    return g
+    return SimpleGraph._of(cross, labels)
 
 
 def generalized_join(template: SimpleGraph, parts) -> SimpleGraph:
@@ -229,25 +228,17 @@ def generalized_join(template: SimpleGraph, parts) -> SimpleGraph:
         raise ArityMismatch(
             f"template has {template.n} vertices but {len(parts)} parts were given"
         )
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.n
-    adj = np.zeros((total, total), dtype=bool)
-    for idx, p in enumerate(parts):
-        o = offsets[idx]
-        adj[o:o + p.n, o:o + p.n] = p.adjacency
-    for i, j in template.edges():
-        oi, oj = offsets[i], offsets[j]
-        adj[oi:oi + parts[i].n, oj:oj + parts[j].n] = True
-        adj[oj:oj + parts[j].n, oi:oi + parts[i].n] = True
+    sizes = [p.n for p in parts]
+    owner = np.repeat(np.arange(template.n), sizes)
+    # Vertices of different parts are adjacent iff their owners are; the
+    # template's zero diagonal leaves the diagonal blocks to the parts.
+    adj = template.adjacency[np.ix_(owner, owner)]
+    for p, end in zip(parts, np.cumsum(sizes).tolist()):
+        adj[end - p.n:end, end - p.n:end] = p.adjacency
     labels = None
     if all(p.labels is not None for p in parts) and parts:
         labels = [lab for p in parts for lab in p.labels]
-    g = SimpleGraph.__new__(SimpleGraph)
-    g._finish(adj, labels)
-    return g
+    return SimpleGraph._of(adj, labels)
 
 
 def connected_components(graph: SimpleGraph) -> list[list[int]]:

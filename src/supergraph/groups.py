@@ -24,6 +24,10 @@ import numpy as np
 from .errors import FormatError, InvalidParameter, NotAGroup
 from .partitions import Partition
 
+# Largest order a family constructor builds: its int64 Cayley table then takes
+# 512 MiB. Beyond it numpy fails with a raw MemoryError, or the labels exhaust memory.
+MAX_ORDER = 1 << 13
+
 
 class FiniteGroup:
     """Group on elements 0..order-1 with an explicit multiplication table."""
@@ -248,6 +252,11 @@ def from_cayley_table(table, labels=None, name="group") -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=name, validate=True)
 
 
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise InvalidParameter(f"group order {order} exceeds the cap of {MAX_ORDER}")
+
+
 def _pow_label(symbol: str, e: int) -> str:
     if e == 0:
         return ""
@@ -260,6 +269,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with elements e, a, a^2, ..."""
     if n < 1:
         raise InvalidParameter("cyclic group order must be >= 1")
+    _check_order(n)
     i = np.arange(n)
     labels = ["e"] + [_pow_label("a", k) for k in range(1, n)]
     return FiniteGroup((i[:, None] + i) % n, labels=labels, name=f"Z{n}")
@@ -271,6 +281,7 @@ def _dicyclic(m: int, s: int, prefix: str) -> FiniteGroup:
     Moving a^i1 past b^f2 gives b^f2 a^((-1)^f2 i1), and b*b = a^s, so
     b^f1 a^i1 * b^f2 a^i2 = b^(f1 xor f2) a^((-1)^f2 i1 + i2 + s f1 f2).
     """
+    _check_order(2 * m)
     f, i = np.divmod(np.arange(2 * m), m)
     table = np.outer(i, 1 - 2 * f)  # updated in place: one n x n array
     table += i
@@ -357,6 +368,7 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
         raise InvalidParameter("the primes must be distinct")
     if (p - 1) % q != 0:
         raise InvalidParameter(f"{q} does not divide {p} - 1")
+    _check_order(p * q)
     m = next(c for c in range(2, p) if pow(c, q, p) == 1)
     labels = ["e" if i == j == 0 else _pow_label("b", i) + _pow_label("a", j)
               for j in range(q) for i in range(p)]
@@ -369,6 +381,7 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product g x h: element (x, y) has index x*|h| + y and label "(x,y)"."""
+    _check_order(g.order * h.order)
     a, b = g.table, h.table
     table = (a[:, None, :, None] * h.order + b[None, :, None, :]).reshape(
         g.order * h.order, -1)

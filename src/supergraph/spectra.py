@@ -3,9 +3,10 @@
 Three independent routes are provided: LAPACK's symmetric eigensolver on the
 explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
-join of cliques on a small matrix. The quotient route builds one quotient
-matrix of the whole compressed graph and one clique eigenvalue per block; the
-two exact char polys and the quotient spectrum share it, and
+join of cliques on a small matrix. One private function, ``_quotient``, is
+the quotient route: it checks the matrix name and builds the quotient matrix
+of the whole compressed graph and one clique eigenvalue per block. The two
+exact char polys and the quotient spectrum share it, and
 ``super_charpolys`` runs the quotient cores of many super graphs in one exact
 kernel call. Root isolation and integer-root factorization serve the
 verifier; the star-join Laplacian closed form and the interlacing check serve
@@ -16,12 +17,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ArityMismatch,
     InvalidParameter,
     NoConvergence,
     NoSignChange,
@@ -157,84 +156,53 @@ def _grouped(values, mults, tol: float) -> Spectrum:
     return Spectrum(zip(means.tolist(), counts.tolist()))
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """The small matrix carrying the non-clique part of a join's spectrum.
+def _quotient(graph: SimpleGraph, partition: Partition, matrix: str):
+    """The quotient route: check ``matrix`` and build its quotient matrix.
 
-    For the ``t`` given to ``quotient_matrix``, ``symmetric`` has
-    sqrt(n_i n_j) off the diagonal where blocks i and j are joined and
-    n_i - 1 - t * (n_i - 1 + N_i) on it, where N_i is ``neighbor_sums[i]``,
-    the number of vertices joined to block i;
-    ``companion`` is the int64 matrix with n_j off the diagonal where the
-    blocks are joined and the same diagonal, similar to ``symmetric`` by the
-    diag(sqrt(n_i)) scaling, hence with the same characteristic polynomial.
-    Both arrays are read-only.
-    """
-
-    symmetric: np.ndarray
-    companion: np.ndarray
-    neighbor_sums: tuple[int, ...]
-
-
-def quotient_matrix(template: SimpleGraph, sizes, t: int) -> QuotientMatrix:
-    """Quotient matrix of the join of cliques of the given sizes over a template."""
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) != template.n:
-        raise ArityMismatch(
-            f"template has {template.n} vertices but {len(sizes)} sizes were given"
-        )
-    if any(s < 1 for s in sizes):
-        raise InvalidParameter("all block sizes must be >= 1")
-    if t not in (0, 1):
-        raise InvalidParameter("parameter t must be 0 or 1")
-    n = np.array(sizes, dtype=np.int64)
-    rho = template.adjacency
-    neighbor_sums = rho.astype(np.int64) @ n
-    diag = np.diag(n - 1 - t * (n - 1 + neighbor_sums))
-    sym = np.where(rho, np.sqrt(np.outer(n, n).astype(float)), 0.0) + diag
-    companion = np.where(rho, n, 0) + diag
-    for a in (sym, companion):
-        a.setflags(write=False)
-    return QuotientMatrix(sym, companion, tuple(neighbor_sums.tolist()))
-
-
-def _quotient(graph: SimpleGraph, partition: Partition, t: int):
-    """The quotient route on one quotient matrix of the compressed graph.
-
-    The super graph's adjacency (t = 0) or Laplacian (t = 1) spectrum is the
+    With n_i the size of block i, rho the compressed graph's adjacency and
+    N_i = sum_j rho_ij n_j, the quotient matrix N(t) has sqrt(n_i n_j) where
+    rho_ij is set and n_i - 1 - t * (n_i - 1 + N_i) on the diagonal. The
+    super graph's adjacency (t = 0) or Laplacian (t = 1) spectrum is the
     eigenvalues of N(0), or of -N(1), and one clique eigenvalue per block,
     -1 or N_i + n_i, with multiplicity n_i - 1 (Cardoso, de Freitas, Martins
-    & Robbiano, *Discrete Math.* 313, 2013). The theorem holds for any
-    template: on a disconnected compressed graph N(t) is block diagonal up to
-    a permutation, so its char poly is the product of the components' and its
-    eigenvalues their union. Returns the companion and symmetric matrices
-    with that sign applied and the clique (eigenvalue, multiplicity) pairs.
+    & Robbiano, *Discrete Math.* 313, 2013), for any template: a disconnected
+    compressed graph makes N(t) block diagonal up to a permutation.
+
+    Returns N(0) or -N(1) as an int64 companion matrix (n_j for sqrt(n_i n_j):
+    similar by diag(sqrt(n_i)), so with the same char poly) and as a float
+    symmetric matrix, and the clique (eigenvalue, multiplicity) pairs.
     """
-    sizes = partition.sizes
-    qm = quotient_matrix(compressed_graph(graph, partition), sizes, t)
-    cliques = [
-        (big_n + n_i if t else -1, n_i - 1) for n_i, big_n in zip(sizes, qm.neighbor_sums)
-    ]
+    if matrix not in ("adjacency", "laplacian"):
+        raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
+    t = 0 if matrix == "adjacency" else 1
+    rho = compressed_graph(graph, partition).adjacency
+    n = np.array(partition.sizes, dtype=np.int64)
+    neighbor_sums = rho.astype(np.int64) @ n
+    diag = np.diag(n - 1 - t * (n - 1 + neighbor_sums))
     sign = -1 if t else 1
-    return sign * qm.companion, sign * qm.symmetric, cliques
+    companion = sign * (np.where(rho, n, 0) + diag)
+    symmetric = sign * (np.where(rho, np.sqrt(np.outer(n, n).astype(float)), 0.0) + diag)
+    cliques = [(big_n + n_i if t else -1, n_i - 1)
+               for n_i, big_n in zip(partition.sizes, neighbor_sums.tolist())]
+    return companion, symmetric, cliques
 
 
-def _quotient_charpoly(graph: SimpleGraph, partition: Partition, t: int) -> PolynomialZ:
-    companion, _, cliques = _quotient(graph, partition, t)
+def _quotient_charpoly(graph: SimpleGraph, partition: Partition, matrix: str) -> PolynomialZ:
+    companion, _, cliques = _quotient(graph, partition, matrix)
     return char_poly_integer(companion) * PolynomialZ.from_roots(cliques)
 
 
 def super_adjacency_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the adjacency matrix of the super graph:
     char(N(0)) of the compressed graph's quotient matrix times (x + 1)^(n - k)."""
-    return _quotient_charpoly(graph, partition, 0)
+    return _quotient_charpoly(graph, partition, "adjacency")
 
 
 def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the Laplacian of the super graph:
     char(-N(1)) of the compressed graph's quotient matrix times
     prod_i (x - N_i - n_i)^(n_i - 1)."""
-    return _quotient_charpoly(graph, partition, 1)
+    return _quotient_charpoly(graph, partition, "laplacian")
 
 
 def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
@@ -243,10 +211,7 @@ def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
     ``matrix`` says: ``super_adjacency_charpoly`` or
     ``super_laplacian_charpoly`` of each case, with the quotient cores of all
     cases computed in one ``char_poly_integers`` call."""
-    if matrix not in ("adjacency", "laplacian"):
-        raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
-    t = 0 if matrix == "adjacency" else 1
-    quotients = [_quotient(graph, partition, t) for graph, partition in cases]
+    quotients = [_quotient(graph, partition, matrix) for graph, partition in cases]
     cores = char_poly_integers([companion for companion, _, _ in quotients])
     return [
         core * PolynomialZ.from_roots(cliques) for core, (_, _, cliques) in zip(cores, quotients)
@@ -262,9 +227,7 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
     grouping tolerance, 1e-8 * max(1, ||N||_F), merge into one eigenvalue.
     Independent of any catalogued closed form.
     """
-    if matrix not in ("adjacency", "laplacian"):
-        raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
-    _, symmetric, cliques = _quotient(graph, partition, 0 if matrix == "adjacency" else 1)
+    _, symmetric, cliques = _quotient(graph, partition, matrix)
     pairs = sorted([*jacobi_eigenvalues(symmetric).pairs, *((v, m) for v, m in cliques if m)])
     values, mults = zip(*pairs)
     return _grouped(values, mults, _GROUPING_FACTOR * max(1.0, float(np.linalg.norm(symmetric))))

@@ -71,10 +71,6 @@ class ClaimReport:
     diff: str | None = None
     ms: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict == MATCH
-
     def to_json_dict(self) -> dict:
         return {
             "claim": self.claim,

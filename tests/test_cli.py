@@ -274,6 +274,14 @@ def test_group_error_reported(in_tmp, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_oversized_group_is_an_error_and_writes_no_file(in_tmp, capsys):
+    assert main(["graph", "--group", "D:3000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds the cap of 8192" in err
+    assert list(in_tmp.iterdir()) == []
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "supergraph.cli", "verify", "--suite", "4.5",

@@ -26,7 +26,7 @@ from supergraph import (
     twin_canonical_form,
     write_cayley_file,
 )
-from supergraph.groups import FiniteGroup, _generating_set, _validate_table
+from supergraph.groups import MAX_ORDER, FiniteGroup, _generating_set, _validate_table
 from supergraph.verify import DEFAULT_PQ_PAIRS
 
 
@@ -398,6 +398,19 @@ def test_semidirect_rejects_bad_parameters():
         semidirect_pq(4, 2)  # 4 not prime
     with pytest.raises(InvalidParameter):
         semidirect_pq(3, 3)  # not distinct
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: dihedral(3_000_000), 6_000_000),
+    (lambda: generalized_quaternion(MAX_ORDER // 4 + 1), MAX_ORDER + 4),
+    (lambda: cyclic(MAX_ORDER + 1), MAX_ORDER + 1),
+    (lambda: semidirect_pq(1_000_003, 3), 3_000_009),
+    (lambda: direct_product(dihedral(100), dihedral(100)), 40_000),
+])
+def test_oversized_order_rejected_before_building(build, order):
+    with pytest.raises(InvalidParameter,
+                       match=f"group order {order} exceeds the cap of {MAX_ORDER}"):
+        build()
 
 
 def test_conjugacy_classes_d8():

@@ -19,6 +19,7 @@ from supergraph import (
     commuting_graph,
     complete_graph,
     dihedral,
+    generalized_join,
     generalized_quaternion,
     conjugacy_partition,
     greatest_partition,
@@ -28,16 +29,17 @@ from supergraph import (
     least_partition,
     multiset_match,
     order_partition,
-    quotient_matrix,
     quotient_spectrum,
     real_root_isolate,
     spectrum_from_integer_charpoly,
     star_graph,
     star_join_laplacian_spectrum,
     super_adjacency_charpoly,
+    super_charpolys,
     super_graph,
     super_laplacian_charpoly,
 )
+from supergraph.spectra import _quotient
 
 # frozen by bisection (independent of the quotient pipeline); the trace
 # identity alpha+beta+gamma = 3 pins them down
@@ -144,8 +146,16 @@ def test_jacobi_maps_lapack_failure_to_no_convergence(monkeypatch):
 # ---------------------------------------------------------------------------
 # Quotient matrices
 
+def _join_of_cliques(template, sizes):
+    """The join of cliques of the given sizes over a template, with its block partition."""
+    graph = generalized_join(template, [complete_graph(s) for s in sizes])
+    ends = np.cumsum(sizes).tolist()
+    return graph, Partition(graph.n, [range(e - s, e) for s, e in zip(sizes, ends)])
+
+
 def test_quotient_matrix_star_example():
-    qm = quotient_matrix(star_graph(3), (1, 2, 3), 0)
+    graph, part = _join_of_cliques(star_graph(3), (1, 2, 3))
+    companion, symmetric, cliques = _quotient(graph, part, "adjacency")
     expected = np.array(
         [
             [0.0, math.sqrt(2), math.sqrt(3)],
@@ -153,17 +163,21 @@ def test_quotient_matrix_star_example():
             [math.sqrt(3), 0.0, 2.0],
         ]
     )
-    assert np.allclose(qm.symmetric, expected)
-    assert qm.companion.tolist() == [[0, 2, 3], [1, 1, 0], [1, 0, 2]]
-    assert qm.neighbor_sums == (5, 1, 1)
+    assert np.allclose(symmetric, expected)
+    assert companion.tolist() == [[0, 2, 3], [1, 1, 0], [1, 0, 2]]
+    assert cliques == [(-1, 0), (-1, 1), (-1, 2)]
 
-    qm1 = quotient_matrix(star_graph(3), (1, 2, 3), 1)
-    assert [-qm1.symmetric[i, i] for i in range(3)] == [5, 1, 1]
+    # -N(1) carries N_i, the number of vertices joined to block i, on its diagonal
+    companion1, symmetric1, cliques1 = _quotient(graph, part, "laplacian")
+    assert [symmetric1[i, i] for i in range(3)] == [5, 1, 1]
+    assert companion1.tolist() == [[5, -2, -3], [-1, 1, 0], [-1, 0, 1]]
+    assert cliques1 == [(6, 0), (3, 1), (4, 2)]
 
 
 def test_quotient_matrix_single_block():
-    qm = quotient_matrix(complete_graph(1), (4,), 0)
-    assert qm.symmetric.tolist() == [[3.0]]
+    graph, part = _join_of_cliques(complete_graph(1), (4,))
+    _, symmetric, _ = _quotient(graph, part, "adjacency")
+    assert symmetric.tolist() == [[3.0]]
 
 
 def test_quotient_symmetric_and_companion_share_spectrum():
@@ -172,14 +186,24 @@ def test_quotient_symmetric_and_companion_share_spectrum():
         k = rng.randint(1, 5)
         template = _random_graph(rng, k, 0.5)
         sizes = [rng.randint(1, 4) for _ in range(k)]
-        for t in (0, 1):
-            qm = quotient_matrix(template, sizes, t)
-            sym_eigs = jacobi_eigenvalues(qm.symmetric).expand()
-            poly = char_poly_integer(qm.companion)
+        graph, part = _join_of_cliques(template, sizes)
+        for matrix in ("adjacency", "laplacian"):
+            companion, symmetric, _ = _quotient(graph, part, matrix)
+            sym_eigs = jacobi_eigenvalues(symmetric).expand()
+            poly = char_poly_integer(companion)
             assert poly.degree == k and poly.is_monic()
             # the companion polynomial vanishes at the symmetric eigenvalues
             for eig in sym_eigs:
                 assert abs(poly(eig)) < 1e-6 * max(1.0, abs(eig)) ** k
+
+
+def test_unknown_matrix_name_rejected():
+    g = complete_graph(3)
+    part = least_partition(3)
+    with pytest.raises(InvalidParameter, match="'adjacency' or 'laplacian'"):
+        super_charpolys([(g, part)], "signless")
+    with pytest.raises(InvalidParameter, match="'adjacency' or 'laplacian'"):
+        quotient_spectrum(g, part, "signless")
 
 
 # ---------------------------------------------------------------------------
