@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,6 @@ from .partitions import Partition, conjugacy_partition, least_partition, order_p
 from .polynomials import PolynomialZ, char_poly_integer
 from .spectra import (
     Spectrum,
-    grouped_match,
     jacobi_eigenvalues,
     multiset_match,
     quotient_spectrum,
@@ -174,6 +172,14 @@ def cmd_spectrum(args) -> int:
     matrix = (
         graph.adjacency_matrix() if args.matrix == "adjacency" else graph.laplacian_matrix()
     )
+    try:  # the catalogued claim that --method closed and --compare read
+        claim = verify_mod.closed_claim(spec.family, args.relation, args.matrix)
+        point = claim.point(spec.params)
+        claim.check(point)
+    except (UnsupportedClosedForm, OutOfRange):
+        if args.method == "closed":
+            raise
+        claim = None
 
     results: dict = {}
 
@@ -190,8 +196,7 @@ def cmd_spectrum(args) -> int:
         elif method == "quotient":
             value = super_laplacian_charpoly(base, partition)
         else:
-            claim = verify_mod.closed_claim(spec.family, args.relation, args.matrix)
-            value = verify_mod.closed_spectrum(claim.name, claim.point(spec.params))
+            value = claim.spectrum(point)
         results[method] = value
         return value
 
@@ -216,12 +221,9 @@ def cmd_spectrum(args) -> int:
     checks = [("exact == quotient (char poly)", compute("exact") == compute("quotient"))]
     qspec = quotient_spectrum(base, partition, args.matrix)
     checks.append((f"jacobi ~ quotient spectrum ({tol:g})", multiset_match(jac, qspec, tol)))
-    try:
-        closed = compute("closed")
-    except (UnsupportedClosedForm, OutOfRange):
-        pass
-    else:
-        checks.append((f"jacobi ~ closed form ({tol:g})", grouped_match(closed, jac, tol)))
+    if claim is not None:
+        holds = claim.diff(point, compute("quotient"), jac) is None
+        checks.append((f"jacobi ~ closed form ({tol:g})", holds))
     ok = True
     for name, passed in checks:
         print(f"compare: {name}: {'agree' if passed else 'DISAGREE'}")
@@ -255,22 +257,12 @@ def _parse_pq(text: str) -> tuple[int, int]:
         raise FormatError(f'pq pair "{text}": values must be integers') from None
 
 
-def _worker_count(flag: int | None) -> int:
-    """--jobs, else SUPERGRAPH_JOBS, else 1; it must be an integer >= 1."""
-    raw = flag if flag is not None else os.environ.get("SUPERGRAPH_JOBS") or "1"
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise FormatError(f'jobs "{raw}": expected an integer >= 1')
-    return jobs
-
-
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise FormatError(f'jobs "{args.jobs}": expected an integer >= 1')
     reports = verify_mod.run_suite(
         args.suite,
-        jobs=_worker_count(args.jobs),
+        jobs=args.jobs,
         family=args.family,
         odd_n=_parse_range(args.odd_n) if args.odd_n else None,
         n_range=_parse_range(args.n) if args.n else None,
@@ -350,9 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--strict", action="store_true",
                    help="count paper-table mismatches as failures")
     v.add_argument("--report", help="write the JSON report to this path")
-    v.add_argument("--jobs", type=int, default=None,
-                   help="worker processes, at most one per task "
-                        "(default: SUPERGRAPH_JOBS or 1)")
+    v.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per task (default: 1)")
     v.set_defaults(func=cmd_verify)
     return parser
 

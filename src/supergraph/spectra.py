@@ -4,9 +4,9 @@ Three independent routes are provided: LAPACK's symmetric eigensolver on the
 explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
 join of cliques on a small matrix. One private function, ``_quotient``, is
-the quotient route: it checks the matrix name and builds the quotient matrix
-of the whole compressed graph and one clique eigenvalue per block. The two
-exact char polys and the quotient spectrum share it, and
+the quotient route: it builds the quotient matrix of the whole compressed
+graph and one clique eigenvalue per block. The two exact char polys and the
+quotient spectrum share it, ``_t`` is the one check of a matrix name, and
 ``super_charpolys`` runs the quotient cores of many super graphs in one exact
 kernel call. Root isolation and integer-root factorization serve the
 verifier; the star-join Laplacian closed form and the interlacing check serve
@@ -156,8 +156,15 @@ def _grouped(values, mults, tol: float) -> Spectrum:
     return Spectrum(zip(means.tolist(), counts.tolist()))
 
 
-def _quotient(graph: SimpleGraph, partition: Partition, matrix: str):
-    """The quotient route: check ``matrix`` and build its quotient matrix.
+def _t(matrix: str) -> int:
+    """The t of N(t) below for a matrix name: 0 for adjacency, 1 for laplacian."""
+    if matrix not in ("adjacency", "laplacian"):
+        raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
+    return 0 if matrix == "adjacency" else 1
+
+
+def _quotient(graph: SimpleGraph, partition: Partition, t: int):
+    """The quotient route: the quotient matrix N(t) and the clique eigenvalues.
 
     With n_i the size of block i, rho the compressed graph's adjacency and
     N_i = sum_j rho_ij n_j, the quotient matrix N(t) has sqrt(n_i n_j) where
@@ -172,9 +179,6 @@ def _quotient(graph: SimpleGraph, partition: Partition, matrix: str):
     similar by diag(sqrt(n_i)), so with the same char poly) and as a float
     symmetric matrix, and the clique (eigenvalue, multiplicity) pairs.
     """
-    if matrix not in ("adjacency", "laplacian"):
-        raise InvalidParameter("matrix must be 'adjacency' or 'laplacian'")
-    t = 0 if matrix == "adjacency" else 1
     rho = compressed_graph(graph, partition).adjacency
     n = np.array(partition.sizes, dtype=np.int64)
     neighbor_sums = rho.astype(np.int64) @ n
@@ -187,22 +191,22 @@ def _quotient(graph: SimpleGraph, partition: Partition, matrix: str):
     return companion, symmetric, cliques
 
 
-def _quotient_charpoly(graph: SimpleGraph, partition: Partition, matrix: str) -> PolynomialZ:
-    companion, _, cliques = _quotient(graph, partition, matrix)
+def _quotient_charpoly(graph: SimpleGraph, partition: Partition, t: int) -> PolynomialZ:
+    companion, _, cliques = _quotient(graph, partition, t)
     return char_poly_integer(companion) * PolynomialZ.from_roots(cliques)
 
 
 def super_adjacency_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the adjacency matrix of the super graph:
     char(N(0)) of the compressed graph's quotient matrix times (x + 1)^(n - k)."""
-    return _quotient_charpoly(graph, partition, "adjacency")
+    return _quotient_charpoly(graph, partition, 0)
 
 
 def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the Laplacian of the super graph:
     char(-N(1)) of the compressed graph's quotient matrix times
     prod_i (x - N_i - n_i)^(n_i - 1)."""
-    return _quotient_charpoly(graph, partition, "laplacian")
+    return _quotient_charpoly(graph, partition, 1)
 
 
 def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
@@ -211,7 +215,8 @@ def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
     ``matrix`` says: ``super_adjacency_charpoly`` or
     ``super_laplacian_charpoly`` of each case, with the quotient cores of all
     cases computed in one ``char_poly_integers`` call."""
-    quotients = [_quotient(graph, partition, matrix) for graph, partition in cases]
+    t = _t(matrix)
+    quotients = [_quotient(graph, partition, t) for graph, partition in cases]
     cores = char_poly_integers([companion for companion, _, _ in quotients])
     return [
         core * PolynomialZ.from_roots(cliques) for core, (_, _, cliques) in zip(cores, quotients)
@@ -227,7 +232,7 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
     grouping tolerance, 1e-8 * max(1, ||N||_F), merge into one eigenvalue.
     Independent of any catalogued closed form.
     """
-    _, symmetric, cliques = _quotient(graph, partition, matrix)
+    _, symmetric, cliques = _quotient(graph, partition, _t(matrix))
     pairs = sorted([*jacobi_eigenvalues(symmetric).pairs, *((v, m) for v, m in cliques if m)])
     values, mults = zip(*pairs)
     return _grouped(values, mults, _GROUPING_FACTOR * max(1.0, float(np.linalg.norm(symmetric))))

@@ -1,11 +1,15 @@
 """Executable verification of the catalogued spectral and structural claims.
 
 Each claim is checked along up to three routes: the catalogued closed form,
-the quotient-matrix pipeline, and brute force on the explicit matrix. The
-verdict separates internal inconsistencies ("Mismatch": the quotient route and
-brute force disagree, which would be a bug here) from divergences between our
-computations and a catalogued published formula ("Mismatch(paper-table)",
-reported with a diff and never thrown).
+the quotient-matrix pipeline, and brute force on the explicit matrix. One
+``Claim`` record per claim holds its parameter range, the group it builds and
+its published form. At a point that ``Claim.check`` has passed, its methods
+give the published form, the published spectrum, and the diff of that form
+against the computed routes; ``spectrum --compare`` applies the same diff.
+The verdict separates internal inconsistencies ("Mismatch": the quotient
+route and brute force disagree, which would be a bug here) from divergences
+between our computations and a catalogued published formula
+("Mismatch(paper-table)", reported with a diff and never thrown).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameter, NoSignChange, OutOfRange, UnsupportedClosedForm
@@ -157,6 +160,55 @@ class Claim:
             parity = {None: "", 0: "even ", 1: "odd "}[self.parity]
             raise OutOfRange(f"requires {parity}{self.key} >= {self.least}")
 
+    # The methods below take a point that ``check`` has passed.
+
+    def form(self, params: dict):
+        """The published form: a PolynomialZ or a Spectrum, or the claimed graph."""
+        if self.cubic is None:
+            return self.closed(**params)
+        cubic, exp = self.cubic(**params)
+        return cubic * PolynomialZ.from_roots([(-1, exp)])
+
+    def spectrum(self, params: dict) -> Spectrum:
+        """The published spectrum: the table, or the cubic's roots isolated in
+        their brackets together with the eigenvalue -1."""
+        if self.cubic is None:
+            form = self.closed(**params)
+            if isinstance(form, Spectrum):
+                return form
+            raise InvalidParameter(f"claim {self.name!r} publishes no spectrum")
+        cubic, exp = self.cubic(**params)
+        roots = real_root_isolate(cubic, self.brackets(**params))
+        return Spectrum([(r, 1) for r in roots] + [(-1.0, exp)])
+
+    def diff(self, params: dict, quotient: PolynomialZ, jac: Spectrum | None) -> str | None:
+        """How the published form contradicts the computed char poly and
+        LAPACK spectrum; None when it holds.
+
+        A published table is compared group by group with the LAPACK
+        spectrum; an adjacency cubic's isolated roots, where LAPACK ran, as a
+        multiset.
+        """
+        form = self.form(params)
+        if isinstance(form, Spectrum):
+            if _poly_from_spectrum(form) == quotient and grouped_match(form, jac, SPECTRAL_TOL):
+                return None
+            computed = spectrum_from_integer_charpoly(quotient)
+            if computed is None:
+                computed = Spectrum([(round(float(v)), m) for v, m in jac.pairs])
+            return _spectrum_diff(form, computed)
+        if form != quotient:
+            return f"published poly {form} != computed {quotient}"
+        if jac is None:
+            return None
+        try:
+            expected = self.spectrum(params)
+        except NoSignChange:
+            return f"root bracket sign check failed on {self.brackets(**params)}"
+        if multiset_match(jac, expected, SPECTRAL_TOL):
+            return None
+        return f"eigenvalues {jac} do not match catalogued roots {expected}"
+
 
 CLAIMS = (
     Claim(
@@ -281,24 +333,6 @@ def _claim(name: str, kind: str | None = None) -> Claim:
     return claim
 
 
-def _adjacency_claim(name: str, params: dict) -> Claim:
-    claim = _claim(name)
-    if claim.cubic is None:
-        raise InvalidParameter(f"unknown adjacency claim {name!r}")
-    claim.check(params)
-    return claim
-
-
-def claim_cubic(claim: str, params: dict) -> tuple[PolynomialZ, int]:
-    """Cubic factor and the multiplicity of the eigenvalue -1."""
-    return _adjacency_claim(claim, params).cubic(**params)
-
-
-def claim_brackets(claim: str, params: dict) -> list[tuple[int, int]]:
-    """Integer root brackets stated with each adjacency claim."""
-    return _adjacency_claim(claim, params).brackets(**params)
-
-
 def closed_form(claim: str, **params):
     """Catalogued closed form for a spectral claim: a PolynomialZ or a Spectrum.
 
@@ -308,21 +342,7 @@ def closed_form(claim: str, **params):
     """
     entry = _claim(claim, "spectral")
     entry.check(params)
-    if entry.cubic is not None:
-        cubic, exp = entry.cubic(**params)
-        return cubic * PolynomialZ.from_roots([(-1, exp)])
-    return entry.closed(**params)
-
-
-def closed_spectrum(claim: str, params: dict) -> Spectrum:
-    """Catalogued spectrum: the published table, or the cubic's roots isolated
-    in their brackets together with the eigenvalue -1."""
-    form = closed_form(claim, **params)
-    if isinstance(form, Spectrum):
-        return form
-    cubic, exp = claim_cubic(claim, params)
-    roots = real_root_isolate(cubic, claim_brackets(claim, params))
-    return Spectrum([(r, 1) for r in roots] + [(-1.0, exp)])
+    return entry.form(params)
 
 
 def closed_claim(family: str, relation: str, matrix: str) -> Claim:
@@ -358,35 +378,9 @@ def _spectrum_diff(expected: Spectrum, computed: Spectrum) -> str:
 # ---------------------------------------------------------------------------
 # Claim verifiers
 
-def _paper_diff(claim: Claim, params: dict, closed, quotient, jac) -> str | None:
-    """How the published form contradicts the computed one; None when it holds.
-
-    A published table is compared group by group with the Jacobi spectrum; an
-    adjacency cubic's isolated roots, where Jacobi ran, as a multiset.
-    """
-    if isinstance(closed, Spectrum):
-        if _poly_from_spectrum(closed) == quotient and grouped_match(closed, jac, SPECTRAL_TOL):
-            return None
-        computed = spectrum_from_integer_charpoly(quotient)
-        if computed is None:
-            computed = Spectrum([(round(float(v)), m) for v, m in jac.pairs])
-        return _spectrum_diff(closed, computed)
-    if closed != quotient:
-        return f"published poly {closed} != computed {quotient}"
-    if jac is None:
-        return None
-    try:
-        expected = closed_spectrum(claim.name, params)
-    except NoSignChange:
-        return f"root bracket sign check failed on {claim_brackets(claim.name, params)}"
-    if multiset_match(jac, expected, SPECTRAL_TOL):
-        return None
-    return f"eigenvalues {jac} do not match catalogued roots {expected}"
-
-
 def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
     start = time.perf_counter()
-    closed = closed_form(claim.name, **params)
+    claim.check(params)
     graph, base, part = _super(claim.group(**params), claim.relations[0])
     if claim.matrix == "adjacency":
         quotient = super_adjacency_charpoly(base, part)
@@ -405,12 +399,14 @@ def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
         )
 
     report = ClaimReport(claim=claim.name, params=params)
-    report.artifacts = {"closed": str(closed), "quotient": str(quotient), "brute": str(brute)}
+    report.artifacts = {
+        "closed": str(claim.form(params)), "quotient": str(quotient), "brute": str(brute)
+    }
     if not internal_ok:
         report.verdict = MISMATCH
         report.diff = "quotient pipeline disagrees with brute force"
     else:
-        report.diff = _paper_diff(claim, params, closed, quotient, jac)
+        report.diff = claim.diff(params, quotient, jac)
         if report.diff is not None:
             report.verdict = PAPER_TABLE
     report.ms = int((time.perf_counter() - start) * 1000)
@@ -604,7 +600,6 @@ def verify_generic(seed: int, trials: int) -> list[ClaimReport]:
     return reports
 
 
-
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -665,6 +660,8 @@ def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
     tasks = suite_tasks(suite, **kwargs)
     jobs = min(jobs, len(tasks))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             grouped = list(pool.map(run_claim_task, tasks))
     else:

@@ -38,8 +38,7 @@ from supergraph.partitions import Partition
 from supergraph.verify import (
     MATCH,
     PAPER_TABLE,
-    claim_brackets,
-    claim_cubic,
+    _claim,
     closed_form,
     verify_generic,
     verify_spectral,
@@ -135,14 +134,14 @@ def test_criterion_3_adjacency_charpoly_factorizations_and_brackets():
         if pipeline != closed_form(claim, **params):
             failures.append(f"{claim} {params}: coefficients differ")
             continue
-        cubic, _ = claim_cubic(claim, params)
-        for lo, hi in claim_brackets(claim, params):
+        cubic, _ = _claim(claim).cubic(**params)
+        for lo, hi in _claim(claim).brackets(**params):
             flo, fhi = cubic(lo), cubic(hi)
             if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
                 failures.append(f"{claim} {params}: no sign change on ({lo},{hi})")
     # gamma-bracket switchover, explicitly at n=13 and n=15
-    f13, _ = claim_cubic("Thm4.1(ii)", {"n": 13})
-    f15, _ = claim_cubic("Thm4.1(ii)", {"n": 15})
+    f13, _ = _claim("Thm4.1(ii)").cubic(n=13)
+    f15, _ = _claim("Thm4.1(ii)").cubic(n=15)
     if not (f13(27) < 0 < f13(28)):
         failures.append("n=13: gamma not in (2n+1, 2n+2)")
     if not (f15(32) < 0 < f15(33)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -179,6 +180,34 @@ def test_spectrum_compare_runs_each_route_once(in_tmp, monkeypatch):
         assert calls == {"char_poly_integer": 1, "jacobi_eigenvalues": 1}, method
 
 
+def test_spectrum_compare_judges_the_closed_form_as_verify_does(in_tmp, capsys, monkeypatch):
+    from supergraph import Spectrum, verify
+
+    claim = verify._claim("Thm4.2(i)")
+    # one eigenvalue moved from n to 1: the same total, a wrong table
+    wrong = dataclasses.replace(claim, closed=lambda n: Spectrum(
+        [(0, 1), (1, 2), (n, n - 3), (n + 1, n - 1), (2 * n, 1)]
+    ))
+    monkeypatch.setattr(verify, "CLAIMS", tuple(wrong if c is claim else c for c in verify.CLAIMS))
+    monkeypatch.setitem(verify._CATALOGUE, claim.name, wrong)
+    assert main([
+        "spectrum", "--group", "D:5", "--relation", "order", "--matrix",
+        "laplacian", "--method", "quotient", "--compare",
+    ]) == 2
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("compare:")]
+    assert lines == [
+        "compare: exact == quotient (char poly): agree",
+        "compare: jacobi ~ quotient spectrum (1e-08): agree",
+        "compare: jacobi ~ closed form (1e-08): DISAGREE",
+    ]
+    report = verify.verify_spectral("Thm4.2(i)", [{"n": 5}])[0]
+    assert report.verdict == verify.PAPER_TABLE
+    assert report.diff == (
+        "eigenvalue 1: table multiplicity 2, computed 1; "
+        "eigenvalue 5: table multiplicity 2, computed 3"
+    )
+
+
 def test_spectrum_closed_unsupported(in_tmp, capsys):
     code = main([
         "spectrum", "--group", "Q:2", "--relation", "conjugacy", "--matrix",
@@ -250,17 +279,9 @@ def test_verify_cli_deterministic_modulo_ms(in_tmp):
     assert strip("r1.json") == strip("r2.json")
 
 
-def test_verify_cli_jobs_env(in_tmp, monkeypatch):
-    monkeypatch.setenv("SUPERGRAPH_JOBS", "2")
-    assert main(["verify", "--suite", "4.5", "--report", "r.json"]) == 0
-
-
-def test_verify_cli_rejects_bad_worker_counts(in_tmp, monkeypatch, capsys):
-    monkeypatch.setenv("SUPERGRAPH_JOBS", "x")
-    assert main(["verify", "--suite", "4.5", "--report", "r.json"]) == 1
-    assert 'jobs "x"' in capsys.readouterr().err
-    monkeypatch.delenv("SUPERGRAPH_JOBS")
+def test_verify_cli_rejects_bad_worker_counts(in_tmp, capsys):
     assert main(["verify", "--suite", "4.5", "--report", "r.json", "--jobs", "0"]) == 1
+    assert 'jobs "0": expected an integer >= 1' in capsys.readouterr().err
     assert not (in_tmp / "r.json").exists()
 
 
@@ -280,6 +301,16 @@ def test_oversized_group_is_an_error_and_writes_no_file(in_tmp, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "exceeds the cap of 8192" in err
     assert list(in_tmp.iterdir()) == []
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, supergraph; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

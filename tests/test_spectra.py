@@ -155,7 +155,7 @@ def _join_of_cliques(template, sizes):
 
 def test_quotient_matrix_star_example():
     graph, part = _join_of_cliques(star_graph(3), (1, 2, 3))
-    companion, symmetric, cliques = _quotient(graph, part, "adjacency")
+    companion, symmetric, cliques = _quotient(graph, part, 0)
     expected = np.array(
         [
             [0.0, math.sqrt(2), math.sqrt(3)],
@@ -168,7 +168,7 @@ def test_quotient_matrix_star_example():
     assert cliques == [(-1, 0), (-1, 1), (-1, 2)]
 
     # -N(1) carries N_i, the number of vertices joined to block i, on its diagonal
-    companion1, symmetric1, cliques1 = _quotient(graph, part, "laplacian")
+    companion1, symmetric1, cliques1 = _quotient(graph, part, 1)
     assert [symmetric1[i, i] for i in range(3)] == [5, 1, 1]
     assert companion1.tolist() == [[5, -2, -3], [-1, 1, 0], [-1, 0, 1]]
     assert cliques1 == [(6, 0), (3, 1), (4, 2)]
@@ -176,7 +176,7 @@ def test_quotient_matrix_star_example():
 
 def test_quotient_matrix_single_block():
     graph, part = _join_of_cliques(complete_graph(1), (4,))
-    _, symmetric, _ = _quotient(graph, part, "adjacency")
+    _, symmetric, _ = _quotient(graph, part, 0)
     assert symmetric.tolist() == [[3.0]]
 
 
@@ -187,8 +187,8 @@ def test_quotient_symmetric_and_companion_share_spectrum():
         template = _random_graph(rng, k, 0.5)
         sizes = [rng.randint(1, 4) for _ in range(k)]
         graph, part = _join_of_cliques(template, sizes)
-        for matrix in ("adjacency", "laplacian"):
-            companion, symmetric, _ = _quotient(graph, part, matrix)
+        for t in (0, 1):
+            companion, symmetric, _ = _quotient(graph, part, t)
             sym_eigs = jacobi_eigenvalues(symmetric).expand()
             poly = char_poly_integer(companion)
             assert poly.degree == k and poly.is_monic()
@@ -202,6 +202,9 @@ def test_unknown_matrix_name_rejected():
     part = least_partition(3)
     with pytest.raises(InvalidParameter, match="'adjacency' or 'laplacian'"):
         super_charpolys([(g, part)], "signless")
+    with pytest.raises(InvalidParameter, match="'adjacency' or 'laplacian'"):
+        super_charpolys([], "signless")
+    assert super_charpolys([], "laplacian") == []
     with pytest.raises(InvalidParameter, match="'adjacency' or 'laplacian'"):
         quotient_spectrum(g, part, "signless")
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from supergraph import (
+    InvalidParameter,
     OutOfRange,
     PolynomialZ,
     Spectrum,
@@ -19,8 +20,6 @@ from supergraph import verify
 from supergraph.verify import (
     MATCH,
     PAPER_TABLE,
-    claim_brackets,
-    claim_cubic,
     closed_form,
     format_report_table,
     run_suite,
@@ -70,16 +69,46 @@ def test_closed_form_out_of_range():
 
 
 def test_claim_brackets_quaternion_switchover():
-    assert claim_brackets("Thm4.1(ii)", {"n": 13})[2] == (27, 28)
-    assert claim_brackets("Thm4.1(ii)", {"n": 15})[2] == (32, 33)
-    assert claim_brackets("Thm4.1(i)", {"n": 3}) == [(-2, -1), (1, 2), (3, 4)]
+    quaternion = verify._claim("Thm4.1(ii)")
+    assert quaternion.brackets(n=13)[2] == (27, 28)
+    assert quaternion.brackets(n=15)[2] == (32, 33)
+    assert verify._claim("Thm4.1(i)").brackets(n=3) == [(-2, -1), (1, 2), (3, 4)]
 
 
 def test_claim_cubic_sign_checks_at_endpoints():
+    quaternion = verify._claim("Thm4.1(ii)")
     for n in (3, 7, 13, 15):
-        cubic, _ = claim_cubic("Thm4.1(ii)", {"n": n})
-        for lo, hi in claim_brackets("Thm4.1(ii)", {"n": n}):
+        cubic, _ = quaternion.cubic(n=n)
+        for lo, hi in quaternion.brackets(n=n):
             assert (cubic(lo) > 0) != (cubic(hi) > 0)
+
+
+def test_claim_spectrum_is_the_table_or_the_bracketed_cubic_roots():
+    assert verify._claim("Thm4.2(i)").spectrum({"n": 5}) == closed_form("Thm4.2(i)", n=5)
+    quaternion = verify._claim("Thm4.1(ii)")
+    got = quaternion.spectrum({"n": 3})
+    cubic, exp = quaternion.cubic(n=3)
+    assert got.pairs[1] == (-1.0, exp) and got.total_multiplicity == exp + 3
+    roots = [v for v, _ in got.pairs if v != -1.0]
+    assert all(lo < r < hi for r, (lo, hi) in zip(roots, quaternion.brackets(n=3)))
+    assert all(abs(cubic(r)) < 1e-4 for r in roots)
+
+
+def test_claim_spectrum_of_a_published_polynomial_is_an_error():
+    with pytest.raises(InvalidParameter, match="publishes no spectrum"):
+        verify._claim("Sec4.2-Dc-adj").spectrum({"m": 2})
+
+
+def test_range_is_checked_once_per_spectral_point(monkeypatch):
+    calls = []
+
+    def counted(n, _fn=verify.is_prime):
+        calls.append(n)
+        return _fn(n)
+
+    monkeypatch.setattr(verify, "is_prime", counted)
+    assert verify_spectral("Thm4.1(iii)", [{"p": 7, "q": 3}])[0].verdict == MATCH
+    assert calls == [7, 3]
 
 
 # ---------------------------------------------------------------------------
