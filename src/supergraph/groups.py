@@ -9,7 +9,8 @@ element orders, conjugacy classes and the center are gathers on the table.
 Validation is exact at every order: a table is accepted only if its entries
 are integers in 0..n-1, it is a Latin square with an identity, and it passes
 Light's associativity test on a generating set S (Clifford & Preston, *The
-Algebraic Theory of Semigroups* I, 1961), which costs O(n^2 |S|). A rejected
+Algebraic Theory of Semigroups* I, 1961), which costs O(n^2 |S|) and runs
+over blocks of rows, one gather per block and generator. A rejected
 table raises ``NotAGroup`` with a witness; for associativity it is a triple
 (x, s, y) with (x*s)*y != x*(s*y), whose middle element s is a generator.
 """
@@ -27,6 +28,10 @@ from .partitions import Partition
 # Largest order a family constructor builds: its int64 Cayley table then takes
 # 512 MiB. Beyond it numpy fails with a raw MemoryError, or the labels exhaust memory.
 MAX_ORDER = 1 << 13
+
+# Table entries per block of rows in Light's associativity test: blocks of
+# max(1, _BLOCK_ENTRIES // n) rows keep its temporaries at a few hundred kB.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class FiniteGroup:
@@ -232,14 +237,17 @@ def _validate_table(table: np.ndarray) -> int:
         raise NotAGroup("table has no identity element")
     # Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y contain
     # the identity and are closed under products, so checking the generators
-    # suffices. One row x at a time: (x*s)*y against x*(s*y) for every y.
+    # suffices. A block of rows x at a time: (x*s)*y against x*(s*y) for every
+    # y, so the first hit in the first failing block is the least (x, y).
+    rows = max(1, _BLOCK_ENTRIES // n)
     for s in _generating_set(table, identity):
         s_row = table[s]
-        for x, xs in enumerate(table[:, s].tolist()):
-            left = table[xs]
-            right = table[x][s_row]
-            if (left != right).any():
-                y = int(np.flatnonzero(left != right)[0])
+        for lo in range(0, n, rows):
+            block = table[lo:lo + rows]
+            differ = table[block[:, s]] != block[:, s_row]
+            if differ.any():
+                x, y = np.argwhere(differ)[0].tolist()
+                x += lo
                 raise NotAGroup(
                     f"not associative: ({x}*{s})*{y} != {x}*({s}*{y})",
                     witness=(x, s, y),

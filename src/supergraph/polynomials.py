@@ -39,7 +39,7 @@ class PolynomialZ:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
+        cs = [c if type(c) is int else _integer_entry(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -60,24 +60,43 @@ class PolynomialZ:
     def from_roots(cls, roots: Iterable[tuple[int, int]]) -> "PolynomialZ":
         """Monic polynomial with the given integer (root, multiplicity) pairs.
 
-        Equal roots are merged. The power of the most repeated root is written
-        down by the binomial theorem; every other linear factor (x - r) is
-        multiplied in synthetically, one O(degree) pass per factor.
+        Equal roots are merged and zero multiplicities dropped, leaving d
+        distinct roots r_j with multiplicities m_j and degree D = sum m_j. With
+        R = prod (x - r_j) and S = sum m_j R / (x - r_j), the product
+        Q = prod (x - r_j)^(m_j) has Q'/Q = S/R, so R Q' = S Q. In descending
+        coefficients (q_0 = R_0 = 1; S_t the coefficient of x^(d-1-t), so
+        S_d = 0), the coefficient of x^(D+d-1-K) on both sides gives
+
+            K q_K = sum_{t=1..min(K, d)} (R_t (D - K + t) - S_t) q_(K-t),
+
+        an exact division since every q_K is an integer. That is O(D d)
+        products of a coefficient of R or S, small when d is, by one of Q.
         """
         merged: dict[int, int] = {}
         for root, mult in roots:
-            root, mult = int(root), int(mult)
+            root = root if type(root) is int else _integer_entry(root, "root")
+            mult = mult if type(mult) is int else _integer_entry(mult, "multiplicity")
             if mult < 0:
                 raise InvalidParameter("root multiplicity must be nonnegative")
             merged[root] = merged.get(root, 0) + mult
-        coeffs = [1]
-        for root, mult in sorted(merged.items(), key=lambda rm: rm[1], reverse=True):
-            if coeffs == [1]:  # nothing multiplied in yet
-                coeffs = [math.comb(mult, k) * (-root) ** (mult - k) for k in range(mult + 1)]
-                continue
-            for _ in range(mult):
-                coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        return cls(coeffs)
+        merged = {root: mult for root, mult in merged.items() if mult}
+        total, d = sum(merged.values()), len(merged)
+        r_coeffs = [1]
+        for root in merged:
+            r_coeffs = [a - root * b for a, b in zip(r_coeffs + [0], [0] + r_coeffs)]
+        s_coeffs = [0] * (d + 1)
+        for root, mult in merged.items():
+            acc = 0  # synthetic division of R by (x - root), descending
+            for t, c in enumerate(r_coeffs[:d]):
+                acc = acc * root + c
+                s_coeffs[t] += mult * acc
+        q = [1]
+        for k in range(1, total + 1):
+            acc = 0
+            for t in range(1, min(k, d) + 1):
+                acc += (r_coeffs[t] * (total - k + t) - s_coeffs[t]) * q[-t]
+            q.append(acc // k)
+        return cls(reversed(q))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -332,14 +351,17 @@ def _coefficient_bound(rows: list[list[int]]) -> int:
     return 2 * (1 + root) ** n
 
 
-def _integer_entry(value) -> int:
+def _integer_entry(value, what: str = "matrix entry") -> int:
+    """``value`` as a Python int if it is integral (an integer-valued float or
+    a numpy integer is); anything else raises ``InvalidParameter`` naming it
+    as ``what``."""
     try:
         integer = int(value)
         if integer == value:
             return integer
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidParameter(f"matrix entry {value!r} is not an integer")
+    raise InvalidParameter(f"{what} {value!r} is not an integer")
 
 
 def _prime_bits(n: int) -> int:

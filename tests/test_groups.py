@@ -183,6 +183,31 @@ def test_corrupted_table_above_order_256_rejected():
     assert _is_true_witness(bad, exc.value.witness)
 
 
+def _row_by_row_witness(table, identity):
+    """Light's test one row at a time, generators in ``_generating_set`` order:
+    the first (x, s, y) with (x*s)*y != x*(s*y), or None."""
+    for s in _generating_set(table, identity):
+        for x in range(len(table)):
+            differ = table[table[x, s]] != table[x][table[s]]
+            if differ.any():
+                return x, s, int(np.flatnonzero(differ)[0])
+    return None
+
+
+def test_witness_past_the_first_row_block():
+    # Z_600 with the intercalate at rows 200/500, columns 100/400 swapped: a
+    # Latin square with identity 0 whose first row block is 109 rows.
+    table = cyclic(600).table.copy()
+    rows, cols = [200, 200, 500, 500], [100, 400, 100, 400]
+    table[rows, cols] = table[rows, cols[::-1]]
+    assert _row_by_row_witness(table, 0) == (199, 1, 100)
+    with pytest.raises(NotAGroup) as exc:
+        _validate_table(table)
+    assert str(exc.value) == "not associative: (199*1)*100 != 199*(1*100)"
+    assert exc.value.witness == (199, 1, 100)
+    assert _validate_table(dihedral(200).table) == 0
+
+
 def test_group_needing_many_generators():
     g = cyclic(2)
     for _ in range(7):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -70,6 +71,60 @@ def test_from_roots_and_multiplicity():
     assert PolynomialZ.from_roots([]) == PolynomialZ.from_roots([(7, 0)]) == PolynomialZ.one()
     with pytest.raises(InvalidParameter):
         PolynomialZ.from_roots([(2, 1), (1, -1)])
+
+
+def _from_roots_reference(roots):
+    """prod (x - r)^m by ``__mul__`` of linear factors, one factor per unit of
+    multiplicity, independent of ``from_roots``."""
+    p = PolynomialZ.one()
+    for root, mult in roots:
+        for _ in range(mult):
+            p = p * PolynomialZ((-root, 1))
+    return p
+
+
+def test_from_roots_matches_linear_factor_products():
+    rng = random.Random(2024)
+    for _ in range(300):
+        distinct = rng.sample(range(-12, 13), rng.randint(0, 7))
+        roots = [(r, rng.randint(0, 6)) for r in distinct]
+        # split some roots across several entries, zero multiplicities among them
+        roots += [(r, rng.randint(0, 3)) for r in rng.sample(distinct, len(distinct) // 2)]
+        rng.shuffle(roots)
+        assert PolynomialZ.from_roots(roots) == _from_roots_reference(roots), roots
+
+
+def test_from_roots_single_root_matches_binomials():
+    for root, mult in [(0, 5), (1, 9), (-3, 11), (7, 20), (400, 388), (-1, 388)]:
+        expected = [math.comb(mult, k) * (-root) ** (mult - k) for k in range(mult + 1)]
+        assert PolynomialZ.from_roots([(root, mult)]).coeffs == tuple(expected)
+
+
+def test_from_roots_large_groups_clique_lists():
+    for roots in ([(400, 388)], [(-1, 388)], [(381, 253), (-1, 125)]):
+        assert PolynomialZ.from_roots(roots) == _from_roots_reference(roots)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PolynomialZ.from_roots([(2.5, 1)]), "root 2.5 is not an integer"),
+        (lambda: PolynomialZ.from_roots([(3, 1.7)]), "multiplicity 1.7 is not an integer"),
+        (lambda: PolynomialZ([1.9, 2]), "coefficient 1.9 is not an integer"),
+        (lambda: PolynomialZ(["1"]), "coefficient '1' is not an integer"),
+    ],
+)
+def test_polynomial_rejects_non_integral_input(call, message):
+    with pytest.raises(InvalidParameter, match=message):
+        call()
+
+
+def test_polynomial_accepts_integer_valued_input():
+    assert PolynomialZ([1.0, np.int64(2)]).coeffs == (1, 2)
+    assert all(type(c) is int for c in PolynomialZ([1.0, np.int64(2)]).coeffs)
+    assert PolynomialZ.from_roots([(2.0, np.int32(2)), (np.int64(-1), 1.0)]) == (
+        PolynomialZ((-2, 1)) ** 2 * PolynomialZ((1, 1))
+    )
 
 
 def test_pow_and_errors():
