@@ -10,8 +10,10 @@ ISSAC 2005). The matrices of one dimension share one list of primes, which
 covers 2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))) for each of
 them, a proven bound on every coefficient by Maclaurin's and Schur's
 inequalities (see ``char_poly_integers``). Each (matrix, prime) pair is one
-layer of a (P, n, n) stack of residues, run in chunks of at most 2^16 int64
-entries. The result is exact at any size.
+layer of a (P, n, n) stack of residues, run in the fewest equal chunks of at
+most 2^18 int64 entries (2 MiB), so the 20 primes of a 98 x 98 matrix run as
+one stack. Integer numpy arrays are read as arrays. The result is exact at
+any size.
 """
 
 from __future__ import annotations
@@ -238,11 +240,17 @@ class PolynomialZ:
 # Largest dimension accepted; it keeps the primes at 21 bits or more.
 MAX_DIMENSION = 1 << 20
 
-# Int64 entries in one stacked residue array: the (matrix, prime) layers of a
-# dimension group are reduced in chunks of max(1, _STACK_ENTRIES // n^2), so
-# the residues of a call take a few hundred kB however many matrices and
-# primes it has.
-_STACK_ENTRIES = 1 << 16
+# Int64 entries in one stacked residue array, 2 MiB. The (matrix, prime)
+# layers of a dimension group run in the fewest chunks of at most
+# max(1, _STACK_ENTRIES // n^2) layers, all of about the same size: the 20
+# layers of a 98 x 98 matrix run as one stack, a 400 x 400 matrix one prime
+# at a time. Besides a chunk's residues, the reduction's row updates take at
+# most an eighth of this, and the recurrence (b + 1)(n + 1) entries a layer
+# for the longest block of b rows of the Hessenberg form: little when the
+# form splits into small blocks, as on the super graphs' matrices (the 98 x
+# 98 one peaks at 1.9 MiB under tracemalloc), and about as much as the
+# residues when it does not.
+_STACK_ENTRIES = 1 << 18
 
 
 def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
@@ -265,7 +273,7 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     matrices are grouped by dimension, and each group gets one list of
     primes, chosen for the largest bound (below) in the group. Every
     (matrix, prime) pair of a group is one layer of a stack of residues,
-    matrix by matrix and prime by prime, run in chunks of at most
+    matrix by matrix and prime by prime, run in the fewest chunks of at most
     ``_STACK_ENTRIES`` int64 entries; a chunk may end inside a matrix. The
     integer coefficients of each matrix are rebuilt by the Chinese remainder
     theorem (Garner) into the symmetric range (Dumas, Pernet & Wan, ISSAC
@@ -283,17 +291,19 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     The results are exact, not probabilistic, and do not depend on
     machine-integer width.
 
-    Entries must be integral (integer-valued floats are accepted); any other
-    entry raises ``InvalidParameter``.
+    A square numpy array of integer or bool dtype (one that casts safely to
+    int64) is read as an array, with no per-entry Python. Anything else is
+    read entry by entry: entries must be integral (integer-valued floats are
+    accepted), and any other entry raises ``InvalidParameter``.
     """
-    checked = [_integer_rows(m) for m in matrices]
+    arrays = [_integer_array(m) for m in matrices]
     groups: dict[int, list[int]] = {}
-    for index, rows in enumerate(checked):
-        groups.setdefault(len(rows), []).append(index)
-    results: list = [None] * len(checked)
+    for index, a in enumerate(arrays):
+        groups.setdefault(len(a), []).append(index)
+    results: list = [None] * len(arrays)
     for n, members in groups.items():
-        group = [checked[i] for i in members]
-        bound = max(_coefficient_bound(rows) for rows in group)
+        stack = np.array([arrays[i] for i in members])  # object if any entry is beyond int64
+        bound = _coefficient_bound(stack)
         primes = []
         modulus = 1
         for p in _primes(_prime_bits(n)):
@@ -305,21 +315,20 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
         # moduli[k] and r mod p_k is c + moduli[k] * ((r - c) * inverses[k] % p_k).
         moduli = list(itertools.accumulate(primes[:-1], operator.mul, initial=1))
         inverses = [pow(m, -1, p) for m, p in zip(moduli, primes)]
-        try:
-            stack = np.array(group, dtype=np.int64)
-        except OverflowError:  # some entry beyond int64
-            stack = np.array(group, dtype=object)
         layer_primes = np.array(primes, dtype=np.int64)
         count = len(primes)
+        total = len(members) * count
+        chunks = -(-total // max(1, _STACK_ENTRIES // (n * n)))
+        size = -(-total // chunks)
         coeffs = [[0] * (n + 1) for _ in members]
-        chunk = max(1, _STACK_ENTRIES // (n * n))
-        for lo in range(0, len(members) * count, chunk):
-            layers = np.arange(lo, min(lo + chunk, len(members) * count))
+        for lo in range(0, total, size):
+            layers = np.arange(lo, min(lo + size, total))
             which, prime_index = np.divmod(layers, count)
             mods = layer_primes[prime_index]
             residues = stack[which]  # a copy, reduced in place
             np.remainder(residues, mods[:, None, None], out=residues)
             polys = _char_poly_mod(residues.astype(np.int64, copy=False), mods).tolist()
+            del residues  # before the next chunk's copy is made
             for j, k, p, row in zip(which.tolist(), prime_index.tolist(), mods.tolist(), polys):
                 m, inverse = moduli[k], inverses[k]
                 coeffs[j] = [c + m * ((r - c % p) * inverse % p) for c, r in zip(coeffs[j], row)]
@@ -329,24 +338,41 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     return results
 
 
-def _integer_rows(matrix) -> list[list[int]]:
-    """The entries of a square integer matrix as Python ints."""
+def _integer_array(matrix) -> np.ndarray:
+    """A square integer matrix as an (n, n) array: int64, or of Python ints
+    (dtype object) when some entry is beyond int64. A square nonempty array
+    whose dtype casts safely to int64 is taken as it is; anything else is
+    read and checked entry by entry."""
     if isinstance(matrix, np.ndarray):
+        if (matrix.ndim == 2 and np.can_cast(matrix.dtype, np.int64)
+                and 0 < matrix.shape[0] == matrix.shape[1] <= MAX_DIMENSION):
+            return matrix.astype(np.int64, copy=False)
         matrix = matrix.tolist()
     n = len(matrix)
     if n > MAX_DIMENSION:
         raise InvalidParameter(f"matrix dimension {n} exceeds {MAX_DIMENSION}")
     if n == 0 or any(len(row) != n for row in matrix):
         raise InvalidParameter("matrix must be square and nonempty")
-    return [[v if type(v) is int else _integer_entry(v) for v in row] for row in matrix]
+    rows = [[v if type(v) is int else _integer_entry(v) for v in row] for row in matrix]
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:  # some entry beyond int64
+        return np.array(rows, dtype=object)
 
 
-def _coefficient_bound(rows: list[list[int]]) -> int:
-    """2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))): more than twice
-    the absolute value of every coefficient of det(xI - M) (see
-    ``char_poly_integers`` for the proof)."""
-    n = len(rows)
-    mean_square = -(-sum(v * v for row in rows for v in row) // n)
+def _coefficient_bound(stack: np.ndarray) -> int:
+    """2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))) for the largest
+    ||M||_F^2 of an (n, n) matrix or an (m, n, n) stack of them, int64 or of
+    Python ints: more than twice the absolute value of every coefficient of
+    each det(xI - M) (see ``char_poly_integers`` for the proof). The squares
+    are summed in int64 when n^2 max|a|^2 < 2^63, and as Python ints
+    otherwise."""
+    n = stack.shape[-1]
+    flat = stack.reshape(-1, n * n)
+    peak = max(-int(flat.min()), int(flat.max()))
+    if n * n * peak * peak >= 1 << 63:
+        flat = flat.astype(object)
+    mean_square = -(-int((flat * flat).sum(axis=1).max()) // n)
     root = math.isqrt(mean_square - 1) + 1 if mean_square else 0
     return 2 * (1 + root) ** n
 
@@ -402,10 +428,16 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     # below row j + 1 by row operations R_i -= u_i R_{j+1}, and the inverse
     # column operation C_{j+1} += sum_i u_i C_i keeps the characteristic
     # polynomial. Each layer takes its first nonzero entry as pivot; a layer
-    # with none gets u = 0, which leaves it unchanged.
+    # with none gets u = 0, which leaves it unchanged. The row operations run
+    # on blocks of rows, so that their products take at most an eighth of
+    # ``_STACK_ENTRIES`` entries. linked[j] says whether h[j+1, j] is nonzero
+    # in some layer: it is once column j has a nonzero entry below the
+    # diagonal at its step, and no later step touches it.
+    linked = []
     for j in range(n - 2):
         below = h[:, j + 1:, j]
-        if not np.count_nonzero(below):
+        linked.append(bool(np.count_nonzero(below)))
+        if not linked[j]:
             continue
         offset = (below != 0).argmax(axis=1)
         if any(offset.tolist()):
@@ -416,9 +448,12 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
         inverses = [pow(v, -1, p) if v else 0 for v, p in zip(h[:, j + 1, j].tolist(), plist)]
         u = h[:, j + 2:, j] * np.array(inverses)[:, None]
         u %= mods
-        block = h[:, j + 2:, j:]
-        block -= u[:, :, None] * h[:, j + 1, None, j:]
-        block %= mods3
+        pivot_row = h[:, j + 1, None, j:]
+        step = max(1, _STACK_ENTRIES // 8 // (count * (n - j)))
+        for lo in range(0, n - j - 2, step):
+            block = h[:, j + 2 + lo:j + 2 + lo + step, j:]
+            block -= u[:, lo:lo + step, None] * pivot_row
+            block %= mods3
         column = h[:, :, j + 1]
         column += np.matmul(h[:, :, j + 2:], u[:, :, None])[:, :, 0]
         column %= mods
@@ -426,29 +461,38 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     # Hessenberg recurrence on the leading m x m blocks:
     # p_m = x p_{m-1} - sum_{start<i<=m} h[i-1, m-1] c_i p_{i-1},
     # c_i = prod_{i<=k<m} h[k, k-1] (so c_m = 1), held in chain[:, i-1].
-    # The products are carried through zero subdiagonal entries, where they
-    # vanish for that layer; start moves up to m - 1 once h[m-1, m-2] is zero
-    # in every layer, and then p_m = (x - h[m-1, m-1]) p_{m-1}. Before a row
-    # is reduced its entries are below (n + 1) (p - 1)^2 < 2^63 in absolute
-    # value.
-    polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+    # The products are carried through subdiagonal entries that are zero in
+    # some layers only, where they vanish for that layer. Where h[m-1, m-2]
+    # is zero in every layer the form splits: start moves up to m - 1 and
+    # p_m = (x - h[m-1, m-1]) p_{m-1}; linked holds those positions, and
+    # polys holds p_start, p_{start+1}, ... of the current block only, in
+    # its rows 0, 1, ... Before a row is reduced its entries are below
+    # (n + 1) (p - 1)^2 < 2^63 in absolute value.
+    if n > 1:  # the last column op may change h[n-1, n-2]
+        linked.append(bool(np.count_nonzero(h[:, n - 1, n - 2])))
+    cuts = [0, *(i + 1 for i, link in enumerate(linked) if not link), n]
+    longest = max(b - a for a, b in zip(cuts, cuts[1:]))
+    polys = np.zeros((count, longest + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     chain = np.ones((count, n), dtype=np.int64)
     start = 0
     for m in range(1, n + 1):
-        prev = polys[:, m - 1, :m]
-        row = polys[:, m, :m + 1]
-        row[:, 1:] = prev
+        if m > 1 and not linked[m - 2]:
+            polys[:, 0] = polys[:, m - 1 - start]
+            start = m - 1
+        k = m - start
+        prev, row = polys[:, k - 1], polys[:, k]
+        row[:, 0] = 0
+        row[:, 1:] = prev[:, :-1]
         head = row[:, :m]
-        if m > 1 and any(h[:, m - 1, m - 2].tolist()):
+        if k > 1:
             links = chain[:, start:m - 1]
             links *= h[:, m - 1, m - 2, None]
             links %= mods
             weights = h[:, start:m, m - 1] * chain[:, start:m]
             weights %= mods
-            head -= np.matmul(weights[:, None, :], polys[:, start:m, :m])[:, 0]
+            head -= np.matmul(weights[:, None, :], polys[:, :k, :m])[:, 0]
         else:
-            start = m - 1
-            head -= h[:, m - 1, m - 1, None] * prev
+            head -= h[:, m - 1, m - 1, None] * prev[:, :m]
         head %= mods
-    return polys[:, n]
+    return polys[:, n - start]

@@ -27,7 +27,7 @@ from .errors import (
     NotSymmetric,
     SizeMismatch,
 )
-from .graphs import SimpleGraph, compressed_graph
+from .graphs import SimpleGraph, _block_cross_adjacency, _check_partition
 from .partitions import Partition
 from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 
@@ -166,7 +166,8 @@ def _t(matrix: str) -> int:
 def _quotient(graph: SimpleGraph, partition: Partition, t: int):
     """The quotient route: the quotient matrix N(t) and the clique eigenvalues.
 
-    With n_i the size of block i, rho the compressed graph's adjacency and
+    With n_i the size of block i, rho the compressed graph's adjacency (read
+    as the block cross adjacency, without building the graph's labels) and
     N_i = sum_j rho_ij n_j, the quotient matrix N(t) has sqrt(n_i n_j) where
     rho_ij is set and n_i - 1 - t * (n_i - 1 + N_i) on the diagonal. The
     super graph's adjacency (t = 0) or Laplacian (t = 1) spectrum is the
@@ -179,7 +180,8 @@ def _quotient(graph: SimpleGraph, partition: Partition, t: int):
     similar by diag(sqrt(n_i)), so with the same char poly) and as a float
     symmetric matrix, and the clique (eigenvalue, multiplicity) pairs.
     """
-    rho = compressed_graph(graph, partition).adjacency
+    _check_partition(graph, partition)
+    rho = _block_cross_adjacency(graph, partition)
     n = np.array(partition.sizes, dtype=np.int64)
     neighbor_sums = rho.astype(np.int64) @ n
     diag = np.diag(n - 1 - t * (n - 1 + neighbor_sums))

@@ -28,6 +28,7 @@ from supergraph.polynomials import (
     MAX_DIMENSION,
     _char_poly_mod,
     _coefficient_bound,
+    _integer_array,
     _prime_bits,
     _primes,
 )
@@ -513,6 +514,8 @@ def _wide_matrix(seed):
 
 
 def test_char_poly_across_several_chunks(monkeypatch):
+    # a budget of 2^16 entries splits both matrices' primes into several stacks
+    monkeypatch.setattr(polynomials, "_STACK_ENTRIES", 1 << 16)
     for m in (_order_laplacian(dihedral(49)), _wide_matrix(31)):
         stacks = _recording_stacks(monkeypatch)
         result = char_poly_integer(m)
@@ -629,6 +632,164 @@ def test_char_poly_integers_edge_cases():
             assert str(batched.value) == str(single.value) == message
 
 
+# ---------------------------------------------------------------------------
+# Integer arrays, read as arrays
+
+def _assert_array_matches_oracles(a):
+    """An array gives what its entries as nested lists, the per-prime
+    reference and Faddeev-LeVerrier give."""
+    result = char_poly_integer(a)
+    assert result == char_poly_integer(a.tolist()) == _per_prime_char_poly(a)
+    assert result == _faddeev_leverrier_char_poly(a)
+
+
+def test_char_poly_integer_arrays_of_every_width():
+    rng = np.random.default_rng(71)
+    base = rng.integers(-9, 10, (12, 12))
+    for a in (
+        base.astype(np.int8),
+        base.astype(np.int16),
+        base.astype(np.int32).T,  # a transpose: not C-contiguous
+        base.astype(np.int64)[1::2, ::2],  # a strided slice
+        base.astype(np.int64)[::-3, ::-3],
+        (base + 9).astype(np.uint8),
+        (base + 9).astype(np.uint32)[::2, 1::2],
+        base > 0,
+        (base < 0).T,
+        np.array([[255, 16, 0], [16, 255, 200], [0, 1, 128]], dtype=np.uint8),
+    ):
+        assert a.dtype.kind in "biu" and a.shape[0] == a.shape[1]
+        _assert_array_matches_oracles(a)
+
+
+def test_char_poly_uint8_squares_are_summed_in_int64():
+    # every square of 16 or 256 - 16 is 0 mod 256: summed in uint8, the bound
+    # would call for one prime, where the matrices need several
+    n = 30
+    sixteen = np.full((n, n), 16, dtype=np.uint8)
+    np.fill_diagonal(sixteen, 240)
+    small = np.eye(n, dtype=np.int64)
+    small[0, n - 1] = 1
+    for batch in ([sixteen], [small, sixteen], [sixteen.T, small]):
+        results = char_poly_integers(batch)
+        for a, result in zip(batch, results):
+            assert result == char_poly_integer(a.tolist()) == _per_prime_char_poly(a)
+    assert max(abs(c) for c in results[0].coeffs) > 2 ** 64
+
+
+def test_char_poly_int64_arrays_beyond_the_int64_bound():
+    # entries +-2^32 square to 2^64, which wraps to 0 in int64, and int64's
+    # extremes square far beyond it: both are summed as Python ints
+    rng = random.Random(73)
+    wide = np.array([[rng.choice((-1, 1)) << 32 if rng.random() < 0.6 else rng.randint(-5, 5)
+                      for _ in range(6)] for _ in range(6)], dtype=np.int64)
+    info = np.iinfo(np.int64)
+    extremes = np.array([[info.min, 1, 0], [info.max, info.min, 2], [3, 0, info.max]])
+    near = np.full((4, 4), 1 << 29, dtype=np.int64)  # 16 * 2^58 = 2^62: summed in int64
+    for a in (wide, extremes, extremes.T, near, -near):
+        assert a.dtype == np.int64
+        _assert_array_matches_oracles(a)
+        assert _coefficient_bound(a) == _coefficient_bound(_integer_array(a.tolist()))
+
+
+def test_char_poly_integers_mixed_arrays_and_lists():
+    rng = np.random.default_rng(79)
+    base = rng.integers(-4, 5, (5, 5))
+    batch = [
+        base.tolist(),
+        base.astype(np.int8),
+        (base + 4).astype(np.uint8).T,
+        [[2 ** 70, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+         [0, 0, 0, 0, -(2 ** 65)]],
+        base != 0,
+        np.array([[2 ** 70, -1], [3, 4]], dtype=object),
+        base.astype(np.int64)[:3, :3],
+        [[1, 2], [3, 4]],
+        np.array([[2.0, 1.0], [1.0, 2.0]]),
+    ]
+    _assert_batch_matches_oracles(batch)
+
+
+def test_char_poly_array_input_messages_unchanged():
+    for bad, message in (
+        (np.zeros((2, 3), dtype=np.int64), "matrix must be square and nonempty"),
+        (np.zeros((2, 3, 3), dtype=np.int64), "matrix must be square and nonempty"),
+        (np.zeros((2, 2, 2), dtype=np.int64), "matrix entry [0, 0] is not an integer"),
+        (np.zeros((0, 0), dtype=np.int64), "matrix must be square and nonempty"),
+        (np.zeros((0,), dtype=np.int8), "matrix must be square and nonempty"),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), "matrix entry 0.5 is not an integer"),
+        (np.array([[1, 0.5], [2, 3]], dtype=object), "matrix entry 0.5 is not an integer"),
+    ):
+        for batch in ([bad], [np.eye(2, dtype=np.int64), bad]):
+            with pytest.raises(InvalidParameter) as raised:
+                char_poly_integers(batch)
+            assert str(raised.value) == message
+    # object arrays of Python ints and uint64 beyond int64 are read entry by entry
+    x = PolynomialZ.x()
+    for big in (np.array([[2 ** 70]], dtype=object), np.array([[2 ** 64 - 1]], dtype=np.uint64)):
+        assert char_poly_integer(big) == x - PolynomialZ((int(big[0, 0]),))
+
+
+def test_char_poly_one_stack_at_the_default_budget(monkeypatch):
+    # the 20 layers of the 98 x 98 matrix run as one stack; a 400 x 400
+    # matrix runs one prime at a time
+    stacks = _recording_stacks(monkeypatch)
+    m = _order_laplacian(dihedral(49))
+    result = char_poly_integer(m)
+    assert [len(primes) for primes in stacks] == [20]
+    assert result == _per_prime_char_poly(m)
+    stacks.clear()
+    scaled = 2 * np.eye(400, dtype=np.int8)
+    assert char_poly_integer(scaled) == (PolynomialZ.x() - PolynomialZ((2,))) ** 400
+    assert len(stacks) > 1 and all(len(primes) == 1 for primes in stacks)
+
+
+def test_char_poly_traced_memory_of_one_stack():
+    # one stack of 20 x 98 x 98 residues (1.5 MiB), the reduction's row
+    # updates in blocks of 2^15 entries and the recurrence's few polynomials
+    matrix = _order_laplacian(dihedral(49))
+    char_poly_integer(matrix)  # the primes are found once per process
+    tracemalloc.start()
+    try:
+        char_poly_integer(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
+
+
+def test_subdiagonal_flags_belong_to_their_own_chunk(monkeypatch):
+    # Hessenberg inputs, which the reduction leaves as they are: ``split``
+    # has h[3, 2] = 0, ``linked`` a nonzero subdiagonal. One layer to a
+    # chunk, so each chunk must read its own flags.
+    n = 6
+    rng = random.Random(83)
+    linked = [[rng.randint(-9, 9) if j >= i - 1 else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        linked[i][i - 1] = rng.randint(1, 9)
+    split = [row[:] for row in linked]
+    split[3][2] = 0
+    # a zero subdiagonal in the input that the reduction fills
+    filled = [[rng.randint(-9, 9) if j != i - 1 else 0 for j in range(n)] for i in range(n)]
+    batch = [split, linked, split, filled, linked]
+    default = polynomials._STACK_ENTRIES
+    monkeypatch.setattr(polynomials, "_STACK_ENTRIES", n * n)
+    stacks = _recording_stacks(monkeypatch)
+    results = char_poly_integers(batch)
+    assert len(stacks) == len(batch)
+    for m, result in zip(batch, results):
+        assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+    # zero mod the first prime of a stack only: the other layers still link
+    primes = _primes_at(n, 3)
+    big = [row[:] for row in linked]
+    big[0][n - 1] = primes[0] * primes[1]
+    big[3][2] = primes[0]
+    monkeypatch.setattr(polynomials, "_STACK_ENTRIES", default)
+    stacks.clear()
+    assert char_poly_integer(big) == _per_prime_char_poly(big) == _faddeev_leverrier_char_poly(big)
+    assert len(stacks) == 1 and stacks[0][0] == primes[0]
+
+
 def _bench_matrices():
     """The explicit matrices of the spectrum-compare benchmark workload."""
     q17 = generalized_quaternion(17)
@@ -672,8 +833,7 @@ def test_coefficient_bound_covers_complex_spectra():
         cases.append((m, _per_prime_char_poly(m)))
     for m, expected in cases:
         assert char_poly_integer(m) == expected
-        rows = [[int(v) for v in row] for row in m]
-        assert 2 * max(abs(c) for c in expected.coeffs) <= _coefficient_bound(rows)
+        assert 2 * max(abs(c) for c in expected.coeffs) <= _coefficient_bound(_integer_array(m))
 
 
 def test_coefficient_bound_never_above_row_sum_bound():
@@ -685,7 +845,7 @@ def test_coefficient_bound_never_above_row_sum_bound():
         rows = [[rng.randint(-magnitude, magnitude) if rng.random() < density else 0
                  for _ in range(n)] for _ in range(n)]
         rho = max(sum(abs(v) for v in row) for row in rows)
-        assert _coefficient_bound(rows) <= 2 * (1 + rho) ** n
+        assert _coefficient_bound(_integer_array(rows)) <= 2 * (1 + rho) ** n
 
 
 @pytest.mark.parametrize("matrix_of", [

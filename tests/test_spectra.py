@@ -18,6 +18,7 @@ from supergraph import (
     char_poly_integer,
     commuting_graph,
     complete_graph,
+    compressed_graph,
     dihedral,
     generalized_join,
     generalized_quaternion,
@@ -178,6 +179,21 @@ def test_quotient_matrix_single_block():
     graph, part = _join_of_cliques(complete_graph(1), (4,))
     _, symmetric, _ = _quotient(graph, part, 0)
     assert symmetric.tolist() == [[3.0]]
+
+
+def test_quotient_reads_the_compressed_graphs_adjacency():
+    # the commuting graphs carry labels, which the quotient route never builds
+    for group in (dihedral(9), generalized_quaternion(5)):
+        graph = commuting_graph(group)
+        for part in (order_partition(group), conjugacy_partition(group)):
+            rho = compressed_graph(graph, part).adjacency
+            n = np.array(part.sizes)
+            companion, _, _ = _quotient(graph, part, 0)
+            assert companion.tolist() == (np.where(rho, n, 0) + np.diag(n - 1)).tolist()
+    _, part = _join_of_cliques(star_graph(3), (1, 2, 3))
+    larger, _ = _join_of_cliques(star_graph(3), (1, 2, 4))
+    with pytest.raises(SizeMismatch, match="partition covers 6 points, graph has 7"):
+        _quotient(larger, part, 0)
 
 
 def test_quotient_symmetric_and_companion_share_spectrum():
