@@ -102,7 +102,7 @@ def build_partition(group: FiniteGroup, relation: str) -> Partition:
         path = relation[len("file:"):]
         try:
             return Partition.from_json(Path(path).read_text())
-        except (OSError, json.JSONDecodeError, FormatError) as exc:
+        except (OSError, ValueError, FormatError) as exc:  # ValueError: not text, or a NUL
             raise FormatError(f"partition file {path}: {exc}") from None
     raise FormatError(f'unknown relation "{relation}"')
 
@@ -174,8 +174,7 @@ def cmd_spectrum(args) -> int:
     )
     try:  # the catalogued claim that --method closed and --compare read
         claim = verify_mod.closed_claim(spec.family, args.relation, args.matrix)
-        point = claim.point(spec.params)
-        claim.check(point)
+        point = claim.check(claim.point(spec.params))
     except (UnsupportedClosedForm, OutOfRange):
         if args.method == "closed":
             raise

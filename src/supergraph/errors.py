@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule.
+
+Bad input raises a ``SupergraphError``: a bad value ``InvalidParameter``, a bad
+file, JSON document or spec ``FormatError``, a bad Cayley table ``NotAGroup``.
+``integer`` decides what an integer is in memory and truncates nothing; JSON
+readers take only integer literals (polynomial coefficients also as strings).
+"""
 
 
 class SupergraphError(Exception):
@@ -62,3 +68,21 @@ class UnsupportedClosedForm(SupergraphError):
 
 class FormatError(SupergraphError):
     """A file or command-line specification could not be parsed."""
+
+
+def integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as a Python int if it is an int, a numpy integer, an
+    integer-valued float or a bool (0 or 1); anything else, or a value below
+    ``least``, raises ``InvalidParameter`` naming it as ``what``."""
+    number = value
+    if type(value) is not int:
+        kind = getattr(getattr(value, "dtype", None), "kind", "i")  # "i": not numpy
+        try:  # numpy converts only a 0-D bool, integer or float
+            number = int(value) if kind in "biuf" and not getattr(value, "ndim", 0) else None
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is None or number != value:
+            raise InvalidParameter(f"{what} {value!r} is not an integer")
+    if least is not None and number < least:
+        raise InvalidParameter(f"{what} must be >= {least}, got {number}")
+    return number

@@ -14,10 +14,12 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     CanonicalAmbiguity,
+    FormatError,
     InvalidParameter,
     SizeMismatch,
+    integer,
 )
-from .partitions import Partition
+from .partitions import Partition, _json_value
 
 _SEARCH_LIMIT = 40320  # exhaustive tie-break bound: 8! orderings
 
@@ -32,15 +34,19 @@ class SimpleGraph:
     __slots__ = ("_adj", "_labels")
 
     def __init__(self, n: int, edges=(), labels=None):
-        if n < 0:
-            raise InvalidParameter("vertex count must be nonnegative")
+        n = integer(n, "vertex count", least=0)
         adj = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidParameter(f"edge ({i}, {j}) outside vertex range")
-            if i == j:
-                raise InvalidParameter(f"loop at vertex {i} not allowed")
-            adj[i, j] = adj[j, i] = True
+        try:
+            for i, j in edges:
+                if not (type(i) is type(j) is int):
+                    i, j = integer(i, "edge end"), integer(j, "edge end")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise InvalidParameter(f"edge ({i}, {j}) outside vertex range")
+                if i == j:
+                    raise InvalidParameter(f"loop at vertex {i} not allowed")
+                adj[i, j] = adj[j, i] = True
+        except (TypeError, ValueError):  # edges, or an edge, not a pair
+            raise InvalidParameter("edges must be pairs of vertex indices") from None
         self._finish(adj, labels)
 
     def _finish(self, adj, labels):
@@ -61,8 +67,11 @@ class SimpleGraph:
 
     @classmethod
     def from_adjacency(cls, matrix, labels=None) -> "SimpleGraph":
-        arr = np.asarray(matrix, dtype=bool)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        try:
+            arr = np.asarray(matrix, dtype=bool)
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParameter("adjacency matrix must be square")
         if not np.array_equal(arr, arr.T):
             raise InvalidParameter("adjacency matrix must be symmetric")
@@ -134,12 +143,20 @@ class SimpleGraph:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SimpleGraph":
-        return cls(data["n"], edges=data.get("edges", ()), labels=data.get("labels"))
+    def from_json_dict(cls, data) -> "SimpleGraph":
+        """Graph from ``{"n": int, "edges": [[int, int], ...], "labels": [str, ...]}``,
+        edges and labels optional; any other shape raises ``FormatError``."""
+        edges = data.get("edges", []) if isinstance(data, dict) else None
+        if not (isinstance(edges, list) and type(data.get("n")) is int
+                and all(isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int
+                        for e in edges)
+                and isinstance(data.get("labels", []), (list, type(None)))):
+            raise FormatError('a graph must be {"n": int, "edges": [[int, int], ...]}')
+        return cls(data["n"], edges=edges, labels=data.get("labels"))
 
     @classmethod
     def from_json(cls, text: str) -> "SimpleGraph":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_json_value(text))
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -156,15 +173,13 @@ class SimpleGraph:
 
 
 def complete_graph(n: int, labels=None) -> SimpleGraph:
-    if n < 1:
-        raise InvalidParameter("complete graph needs at least one vertex")
+    n = integer(n, "complete graph vertex count", least=1)
     return SimpleGraph._of(~np.eye(n, dtype=bool), labels)
 
 
 def star_graph(k: int) -> SimpleGraph:
     """Star on k vertices with center 0 (every other vertex is a leaf)."""
-    if k < 2:
-        raise InvalidParameter("star graph needs at least two vertices")
+    k = integer(k, "star graph vertex count", least=2)
     adj = np.zeros((k, k), dtype=bool)
     adj[0, 1:] = adj[1:, 0] = True
     return SimpleGraph._of(adj)
@@ -224,6 +239,8 @@ def generalized_join(template: SimpleGraph, parts) -> SimpleGraph:
     whenever the template has the corresponding edge. Vertices are numbered by
     concatenating the parts in order."""
     parts = list(parts)
+    if not all(isinstance(g, SimpleGraph) for g in [template, *parts]):
+        raise InvalidParameter("a generalized join takes a SimpleGraph template and parts")
     if len(parts) != template.n:
         raise ArityMismatch(
             f"template has {template.n} vertices but {len(parts)} parts were given"

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, NotAGroup
+from .errors import FormatError, InvalidParameter, NotAGroup, integer
 from .partitions import Partition
 
 # Largest order a family constructor builds: its int64 Cayley table then takes
@@ -139,7 +139,7 @@ class FiniteGroup:
             orbit = np.zeros(self.order, dtype=bool)
             orbit[t[t[:, g], self._inverses]] = True
             seen |= orbit
-            blocks.append(np.flatnonzero(orbit))
+            blocks.append(np.flatnonzero(orbit).tolist())
         return Partition(self.order, blocks)
 
     def center(self) -> tuple[int, ...]:
@@ -275,8 +275,7 @@ def _pow_label(symbol: str, e: int) -> str:
 
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with elements e, a, a^2, ..."""
-    if n < 1:
-        raise InvalidParameter("cyclic group order must be >= 1")
+    n = integer(n, "cyclic group order", least=1)
     _check_order(n)
     i = np.arange(n)
     labels = ["e"] + [_pow_label("a", k) for k in range(1, n)]
@@ -307,9 +306,7 @@ def dihedral(n: int) -> FiniteGroup:
 
     Element enumeration: e, a, ..., a^(n-1), b, ba, ..., ba^(n-1).
     """
-    if n < 3:
-        raise InvalidParameter("dihedral parameter must be >= 3")
-    return _dicyclic(n, 0, "D")
+    return _dicyclic(integer(n, "dihedral parameter", least=3), 0, "D")
 
 
 def generalized_quaternion(n: int) -> FiniteGroup:
@@ -317,8 +314,7 @@ def generalized_quaternion(n: int) -> FiniteGroup:
 
     Element enumeration: e, a, ..., a^(2n-1), b, ba, ..., ba^(2n-1).
     """
-    if n < 2:
-        raise InvalidParameter("generalized quaternion parameter must be >= 2")
+    n = integer(n, "generalized quaternion parameter", least=2)
     return _dicyclic(2 * n, n, "Q")
 
 
@@ -336,6 +332,7 @@ def is_prime(n: int) -> bool:
     Larger n raise ``InvalidParameter``: these bases are not proven to
     decide them.
     """
+    n = integer(n, "primality candidate")
     if n < 2:
         return False
     if n >= _MILLER_RABIN_LIMIT:
@@ -370,6 +367,7 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
     has index j*p + i, giving the enumeration e, b, ..., b^(p-1), then the
     b^i a^j block for each j >= 1.
     """
+    p, q = integer(p, "semidirect product prime p"), integer(q, "semidirect product prime q")
     if not is_prime(p) or not is_prime(q):
         raise InvalidParameter("both parameters must be prime")
     if p == q:
@@ -389,6 +387,8 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product g x h: element (x, y) has index x*|h| + y and label "(x,y)"."""
+    if not (isinstance(g, FiniteGroup) and isinstance(h, FiniteGroup)):
+        raise InvalidParameter("direct product factors must be FiniteGroups")
     _check_order(g.order * h.order)
     a, b = g.table, h.table
     table = (a[:, None, :, None] * h.order + b[None, :, None, :]).reshape(
@@ -410,7 +410,10 @@ def read_cayley_file(path) -> FiniteGroup:
     separated indices. An optional line ``#labels: l0 l1 ...`` names the
     elements; other ``#`` lines are comments.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except ValueError as exc:  # bytes that are not text, or a NUL in the path
+        raise FormatError(f"{path}: {exc}") from None
     labels = None
     rows: list = []  # a plain row's text, or any other row's values
     n = None

@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, SizeMismatch
+from .errors import FormatError, InvalidParameter, SizeMismatch, integer
 
 
 class Partition:
@@ -20,15 +20,17 @@ class Partition:
     __slots__ = ("_n", "_blocks", "_block_of")
 
     def __init__(self, ground_size: int, blocks: Iterable[Iterable[int]]):
-        n = int(ground_size)
-        if n < 1:
-            raise InvalidParameter("partition ground size must be >= 1")
+        n = integer(ground_size, "partition ground size", least=1)
         norm = []
-        for block in blocks:
-            b = tuple(sorted(int(v) for v in block))
-            if not b:
-                raise InvalidParameter("partition blocks must be nonempty")
-            norm.append(b)
+        try:
+            for block in blocks:
+                b = tuple(sorted(v if type(v) is int else integer(v, "partition element")
+                                 for v in block))
+                if not b:
+                    raise InvalidParameter("partition blocks must be nonempty")
+                norm.append(b)
+        except TypeError:  # blocks, or a block, that cannot be iterated
+            raise InvalidParameter("partition blocks must be iterables of integers") from None
         norm.sort(key=lambda b: b[0])
         # Checked before the size-n table is allocated; with at least n
         # elements in range and none repeated, every element is covered.
@@ -94,30 +96,34 @@ class Partition:
         other shape raises ``FormatError``."""
         if not (
             isinstance(data, dict)
-            and _is_int(data.get("n"))
+            and type(data.get("n")) is int
             and isinstance(data.get("blocks"), list)
-            and all(isinstance(b, list) and all(map(_is_int, b)) for b in data["blocks"])
+            and all(isinstance(b, list) and all(type(v) is int for v in b) for b in data["blocks"])
         ):
             raise FormatError('a partition must be {"n": int, "blocks": [[int, ...], ...]}')
         return cls(data["n"], data["blocks"])
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_json_value(text))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _json_value(text):
+    """The value of a JSON document; text that is not JSON raises ``FormatError``."""
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise FormatError(f"not a JSON document: {exc}") from None
 
 
 def least_partition(n: int) -> Partition:
     """All-singletons partition: every class is {x}."""
-    return Partition(n, [[v] for v in range(n)])
+    return Partition(n, [[v] for v in range(integer(n, "partition ground size"))])
 
 
 def greatest_partition(n: int) -> Partition:
     """One-block partition: the single class is the whole ground set."""
-    return Partition(n, [list(range(n))])
+    return Partition(n, [list(range(integer(n, "partition ground size")))])
 
 
 def refines(p1: Partition, p2: Partition) -> bool:
@@ -137,7 +143,8 @@ def refines(p1: Partition, p2: Partition) -> bool:
 def order_partition(group) -> Partition:
     """Partition of a group's elements into fibers of equal element order."""
     orders = group.element_orders()
-    return Partition(group.order, [np.flatnonzero(orders == t) for t in set(orders.tolist())])
+    return Partition(group.order,
+                     [np.flatnonzero(orders == t).tolist() for t in set(orders.tolist())])
 
 
 def conjugacy_partition(group) -> Partition:

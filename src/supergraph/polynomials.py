@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import FormatError, InvalidParameter, integer
 from .groups import is_prime
 
 
@@ -41,7 +41,7 @@ class PolynomialZ:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [c if type(c) is int else _integer_entry(c, "coefficient") for c in coeffs]
+        cs = [c if type(c) is int else integer(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -76,10 +76,8 @@ class PolynomialZ:
         """
         merged: dict[int, int] = {}
         for root, mult in roots:
-            root = root if type(root) is int else _integer_entry(root, "root")
-            mult = mult if type(mult) is int else _integer_entry(mult, "multiplicity")
-            if mult < 0:
-                raise InvalidParameter("root multiplicity must be nonnegative")
+            root = root if type(root) is int else integer(root, "root")
+            mult = integer(mult, "multiplicity", least=0)
             merged[root] = merged.get(root, 0) + mult
         merged = {root: mult for root, mult in merged.items() if mult}
         total, d = sum(merged.values()), len(merged)
@@ -161,11 +159,9 @@ class PolynomialZ:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "PolynomialZ":
-        if exponent < 0:
-            raise InvalidParameter("polynomial exponent must be nonnegative")
+        e = integer(exponent, "polynomial exponent", least=0)
         result = PolynomialZ.one()
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -208,8 +204,16 @@ class PolynomialZ:
         return {"coeffs": [str(c) for c in self._coeffs]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "PolynomialZ":
-        return cls(int(c) for c in data["coeffs"])
+    def from_json_dict(cls, data) -> "PolynomialZ":
+        """Polynomial from ``{"coeffs": [str, ...]}`` as ``to_json_dict`` writes
+        it; any other shape raises ``FormatError``."""
+        coeffs = data.get("coeffs") if isinstance(data, dict) else None
+        if isinstance(coeffs, list) and all(type(c) in (int, str) for c in coeffs):
+            try:
+                return cls(map(int, coeffs))
+            except ValueError:  # a string that is not an integer
+                pass
+        raise FormatError('a polynomial must be {"coeffs": [str, ...]} of integer strings')
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -348,12 +352,12 @@ def _integer_array(matrix) -> np.ndarray:
                 and 0 < matrix.shape[0] == matrix.shape[1] <= MAX_DIMENSION):
             return matrix.astype(np.int64, copy=False)
         matrix = matrix.tolist()
-    n = len(matrix)
+    n = len(matrix) if hasattr(matrix, "__len__") else 0
     if n > MAX_DIMENSION:
         raise InvalidParameter(f"matrix dimension {n} exceeds {MAX_DIMENSION}")
-    if n == 0 or any(len(row) != n for row in matrix):
+    if n == 0 or any(not hasattr(row, "__len__") or len(row) != n for row in matrix):
         raise InvalidParameter("matrix must be square and nonempty")
-    rows = [[v if type(v) is int else _integer_entry(v) for v in row] for row in matrix]
+    rows = [[v if type(v) is int else integer(v, "matrix entry") for v in row] for row in matrix]
     try:
         return np.array(rows, dtype=np.int64)
     except OverflowError:  # some entry beyond int64
@@ -375,19 +379,6 @@ def _coefficient_bound(stack: np.ndarray) -> int:
     mean_square = -(-int((flat * flat).sum(axis=1).max()) // n)
     root = math.isqrt(mean_square - 1) + 1 if mean_square else 0
     return 2 * (1 + root) ** n
-
-
-def _integer_entry(value, what: str = "matrix entry") -> int:
-    """``value`` as a Python int if it is integral (an integer-valued float or
-    a numpy integer is); anything else raises ``InvalidParameter`` naming it
-    as ``what``."""
-    try:
-        integer = int(value)
-        if integer == value:
-            return integer
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidParameter(f"{what} {value!r} is not an integer")
 
 
 def _prime_bits(n: int) -> int:

@@ -26,6 +26,7 @@ from .errors import (
     NoSignChange,
     NotSymmetric,
     SizeMismatch,
+    integer,
 )
 from .graphs import SimpleGraph, _block_cross_adjacency, _check_partition
 from .partitions import Partition
@@ -41,6 +42,13 @@ def _values_equal(a, b) -> bool:
     return a == b  # ints compare exactly
 
 
+def _value_key(pair) -> float:
+    """A pair's value as a float; an array raises, as numpy from 2.4 makes float() do."""
+    if getattr(pair[0], "ndim", 0):
+        raise TypeError("a spectrum value is a number, not an array")
+    return float(pair[0])
+
+
 class Spectrum:
     """Multiset of eigenvalues as (value, multiplicity) pairs, sorted ascending.
 
@@ -52,16 +60,17 @@ class Spectrum:
 
     def __init__(self, pairs):
         merged = []
-        for value, mult in sorted(pairs, key=lambda p: float(p[0])):
-            mult = int(mult)
-            if mult < 0:
-                raise InvalidParameter("multiplicities must be nonnegative")
-            if mult == 0:
-                continue
-            if merged and _values_equal(merged[-1][0], value):
-                merged[-1][1] += mult
-            else:
-                merged.append([value, mult])
+        try:
+            for value, mult in sorted(pairs, key=_value_key):
+                mult = integer(mult, "multiplicity", least=0)
+                if mult == 0:
+                    continue
+                if merged and _values_equal(merged[-1][0], value):
+                    merged[-1][1] += mult
+                else:
+                    merged.append([value, mult])
+        except (TypeError, ValueError, LookupError):  # not (real value, multiplicity) pairs
+            raise InvalidParameter("a spectrum takes (real value, multiplicity) pairs") from None
         self._pairs = tuple((v, m) for v, m in merged)
 
     @property
@@ -129,7 +138,10 @@ def jacobi_eigenvalues(matrix) -> Spectrum:
     eigenvalues are grouped into multiplicities with tolerance
     1e-8 * max(1, ||M||_F).
     """
-    a = np.array(matrix, dtype=float)
+    try:
+        a = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or entries that are not real numbers
+        raise InvalidParameter(f"matrix is not an array of real numbers: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidParameter("matrix must be square and nonempty")
     with np.errstate(over="ignore"):
@@ -243,11 +255,9 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
 def star_join_laplacian_spectrum(sizes) -> Spectrum:
     """Exact integer Laplacian spectrum of a star join of cliques:
     0, n, the center size (k-2 times), and N_i + n_i with multiplicity n_i - 1."""
-    sizes = [int(s) for s in sizes]
+    sizes = [integer(s, "star join block size", least=1) for s in sizes]
     if len(sizes) < 2:
         raise InvalidParameter("star join needs at least two blocks")
-    if any(s < 1 for s in sizes):
-        raise InvalidParameter("all block sizes must be >= 1")
     k = len(sizes)
     n = sum(sizes)
     n1 = sizes[0]
@@ -264,7 +274,7 @@ def real_root_isolate(poly: PolynomialZ, brackets) -> list[float]:
     """
     roots = []
     for lo, hi in brackets:
-        lo, hi = int(lo), int(hi)
+        lo, hi = integer(lo, "bracket end"), integer(hi, "bracket end")
         if lo >= hi:
             raise InvalidParameter(f"empty bracket ({lo}, {hi})")
         flo, fhi = poly(lo), poly(hi)
@@ -329,8 +339,7 @@ def spectrum_from_integer_charpoly(poly: PolynomialZ, bound: int | None = None) 
     """
     if not poly.is_monic():
         return None
-    if bound is None:
-        bound = 2 * max(poly.degree, 0)
+    bound = 2 * max(poly.degree, 0) if bound is None else integer(bound, "root bound")
     pairs = []
     p = poly
     for root in range(-bound, bound + 1):

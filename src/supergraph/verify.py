@@ -19,7 +19,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import InvalidParameter, NoSignChange, OutOfRange, UnsupportedClosedForm
+from .errors import InvalidParameter, NoSignChange, OutOfRange, UnsupportedClosedForm, integer
 from .graphs import (
     SimpleGraph,
     commuting_graph,
@@ -134,31 +134,43 @@ class Claim:
     def key(self) -> str:
         return "m" if self.axis == "m" else "n"
 
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return ("p", "q") if self.axis == "pq" else (self.key,)
+
     def point(self, values) -> dict:
         """Parameters from positional values: (7, 3) -> {"p": 7, "q": 3}."""
-        return dict(zip(("p", "q") if self.axis == "pq" else (self.key,), values))
+        return dict(zip(self.keys, values))
 
     def points(self, bounds, pq_pairs) -> list[dict]:
         """Parameter points in ``bounds`` (else the default range) that the claim covers."""
         if self.axis == "pq":
             return [self.point(pair) for pair in pq_pairs]
-        lo, hi = bounds or self.default
+        lo, hi = (integer(b, f"{self.axis} bound") for b in bounds or self.default)
         return [
             {self.key: v} for v in range(max(lo, self.least), hi + 1)
             if self.parity in (None, v % 2)
         ]
 
-    def check(self, params: dict) -> None:
-        """Raise OutOfRange unless the parameters lie in the claim's validity range."""
+    def check(self, params) -> dict:
+        """The parameters (a mapping or (key, value) pairs) as an int dict. Raise
+        InvalidParameter unless they are the claim's integer parameters, and
+        OutOfRange outside its validity range."""
+        try:
+            params = dict(params)
+        except (TypeError, ValueError):  # neither a mapping nor pairs
+            params = {}
+        if params.keys() != set(self.keys):
+            raise InvalidParameter(f"claim {self.name!r} takes the parameters {self.keys}")
+        params = {k: integer(params[k], f"claim parameter {k}") for k in self.keys}
         if self.axis == "pq":
             p, q = params["p"], params["q"]
             if not (is_prime(p) and is_prime(q) and p != q and (p - 1) % q == 0):
                 raise OutOfRange("requires distinct primes with q | p-1")
-            return
-        v = params[self.key]
-        if v < self.least or self.parity not in (None, v % 2):
+        elif params[self.key] < self.least or self.parity not in (None, params[self.key] % 2):
             parity = {None: "", 0: "even ", 1: "odd "}[self.parity]
             raise OutOfRange(f"requires {parity}{self.key} >= {self.least}")
+        return params
 
     # The methods below take a point that ``check`` has passed.
 
@@ -191,7 +203,8 @@ class Claim:
         """
         form = self.form(params)
         if isinstance(form, Spectrum):
-            if _poly_from_spectrum(form) == quotient and grouped_match(form, jac, SPECTRAL_TOL):
+            if (PolynomialZ.from_roots(form.pairs) == quotient
+                    and grouped_match(form, jac, SPECTRAL_TOL)):
                 return None
             computed = spectrum_from_integer_charpoly(quotient)
             if computed is None:
@@ -341,8 +354,7 @@ def closed_form(claim: str, **params):
     verification pipelines contradict them.
     """
     entry = _claim(claim, "spectral")
-    entry.check(params)
-    return entry.form(params)
+    return entry.form(entry.check(params))
 
 
 def closed_claim(family: str, relation: str, matrix: str) -> Claim:
@@ -353,10 +365,6 @@ def closed_claim(family: str, relation: str, matrix: str) -> Claim:
     raise UnsupportedClosedForm(
         f"no closed form for family {family}, relation {relation}, matrix {matrix}"
     )
-
-
-def _poly_from_spectrum(spec: Spectrum) -> PolynomialZ:
-    return PolynomialZ.from_roots((int(v), m) for v, m in spec.pairs)
 
 
 def _spectrum_diff(expected: Spectrum, computed: Spectrum) -> str:
@@ -380,7 +388,7 @@ def _spectrum_diff(expected: Spectrum, computed: Spectrum) -> str:
 
 def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
     start = time.perf_counter()
-    claim.check(params)
+    params = claim.check(params)
     graph, base, part = _super(claim.group(**params), claim.relations[0])
     if claim.matrix == "adjacency":
         quotient = super_adjacency_charpoly(base, part)
@@ -416,15 +424,14 @@ def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
 def verify_spectral(claim: str, param_list) -> list[ClaimReport]:
     """Check a spectral claim over several parameter points."""
     entry = _claim(claim, "spectral")
-    return [_verify_spectral_point(entry, dict(p)) for p in param_list]
+    return [_verify_spectral_point(entry, p) for p in param_list]
 
 
 def verify_structure(claim: str, params) -> ClaimReport:
     """Build both sides of a structural claim and compare canonical forms."""
     entry = _claim(claim, "structure")
-    params = dict(params)
     start = time.perf_counter()
-    entry.check(params)
+    params = entry.check(params)
     built, _, _ = _super(entry.group(**params), entry.relations[0])
     f1 = twin_canonical_form(built)
     f2 = twin_canonical_form(entry.closed(**params))
@@ -581,8 +588,7 @@ _GENERIC_CHECKS = {
 
 def verify_generic(seed: int, trials: int) -> list[ClaimReport]:
     """Run the seeded randomized property suites; one report per property."""
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
+    trials = integer(trials, "trials", least=1)
     reports = []
     for name in sorted(_GENERIC_CHECKS):
         start = time.perf_counter()
@@ -658,7 +664,7 @@ def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
     count.
     """
     tasks = suite_tasks(suite, **kwargs)
-    jobs = min(jobs, len(tasks))
+    jobs = min(integer(jobs, "jobs"), len(tasks))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 

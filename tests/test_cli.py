@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from supergraph import FormatError, dihedral, direct_product, write_cayley_file
 from supergraph.cli import GroupSpec, main, parse_group_spec
@@ -321,3 +326,54 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "summary: 5 Match" in proc.stdout
+
+
+def _small_group(text: str) -> bool:
+    """Whether a --group spec is malformed or names a group of order at most
+    a few hundred, which the fuzz below may build."""
+    try:
+        spec = parse_group_spec(text)
+    except FormatError:
+        return True
+    return spec.family == "cayley" or max(map(abs, spec.params)) <= 64
+
+
+TABLE_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.text(alphabet="0123 \n#labels:-x.", max_size=48).map(str.encode),
+)
+PARTITION_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.text(alphabet='{}[]"nblocks:,0123456. ', max_size=40).map(str.encode),
+    st.fixed_dictionaries({
+        "n": st.one_of(st.integers(-1, 8), st.floats(0, 7), st.text(max_size=2)),
+        "blocks": st.lists(st.lists(st.one_of(st.integers(-1, 7), st.floats(0, 6)), max_size=4),
+                           max_size=4),
+    }).map(lambda d: json.dumps(d).encode()),
+)
+GROUP_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.builds("{}:{}".format, st.sampled_from(["D", "Q", "PQ", "cayley", " D ", "d", ""]),
+              st.text(alphabet="0123456789,.-+_ eEx", max_size=6)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(table=TABLE_BYTES, partition=PARTITION_BYTES, group=GROUP_TEXT)
+def test_cli_fuzz_exits_with_a_code_and_no_traceback(table, partition, group):
+    """Random Cayley-file bytes, partition-file bytes and --group strings
+    through the command line: every run ends with exit code 0, 1 or 2."""
+    assume(_small_group(group))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        (Path(tmp) / "table.txt").write_bytes(table)
+        (Path(tmp) / "part.json").write_bytes(partition)
+        out = ["--output", str(Path(tmp) / "out.json")]
+        codes = {
+            main(["graph", "--group", f"cayley:{tmp}/table.txt", "--relation", "order", *out]),
+            main(["graph", "--group", "D:3", "--relation", f"file:{tmp}/part.json", *out]),
+            main(["graph", "--group", group, "--relation", "conjugacy", *out]),
+        }
+    assert codes <= {0, 1, 2}
+    assert "Traceback" not in err.getvalue()

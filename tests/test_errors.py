@@ -1,0 +1,340 @@
+"""The one integer rule and the typed-error contract of the public API.
+
+``errors.integer`` decides what an integer is. A malformed integer, matrix or
+JSON argument of the public API, wherever it sits (an argument, a list
+element, a pair member, a matrix entry, a JSON field), raises a
+``SupergraphError`` subclass and is never truncated.
+"""
+
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import supergraph as sg
+from supergraph import (
+    FormatError,
+    InvalidParameter,
+    Partition,
+    PolynomialZ,
+    SimpleGraph,
+    Spectrum,
+    SupergraphError,
+)
+from supergraph.errors import integer
+
+# ---------------------------------------------------------------------------
+# errors.integer
+
+
+def test_integer_accepts_every_integral_in_memory_form():
+    for value, expected in (
+        (7, 7), (-3, -3), (2 ** 80, 2 ** 80), (3.0, 3), (-0.0, 0), (np.float32(4.0), 4),
+        (np.int8(-5), -5), (np.uint64(2 ** 64 - 1), 2 ** 64 - 1), (np.array(6), 6),
+        (True, 1), (False, 0), (np.bool_(True), 1),
+    ):
+        result = integer(value, "value")
+        assert result == expected and type(result) is int
+
+
+@pytest.mark.parametrize("value", [
+    2.5, -0.1, float("nan"), float("inf"), "3", "x", b"3", None, 1 + 0j, [3], (3,),
+    np.array([3]), np.array([[4.0]]), np.array(2.5), np.float64(1e-9), np.complex128(3),
+    np.array(3 + 0j), np.str_("3"), {3: 3},
+])
+def test_integer_rejects_everything_else_by_name(value):
+    with pytest.raises(InvalidParameter, match=f"^widget {re.escape(repr(value))} is not"):
+        integer(value, "widget")
+
+
+def test_integer_least_bound():
+    assert integer(3, "order", least=3) == 3
+    assert integer(4.0, "order", least=3) == 4
+    with pytest.raises(InvalidParameter, match="^order must be >= 3, got 2$"):
+        integer(2, "order", least=3)
+    with pytest.raises(InvalidParameter, match="^order must be >= 0, got -1$"):
+        integer(np.int64(-1), "order", least=0)
+    with pytest.raises(InvalidParameter, match="is not an integer"):
+        integer(2.5, "order", least=3)  # the type is judged before the bound
+
+
+# ---------------------------------------------------------------------------
+# Truncations: each of these returned a wrong answer instead of an error
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Partition(3.7, [[0, 1, 2]]),
+    lambda: Partition(3, [[0.5, 1, 2]]),
+    lambda: Partition(3, [[0, 1, 2.9]]),
+    lambda: Partition("3", [[0, 1, 2]]),
+    lambda: Spectrum([(1, 1.7)]),
+    lambda: Spectrum([(1, "2")]),
+    lambda: sg.star_join_laplacian_spectrum([2.5, 3]),
+    lambda: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [(1.5, 2)]),
+], ids=["partition-size-3.7", "partition-element-0.5", "partition-element-2.9",
+        "partition-size-str", "spectrum-multiplicity-1.7", "spectrum-multiplicity-str",
+        "star-join-size-2.5", "bracket-end-1.5"])
+def test_non_integral_arguments_are_not_truncated(call):
+    with pytest.raises(InvalidParameter, match="is not an integer"):
+        call()
+
+
+def test_integral_arguments_still_read_as_their_value():
+    assert Partition(3.0, [[0.0, np.int64(1)], [np.uint8(2)]]) == Partition(3, [[0, 1], [2]])
+    assert Spectrum([(1, 2.0), (0, np.int32(1))]).pairs == ((0, 1), (1, 2))
+    assert sg.star_join_laplacian_spectrum([2.0, np.int16(3)]) == (
+        sg.star_join_laplacian_spectrum([2, 3]))
+    assert SimpleGraph(3.0, [(0.0, np.int64(1))]) == SimpleGraph(3, [(0, 1)])
+    assert sg.dihedral(np.int64(5)).order == sg.dihedral(5.0).order == 10
+    assert sg.least_partition(np.int8(2)) == Partition(2, [[0], [1]])
+
+
+# ---------------------------------------------------------------------------
+# Escapes: each of these raised something other than a SupergraphError
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: SimpleGraph.from_json('{"n": 3, "edges": [[0]]}'), FormatError),
+    (lambda: SimpleGraph.from_json('{"n": "3"}'), FormatError),
+    (lambda: SimpleGraph.from_json("[1, 2]"), FormatError),
+    (lambda: SimpleGraph.from_json('{"n": 2, "labels": 5}'), FormatError),
+    (lambda: SimpleGraph.from_json("{"), FormatError),
+    (lambda: SimpleGraph(3, [(0.5, 1)]), InvalidParameter),
+    (lambda: SimpleGraph(3.5), InvalidParameter),
+    (lambda: SimpleGraph("3"), InvalidParameter),
+    (lambda: SimpleGraph(3, 5), InvalidParameter),
+    (lambda: SimpleGraph(3, [(0, 1, 2)]), InvalidParameter),
+    (lambda: SimpleGraph.from_adjacency([[0, 1], [1]]), InvalidParameter),
+    (lambda: Partition.from_json("{"), FormatError),
+    (lambda: Partition.from_json("[" * 100_000), FormatError),
+    (lambda: Partition.from_json(b"\xff"), FormatError),
+    (lambda: Partition(3, [0, 1, 2]), InvalidParameter),
+    (lambda: Partition(3, 5), InvalidParameter),
+    (lambda: Spectrum(5), InvalidParameter),
+    (lambda: Spectrum([(1, 2, 3)]), InvalidParameter),
+    (lambda: Spectrum([("x", 1)]), InvalidParameter),
+    (lambda: sg.star_join_laplacian_spectrum(["a", 3]), InvalidParameter),
+    (lambda: sg.dihedral("5"), InvalidParameter),
+    (lambda: sg.dihedral(5.5), InvalidParameter),
+    (lambda: sg.generalized_quaternion("3"), InvalidParameter),
+    (lambda: sg.cyclic(2.5), InvalidParameter),
+    (lambda: sg.semidirect_pq(7.5, 3), InvalidParameter),
+    (lambda: sg.semidirect_pq("7", 3), InvalidParameter),
+    (lambda: sg.is_prime("7"), InvalidParameter),
+    (lambda: sg.is_prime(7.5), InvalidParameter),
+    (lambda: sg.least_partition(2.5), InvalidParameter),
+    (lambda: sg.greatest_partition("3"), InvalidParameter),
+    (lambda: sg.complete_graph("3"), InvalidParameter),
+    (lambda: sg.star_graph(2.5), InvalidParameter),
+    (lambda: sg.verify_spectral("Thm4.1(i)", [{}]), InvalidParameter),
+    (lambda: sg.verify_spectral("Thm4.1(i)", [{"n": "5"}]), InvalidParameter),
+    (lambda: sg.verify_spectral("Thm4.1(i)", [5]), InvalidParameter),
+    (lambda: sg.verify_structure("Thm4.3", ["n4"]), InvalidParameter),
+    (lambda: sg.closed_form("Thm4.1(i)", m=3), InvalidParameter),
+    (lambda: sg.closed_form("Thm4.1(i)", n=5, m=3), InvalidParameter),
+    (lambda: sg.closed_form("Thm4.2(i)", n="5"), InvalidParameter),
+    (lambda: sg.verify_structure("Thm4.3", {"n": 4.5}), InvalidParameter),
+    (lambda: sg.verify_structure("Thm4.5", {"p": 7}), InvalidParameter),
+    (lambda: sg.verify_generic(42, 2.5), InvalidParameter),
+    (lambda: sg.verify_generic(42, "3"), InvalidParameter),
+    (lambda: sg.run_suite("4.3", n_range=(3.5, 5)), InvalidParameter),
+    (lambda: sg.run_suite("4.5", jobs="2"), InvalidParameter),
+    (lambda: sg.generalized_join(sg.complete_graph(2), [1, 2]), InvalidParameter),
+    (lambda: sg.generalized_join(2, []), InvalidParameter),
+    (lambda: sg.direct_product(sg.cyclic(2), 3), InvalidParameter),
+    (lambda: sg.jacobi_eigenvalues([["a"]]), InvalidParameter),
+    (lambda: sg.jacobi_eigenvalues([[1j]]), InvalidParameter),
+    (lambda: sg.jacobi_eigenvalues([[1, 2], [3]]), InvalidParameter),
+    (lambda: PolynomialZ.x() ** 2.5, InvalidParameter),
+    (lambda: PolynomialZ.from_json_dict({}), FormatError),
+    (lambda: PolynomialZ.from_json_dict({"coeffs": ["x"]}), FormatError),
+    (lambda: PolynomialZ.from_json_dict({"coeffs": ["1.5"]}), FormatError),
+    (lambda: PolynomialZ.from_json_dict({"coeffs": [1.5]}), FormatError),
+    (lambda: PolynomialZ.from_json_dict({"coeffs": "12"}), FormatError),
+    (lambda: PolynomialZ.from_json_dict([1, 2]), FormatError),
+    (lambda: sg.spectrum_from_integer_charpoly(PolynomialZ((-1, 1)), bound=2.5),
+     InvalidParameter),
+])
+def test_malformed_calls_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_claim_parameters_are_read_as_ints():
+    assert sg.closed_form("Thm4.2(i)", n=5.0) == sg.closed_form("Thm4.2(i)", n=5)
+    report = sg.verify_structure("Thm4.5", {"p": np.int64(7), "q": 3.0})
+    assert report.params == {"p": 7, "q": 3} and type(report.params["p"]) is int
+    assert sg.verify_spectral("Thm4.1(i)", [[("n", 5)]])[0].params == {"n": 5}  # pairs
+    assert [r.params for r in sg.run_suite("4.3", n_range=(3.0, np.int8(4)))] == (
+        [{"n": 3}, {"n": 4}])
+
+
+def test_polynomial_json_takes_integer_strings_and_literals():
+    assert PolynomialZ.from_json_dict({"coeffs": [1, "-2", str(2 ** 90)]}) == (
+        PolynomialZ((1, -2, 2 ** 90)))
+
+
+def test_read_cayley_file_rejects_bytes_that_are_not_text(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"2\n0 1\n1 \xff0\n")
+    with pytest.raises(FormatError, match="t.txt"):
+        sg.read_cayley_file(path)
+    with pytest.raises(FormatError):
+        sg.read_cayley_file(f"{tmp_path}/a\0b")
+
+
+# ---------------------------------------------------------------------------
+# Property: only SupergraphError subclasses escape, and no non-integer passes
+
+
+def _arrays(values):
+    return st.builds(np.array, values)
+
+
+# Values that are not nonnegative integers: wrong types, strings, non-integral
+# floats, negatives, ragged lists, 0-D and 1-D arrays.
+MALFORMED = st.one_of(
+    st.sampled_from([None, "", "3", "x", b"7", 1 + 2j, {}, [], object(), math.nan, math.inf]),
+    st.text(max_size=4),
+    st.floats().filter(lambda v: not v.is_integer() if math.isfinite(v) else True),
+    st.integers(max_value=-1),
+    st.lists(st.lists(st.integers(-2, 5), max_size=3), min_size=2, max_size=3),
+    _arrays(st.floats(-5, 5).filter(lambda v: not v.is_integer())),
+    _arrays(st.integers(-5, -1)),
+    _arrays(st.lists(st.integers(-2, 5), min_size=1, max_size=4)),
+)
+
+
+def _integral(value) -> bool:
+    if getattr(value, "ndim", 0):  # int() of a 1-D array warns or raises by numpy version
+        return False
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _group(x):
+    return sg.from_cayley_table([[0, 1], [1, x]])
+
+
+# Each data-taking name of supergraph.__all__, with its malformed value x put
+# in each integer slot ("int"; "opt" where None is the default) or each
+# container, matrix or record slot ("any").
+SLOTS = [
+    ("int", lambda x: SimpleGraph(x)),
+    ("int", lambda x: SimpleGraph(3, [(x, 1)])),
+    ("int", lambda x: SimpleGraph(3, [(0, 1), (2, x)])),
+    ("any", lambda x: SimpleGraph(3, [x])),
+    ("any", lambda x: SimpleGraph.from_adjacency(x)),
+    ("any", lambda x: SimpleGraph.from_json_dict({"n": 2, "edges": [[0, x]]})),
+    ("any", lambda x: SimpleGraph.from_json_dict(x)),
+    ("int", lambda x: Partition(x, [[0]])),
+    ("int", lambda x: Partition(2, [[0, x]])),
+    ("any", lambda x: Partition(2, [x])),
+    ("any", lambda x: Partition.from_json_dict({"n": x, "blocks": [[0]]})),
+    ("any", lambda x: Partition.from_json_dict(x)),
+    ("int", lambda x: PolynomialZ([1, x])),
+    ("int", lambda x: PolynomialZ.from_roots([(x, 1)])),
+    ("int", lambda x: PolynomialZ.from_roots([(2, x)])),
+    ("any", lambda x: PolynomialZ.from_json_dict({"coeffs": ["1", x]})),
+    ("any", lambda x: PolynomialZ.from_json_dict(x)),
+    ("int", lambda x: Spectrum([(0, 1), (1, x)])),
+    ("any", lambda x: Spectrum([(x, 1)])),
+    ("any", lambda x: Spectrum([x])),
+    ("int", lambda x: sg.char_poly_integer([[1, x], [x, 0]])),
+    ("any", lambda x: sg.char_poly_integer(x)),
+    ("any", lambda x: sg.char_poly_integers([[[2]], x])),
+    ("any", lambda x: sg.jacobi_eigenvalues(x)),
+    ("any", lambda x: sg.jacobi_eigenvalues([[0, x], [x, 0]])),
+    ("any", lambda x: sg.from_cayley_table(x)),
+    ("int", _group),
+    ("int", lambda x: sg.complete_graph(x)),
+    ("int", lambda x: sg.star_graph(x)),
+    ("int", lambda x: sg.cyclic(x)),
+    ("int", lambda x: sg.dihedral(x)),
+    ("int", lambda x: sg.generalized_quaternion(x)),
+    ("int", lambda x: sg.semidirect_pq(x, 3)),
+    ("int", lambda x: sg.semidirect_pq(7, x)),
+    ("int", lambda x: sg.is_prime(x)),
+    ("int", lambda x: sg.least_partition(x)),
+    ("int", lambda x: sg.greatest_partition(x)),
+    ("any", lambda x: sg.direct_product(sg.cyclic(2), x)),
+    ("any", lambda x: sg.generalized_join(sg.complete_graph(2), [sg.complete_graph(1), x])),
+    ("int", lambda x: sg.star_join_laplacian_spectrum([2, x])),
+    ("int", lambda x: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [(x, 2)])),
+    ("opt", lambda x: sg.spectrum_from_integer_charpoly(PolynomialZ((-1, 1)), bound=x)),
+    ("int", lambda x: sg.closed_form("Thm4.2(i)", n=x)),
+    ("int", lambda x: sg.verify_spectral("Thm4.2(iii)", [{"p": 7, "q": x}])),
+    ("int", lambda x: sg.verify_structure("Thm4.3", {"n": x})),
+    ("int", lambda x: sg.verify_generic(1, x)),
+    ("int", lambda x: sg.run_suite("4.3", n_range=(x, 3))),
+    ("int", lambda x: sg.run_suite("4.5", pq_pairs=[(7, x)])),
+    ("int", lambda x: sg.run_suite("4.5", pq_pairs=[(7, 3)], jobs=x)),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(MALFORMED)
+def test_only_typed_errors_escape_and_nothing_is_truncated(x):
+    for kind, call in SLOTS:
+        try:
+            call(x)
+        except SupergraphError:
+            continue
+        read = kind == "any" or _integral(x) or (kind == "opt" and x is None)
+        assert read, f"{x!r} was read as an integer"
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "blocks", "edges", "labels", "coeffs"]), inner,
+                        max_size=4),
+    ),
+    max_leaves=12,
+)
+JSON_TEXT = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    JSON_VALUES.map(lambda v: json.dumps(v)[:-1]),  # cut short
+    st.text(max_size=20),
+    st.binary(max_size=20),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(JSON_TEXT)
+def test_json_readers_raise_only_typed_errors(text):
+    for read in (Partition.from_json, SimpleGraph.from_json):
+        try:
+            read(text)
+        except SupergraphError:
+            pass
+    try:
+        PolynomialZ.from_json_dict(json.loads(text))
+    except (ValueError, RecursionError):  # not JSON: the dict reader never sees it
+        pass
+    except SupergraphError:
+        pass
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(st.binary(max_size=40), st.text(alphabet="0123 \n#:labe-x.", max_size=40)))
+def test_cayley_files_raise_only_typed_errors(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.txt"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        try:
+            sg.read_cayley_file(path)
+        except SupergraphError:
+            pass
