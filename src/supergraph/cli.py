@@ -15,23 +15,10 @@ from pathlib import Path
 from . import verify as verify_mod
 from .errors import FormatError, OutOfRange, SupergraphError, UnsupportedClosedForm
 from .graphs import commuting_graph, is_connected, super_graph, twin_canonical_form
-from .groups import (
-    FiniteGroup,
-    dihedral,
-    generalized_quaternion,
-    read_cayley_file,
-    semidirect_pq,
-)
-from .partitions import Partition, conjugacy_partition, least_partition, order_partition
-from .polynomials import PolynomialZ, char_poly_integer
-from .spectra import (
-    Spectrum,
-    jacobi_eigenvalues,
-    multiset_match,
-    quotient_spectrum,
-    super_adjacency_charpoly,
-    super_laplacian_charpoly,
-)
+from .groups import FiniteGroup, read_cayley_file
+from .partitions import Partition, relation_partition
+from .polynomials import PolynomialZ
+from .spectra import Spectrum
 
 
 @dataclass(frozen=True)
@@ -82,39 +69,28 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
-    if spec.family == "D":
-        return dihedral(spec.params[0])
-    if spec.family == "Q":
-        return generalized_quaternion(spec.params[0])
-    if spec.family == "PQ":
-        return semidirect_pq(*spec.params)
-    return read_cayley_file(spec.path)
+    if spec.family == "cayley":
+        return read_cayley_file(spec.path)
+    return verify_mod.family_group(spec.family, *spec.params)
 
 
 def build_partition(group: FiniteGroup, relation: str) -> Partition:
-    if relation == "order":
-        return order_partition(group)
-    if relation == "conjugacy":
-        return conjugacy_partition(group)
-    if relation == "none":
-        return least_partition(group.order)
-    if relation.startswith("file:"):
-        path = relation[len("file:"):]
-        try:
-            return Partition.from_json(Path(path).read_text())
-        except (OSError, ValueError, FormatError) as exc:  # ValueError: not text, or a NUL
-            raise FormatError(f"partition file {path}: {exc}") from None
-    raise FormatError(f'unknown relation "{relation}"')
+    if not relation.startswith("file:"):
+        return relation_partition(group, relation)
+    path = relation[len("file:"):]
+    try:
+        return Partition.from_json(Path(path).read_text())
+    except (OSError, ValueError, FormatError) as exc:  # ValueError: not text, or a NUL
+        raise FormatError(f"partition file {path}: {exc}") from None
 
 
 def build_graph(args):
-    """--group and --relation as spec, group, partition, commuting graph and graph."""
+    """--group and --relation as spec, group, partition, commuting graph and super graph."""
     spec = parse_group_spec(args.group)
     group = build_group(spec)
     partition = build_partition(group, args.relation)
     base = commuting_graph(group)
-    graph = base if args.relation == "none" else super_graph(base, partition)
-    return spec, group, partition, base, graph
+    return spec, group, partition, base, super_graph(base, partition)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -169,37 +145,16 @@ def cmd_graph(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec, _, partition, base, graph = build_graph(args)
-    matrix = (
-        graph.adjacency_matrix() if args.matrix == "adjacency" else graph.laplacian_matrix()
-    )
+    point = verify_mod.SpectralPoint(base, partition, graph, args.matrix)
     try:  # the catalogued claim that --method closed and --compare read
         claim = verify_mod.closed_claim(spec.family, args.relation, args.matrix)
-        point = claim.check(claim.point(spec.params))
+        params = claim.check(claim.point(spec.params))
     except (UnsupportedClosedForm, OutOfRange):
         if args.method == "closed":
             raise
-        claim = None
+        claim = params = None
 
-    results: dict = {}
-
-    def compute(method: str):
-        """Run a route once; --compare reuses what the chosen method computed."""
-        if method in results:
-            return results[method]
-        if method == "jacobi":
-            value = jacobi_eigenvalues(matrix)
-        elif method == "exact":
-            value = char_poly_integer(matrix)
-        elif method == "quotient" and args.matrix == "adjacency":
-            value = super_adjacency_charpoly(base, partition)
-        elif method == "quotient":
-            value = super_laplacian_charpoly(base, partition)
-        else:
-            value = claim.spectrum(point)
-        results[method] = value
-        return value
-
-    result = compute(args.method)
+    result = claim.spectrum(params) if args.method == "closed" else getattr(point, args.method)
     out_path = args.output or (
         f"{spec.slug()}-{args.relation.replace(':', '_')}-{args.matrix}-{args.method}.{args.out}"
     )
@@ -214,19 +169,10 @@ def cmd_spectrum(args) -> int:
 
     if not args.compare:
         return 0
-
-    tol = verify_mod.SPECTRAL_TOL
-    jac = compute("jacobi")
-    checks = [("exact == quotient (char poly)", compute("exact") == compute("quotient"))]
-    qspec = quotient_spectrum(base, partition, args.matrix)
-    checks.append((f"jacobi ~ quotient spectrum ({tol:g})", multiset_match(jac, qspec, tol)))
-    if claim is not None:
-        holds = claim.diff(point, compute("quotient"), jac) is None
-        checks.append((f"jacobi ~ closed form ({tol:g})", holds))
     ok = True
-    for name, passed in checks:
-        print(f"compare: {name}: {'agree' if passed else 'DISAGREE'}")
-        ok = ok and passed
+    for label, problem in point.checks(claim, params):  # the checks verify judges
+        print(f"compare: {label}: {'agree' if problem is None else 'DISAGREE'}")
+        ok = ok and problem is None
     return 0 if ok else 2
 
 

@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and its one integer rule.
+"""Exception types shared across the package, and its rules for integers,
+indices, real numbers and containers.
 
 Bad input raises a ``SupergraphError``: a bad value ``InvalidParameter``, a bad
 file, JSON document or spec ``FormatError``, a bad Cayley table ``NotAGroup``.
-``integer`` decides what an integer is in memory and truncates nothing; JSON
-readers take only integer literals (polynomial coefficients also as strings).
+``integer`` decides what an integer is in memory and truncates nothing,
+``index`` what an index into 0..n-1 is, and ``real`` what a real number is;
+``items`` and ``pair`` read containers. JSON readers take only integer
+literals (polynomial coefficients also as strings).
 """
 
 
@@ -86,3 +89,46 @@ def integer(value, what: str, least: int | None = None) -> int:
     if least is not None and number < least:
         raise InvalidParameter(f"{what} must be >= {least}, got {number}")
     return number
+
+
+def index(value, what: str, size: int) -> int:
+    """``value`` as an index into 0..size-1: an integer by ``integer``, which
+    is never truncated and never counted from the end."""
+    number = integer(value, what)
+    if not 0 <= number < size:
+        raise InvalidParameter(f"{what} {number} outside 0..{size - 1}")
+    return number
+
+
+def real(value, what: str) -> int | float:
+    """``value`` as a Python int or float if it is an int, a float or a 0-D
+    numpy bool, integer or float; anything else (a string, bytes, a complex
+    number, an array of one or more dimensions) raises ``InvalidParameter``
+    naming it as ``what``."""
+    if type(value) is float or type(value) is int:
+        return value
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    if kind is None and isinstance(value, (int, float)):  # bool or another subclass
+        return int(value) if isinstance(value, int) else float(value)
+    if kind in ("b", "i", "u", "f") and not getattr(value, "ndim", 0):
+        return float(value) if kind == "f" else int(value)
+    raise InvalidParameter(f"{what} {value!r} is not a real number")
+
+
+def items(value, what: str) -> list:
+    """The items of ``value`` as a list; a value that cannot be iterated
+    raises ``InvalidParameter`` naming it as ``what``."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be iterable, not {type(value).__name__}") from None
+
+
+def pair(value, what: str) -> tuple:
+    """The two items of ``value``; anything else raises ``InvalidParameter``
+    naming it as ``what``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{what} must be a pair") from None
+    return first, second

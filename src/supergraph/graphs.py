@@ -17,7 +17,9 @@ from .errors import (
     FormatError,
     InvalidParameter,
     SizeMismatch,
+    index,
     integer,
+    items,
 )
 from .partitions import Partition, _json_value
 
@@ -53,7 +55,7 @@ class SimpleGraph:
         adj.setflags(write=False)
         self._adj = adj
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(map(str, items(labels, "labels")))
             if len(labels) != adj.shape[0]:
                 raise InvalidParameter("label count must equal vertex count")
         self._labels = labels
@@ -92,7 +94,7 @@ class SimpleGraph:
         return self._labels
 
     def degree(self, v: int) -> int:
-        return int(self._adj[v].sum())
+        return int(self._adj[index(v, "vertex", self.n)].sum())
 
     def degrees(self) -> np.ndarray:
         return self._adj.sum(axis=1).astype(np.int64)
@@ -107,10 +109,12 @@ class SimpleGraph:
         return [(int(i), int(j)) for i, j in zip(iu, ju)]
 
     def neighbors(self, v: int) -> list[int]:
-        return [int(u) for u in np.nonzero(self._adj[v])[0]]
+        return [int(u) for u in np.nonzero(self._adj[index(v, "vertex", self.n)])[0]]
 
     def induced_subgraph(self, vertices) -> "SimpleGraph":
-        verts = [int(v) for v in vertices]
+        n = self.n
+        verts = [v if type(v) is int and 0 <= v < n else index(v, "vertex", n)
+                 for v in items(vertices, "vertices")]
         sub = self._adj[np.ix_(verts, verts)].copy()
         labels = None if self._labels is None else [self._labels[v] for v in verts]
         return SimpleGraph._of(sub, labels)

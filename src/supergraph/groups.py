@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, NotAGroup, integer
+from .errors import FormatError, InvalidParameter, NotAGroup, index, integer, items
 from .partitions import Partition
 
 # Largest order a family constructor builds: its int64 Cayley table then takes
@@ -45,7 +45,7 @@ class FiniteGroup:
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
         else:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(map(str, items(labels, "labels")))
             if len(labels) != n:
                 raise InvalidParameter("label count must equal group order")
         if validate:
@@ -82,16 +82,16 @@ class FiniteGroup:
         return self._labels
 
     def multiply(self, a: int, b: int) -> int:
-        return int(self._table[a, b])
+        return int(self._table[index(a, "element", self.order), index(b, "element", self.order)])
 
     def inverse(self, g: int) -> int:
-        return int(self._inverses[g])
+        return int(self._inverses[index(g, "element", self.order)])
 
     def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(g), -k)
+        """g^k for any integer k: g^order is the identity, so k counts mod the order."""
+        g = index(g, "element", self.order)
         acc = self._identity
-        for _ in range(k):
+        for _ in range(integer(k, "exponent") % self.order):
             acc = int(self._table[acc, g])
         return acc
 
@@ -118,9 +118,7 @@ class FiniteGroup:
 
     def element_order(self, g: int) -> int:
         """Least t >= 1 with g^t = identity."""
-        if not 0 <= g < self.order:
-            raise InvalidParameter(f"element {g} outside group of order {self.order}")
-        return int(self.element_orders()[g])
+        return int(self.element_orders()[index(g, "element", self.order)])
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self._table, self._table.T))

@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, SizeMismatch, integer
+from .errors import FormatError, InvalidParameter, SizeMismatch, index, integer
 
 
 class Partition:
@@ -70,7 +70,7 @@ class Partition:
         return tuple(len(b) for b in self._blocks)
 
     def block_containing(self, v: int) -> tuple[int, ...]:
-        return self._blocks[self._block_of[v]]
+        return self._blocks[self._block_of[index(v, "element", self._n)]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -150,3 +150,15 @@ def order_partition(group) -> Partition:
 def conjugacy_partition(group) -> Partition:
     """Partition of a group's elements into conjugacy classes."""
     return group.conjugacy_classes()
+
+
+def relation_partition(group, relation: str) -> Partition:
+    """The classes of a named relation on a group's elements: "order" (equal
+    element order), "conjugacy" or "none" (equality)."""
+    if relation == "order":
+        return order_partition(group)
+    if relation == "conjugacy":
+        return conjugacy_partition(group)
+    if relation == "none":
+        return least_partition(group.order)
+    raise InvalidParameter(f'unknown relation "{relation}"')

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, integer
+from .errors import FormatError, InvalidParameter, integer, items, pair
 from .groups import is_prime
 
 
@@ -41,7 +41,8 @@ class PolynomialZ:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [c if type(c) is int else integer(c, "coefficient") for c in coeffs]
+        cs = [c if type(c) is int else integer(c, "coefficient")
+              for c in items(coeffs, "coefficients")]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -75,7 +76,8 @@ class PolynomialZ:
         products of a coefficient of R or S, small when d is, by one of Q.
         """
         merged: dict[int, int] = {}
-        for root, mult in roots:
+        for entry in items(roots, "roots"):
+            root, mult = pair(entry, "a (root, multiplicity) entry")
             root = root if type(root) is int else integer(root, "root")
             mult = integer(mult, "multiplicity", least=0)
             merged[root] = merged.get(root, 0) + mult
@@ -300,7 +302,7 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     read entry by entry: entries must be integral (integer-valued floats are
     accepted), and any other entry raises ``InvalidParameter``.
     """
-    arrays = [_integer_array(m) for m in matrices]
+    arrays = [_integer_array(m) for m in items(matrices, "matrices")]
     groups: dict[int, list[int]] = {}
     for index, a in enumerate(arrays):
         groups.setdefault(len(a), []).append(index)
@@ -352,10 +354,14 @@ def _integer_array(matrix) -> np.ndarray:
                 and 0 < matrix.shape[0] == matrix.shape[1] <= MAX_DIMENSION):
             return matrix.astype(np.int64, copy=False)
         matrix = matrix.tolist()
-    n = len(matrix) if hasattr(matrix, "__len__") else 0
+    try:  # a 0-D array has __len__ but raises on it
+        n = len(matrix)
+        square = n > 0 and all(len(row) == n for row in matrix)
+    except TypeError:  # a matrix or a row without a length
+        n, square = 0, False
     if n > MAX_DIMENSION:
         raise InvalidParameter(f"matrix dimension {n} exceeds {MAX_DIMENSION}")
-    if n == 0 or any(not hasattr(row, "__len__") or len(row) != n for row in matrix):
+    if not square:
         raise InvalidParameter("matrix must be square and nonempty")
     rows = [[v if type(v) is int else integer(v, "matrix entry") for v in row] for row in matrix]
     try:

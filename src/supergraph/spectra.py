@@ -27,6 +27,9 @@ from .errors import (
     NotSymmetric,
     SizeMismatch,
     integer,
+    items,
+    pair,
+    real,
 )
 from .graphs import SimpleGraph, _block_cross_adjacency, _check_partition
 from .partitions import Partition
@@ -42,35 +45,28 @@ def _values_equal(a, b) -> bool:
     return a == b  # ints compare exactly
 
 
-def _value_key(pair) -> float:
-    """A pair's value as a float; an array raises, as numpy from 2.4 makes float() do."""
-    if getattr(pair[0], "ndim", 0):
-        raise TypeError("a spectrum value is a number, not an array")
-    return float(pair[0])
-
-
 class Spectrum:
     """Multiset of eigenvalues as (value, multiplicity) pairs, sorted ascending.
 
-    Values are ints (exact) or floats (numeric); equal values are merged on
-    construction.
+    Values are ints (exact) or floats (numeric), read by ``errors.real``;
+    equal values are merged on construction.
     """
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs):
+        entries = []
+        for entry in items(pairs, "spectrum pairs"):
+            value, mult = pair(entry, "a (value, multiplicity) entry")
+            entries.append((real(value, "eigenvalue"), integer(mult, "multiplicity", least=0)))
         merged = []
-        try:
-            for value, mult in sorted(pairs, key=_value_key):
-                mult = integer(mult, "multiplicity", least=0)
-                if mult == 0:
-                    continue
-                if merged and _values_equal(merged[-1][0], value):
-                    merged[-1][1] += mult
-                else:
-                    merged.append([value, mult])
-        except (TypeError, ValueError, LookupError):  # not (real value, multiplicity) pairs
-            raise InvalidParameter("a spectrum takes (real value, multiplicity) pairs") from None
+        for value, mult in sorted(entries, key=lambda e: e[0]):
+            if mult == 0:
+                continue
+            if merged and _values_equal(merged[-1][0], value):
+                merged[-1][1] += mult
+            else:
+                merged.append([value, mult])
         self._pairs = tuple((v, m) for v, m in merged)
 
     @property
@@ -139,7 +135,10 @@ def jacobi_eigenvalues(matrix) -> Spectrum:
     1e-8 * max(1, ||M||_F).
     """
     try:
-        a = np.array(matrix, dtype=float)
+        a = np.asarray(matrix)
+        if a.dtype.kind not in "biufO":  # complex, string or bytes entries
+            raise TypeError(f"{a.dtype} entries")
+        a = a.astype(float)
     except (TypeError, ValueError) as exc:  # ragged, or entries that are not real numbers
         raise InvalidParameter(f"matrix is not an array of real numbers: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -255,7 +254,7 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
 def star_join_laplacian_spectrum(sizes) -> Spectrum:
     """Exact integer Laplacian spectrum of a star join of cliques:
     0, n, the center size (k-2 times), and N_i + n_i with multiplicity n_i - 1."""
-    sizes = [integer(s, "star join block size", least=1) for s in sizes]
+    sizes = [integer(s, "star join block size", least=1) for s in items(sizes, "sizes")]
     if len(sizes) < 2:
         raise InvalidParameter("star join needs at least two blocks")
     k = len(sizes)
@@ -273,8 +272,8 @@ def real_root_isolate(poly: PolynomialZ, brackets) -> list[float]:
     with exact integer evaluation.
     """
     roots = []
-    for lo, hi in brackets:
-        lo, hi = integer(lo, "bracket end"), integer(hi, "bracket end")
+    for bracket in items(brackets, "brackets"):
+        lo, hi = (integer(end, "bracket end") for end in pair(bracket, "a bracket"))
         if lo >= hi:
             raise InvalidParameter(f"empty bracket ({lo}, {hi})")
         flo, fhi = poly(lo), poly(hi)
@@ -298,6 +297,7 @@ def real_root_isolate(poly: PolynomialZ, brackets) -> list[float]:
 
 def multiset_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
     """True when the expanded eigenvalue lists pair up within tol."""
+    tol = real(tol, "tolerance")
     if s1.total_multiplicity != s2.total_multiplicity:
         raise SizeMismatch(
             f"total multiplicities differ: {s1.total_multiplicity} vs {s2.total_multiplicity}"
@@ -308,6 +308,7 @@ def multiset_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
 def grouped_match(expected: Spectrum, actual: Spectrum, tol: float) -> bool:
     """True when the grouped (value, multiplicity) pairs agree: equal group
     counts, identical multiplicities, values within tol."""
+    tol = real(tol, "tolerance")
     if len(expected.pairs) != len(actual.pairs):
         return False
     return all(
@@ -319,8 +320,9 @@ def grouped_match(expected: Spectrum, actual: Spectrum, tol: float) -> bool:
 def interlacing_check(eigs_full, eigs_sub, slack: float = 1e-9) -> bool:
     """Check lambda_k <= beta_k <= lambda_(k+n-m) within slack for sorted
     eigenvalue lists of a symmetric matrix and a principal submatrix."""
-    full = sorted(float(v) for v in eigs_full)
-    sub = sorted(float(v) for v in eigs_sub)
+    slack = real(slack, "slack")
+    full = sorted(real(v, "eigenvalue") for v in items(eigs_full, "eigenvalues"))
+    sub = sorted(real(v, "eigenvalue") for v in items(eigs_sub, "eigenvalues"))
     n, m = len(full), len(sub)
     if m > n:
         raise InvalidParameter("submatrix has more eigenvalues than the full matrix")

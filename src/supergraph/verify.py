@@ -2,14 +2,17 @@
 
 Each claim is checked along up to three routes: the catalogued closed form,
 the quotient-matrix pipeline, and brute force on the explicit matrix. One
-``Claim`` record per claim holds its parameter range, the group it builds and
-its published form. At a point that ``Claim.check`` has passed, its methods
-give the published form, the published spectrum, and the diff of that form
-against the computed routes; ``spectrum --compare`` applies the same diff.
-The verdict separates internal inconsistencies ("Mismatch": the quotient
-route and brute force disagree, which would be a bug here) from divergences
-between our computations and a catalogued published formula
-("Mismatch(paper-table)", reported with a diff and never thrown).
+``Claim`` record per claim holds its parameter range, the group family it
+builds (``family_group``) and its published form. At a point that
+``Claim.check`` has passed, its methods give the published form, the
+published spectrum, and the diff of that form against the computed routes.
+A ``SpectralPoint`` runs each route of one super graph at most once and
+yields the labelled checks between them; ``verify`` and ``spectrum
+--compare`` judge the same checks. The verdict separates internal
+inconsistencies ("Mismatch": the quotient route and brute force disagree,
+which would be a bug here) from divergences between our computations and a
+catalogued published formula ("Mismatch(paper-table)", reported with a diff
+and never thrown).
 """
 
 from __future__ import annotations
@@ -18,8 +21,17 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import InvalidParameter, NoSignChange, OutOfRange, UnsupportedClosedForm, integer
+from .errors import (
+    InvalidParameter,
+    NoSignChange,
+    OutOfRange,
+    UnsupportedClosedForm,
+    integer,
+    items,
+    pair,
+)
 from .graphs import (
     SimpleGraph,
     commuting_graph,
@@ -33,16 +45,11 @@ from .graphs import (
     twin_canonical_form,
 )
 from .groups import dihedral, generalized_quaternion, is_prime, semidirect_pq
-from .partitions import (
-    Partition,
-    conjugacy_partition,
-    least_partition,
-    order_partition,
-    refines,
-)
+from .partitions import Partition, least_partition, refines, relation_partition
 from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 from .spectra import (
     Spectrum,
+    _t,
     grouped_match,
     jacobi_eigenvalues,
     multiset_match,
@@ -95,9 +102,23 @@ def _star_join(*sizes: int) -> SimpleGraph:
     return generalized_join(star_graph(len(sizes)), [complete_graph(s) for s in sizes])
 
 
+def family_group(family: str, *params):
+    """The group of a family tag and its parameters: D n is D_2n, Q n is Q_4n,
+    PQ p q is Z_p x| Z_q and Dc m is D_4m, the dihedral group of order 4m."""
+    if family not in ("D", "Q", "PQ", "Dc") or len(params) != (2 if family == "PQ" else 1):
+        raise InvalidParameter(f"no group family {family!r} with parameters {params}")
+    if family == "D":
+        return dihedral(*params)
+    if family == "Q":
+        return generalized_quaternion(*params)
+    if family == "PQ":
+        return semidirect_pq(*params)
+    return dihedral(2 * integer(params[0], "Dc parameter"))
+
+
 def _super(group, relation: str) -> tuple[SimpleGraph, SimpleGraph, Partition]:
     base = commuting_graph(group)
-    part = order_partition(group) if relation == "order" else conjugacy_partition(group)
+    part = relation_partition(group, relation)
     return super_graph(base, part), base, part
 
 
@@ -112,9 +133,8 @@ class Claim:
 
     name: str
     suite: str  # "4.1" .. "4.5"
-    family: str  # D | Q | PQ | Dc: the tag --family selects
+    family: str  # D | Q | PQ | Dc: the tag --family selects and family_group builds
     axis: str  # odd_n | n | m | pq: the suite option that gives the parameter points
-    group: Callable  # the group whose super graph is built
     relations: tuple[str, ...]  # the first is built; the others give the same graph where valid
     default: tuple[int, int] = (0, 0)  # parameter range when the axis option is absent
     least: int = 0  # smallest valid parameter
@@ -140,13 +160,17 @@ class Claim:
 
     def point(self, values) -> dict:
         """Parameters from positional values: (7, 3) -> {"p": 7, "q": 3}."""
+        values = items(values, "claim parameters")
+        if len(values) != len(self.keys):
+            raise InvalidParameter(f"claim {self.name!r} takes the parameters {self.keys}")
         return dict(zip(self.keys, values))
 
     def points(self, bounds, pq_pairs) -> list[dict]:
         """Parameter points in ``bounds`` (else the default range) that the claim covers."""
         if self.axis == "pq":
-            return [self.point(pair) for pair in pq_pairs]
-        lo, hi = (integer(b, f"{self.axis} bound") for b in bounds or self.default)
+            return [self.point(values) for values in pq_pairs]
+        bounds = pair(self.default if bounds is None else bounds, f"{self.axis} range")
+        lo, hi = (integer(b, f"{self.axis} bound") for b in bounds)
         return [
             {self.key: v} for v in range(max(lo, self.least), hi + 1)
             if self.parity in (None, v % 2)
@@ -226,8 +250,7 @@ class Claim:
 CLAIMS = (
     Claim(
         "Thm4.1(i)", "4.1", "D", "odd_n", default=(3, 25), least=3, parity=1,
-        group=lambda n: dihedral(n), relations=("order", "conjugacy"),
-        matrix="adjacency", routes=("jacobi",),
+        relations=("order", "conjugacy"), matrix="adjacency", routes=("jacobi",),
         cubic=lambda n: (
             _cubic(2 * n * n - 4 * n + 1, n * n - 5 * n + 3, -(2 * n - 3)), 2 * n - 3
         ),
@@ -235,8 +258,7 @@ CLAIMS = (
     ),
     Claim(
         "Thm4.1(ii)", "4.1", "Q", "odd_n", default=(3, 15), least=3, parity=1,
-        group=lambda n: generalized_quaternion(n), relations=("order",),
-        matrix="adjacency", routes=("jacobi",),
+        relations=("order",), matrix="adjacency", routes=("jacobi",),
         cubic=lambda n: (
             _cubic(12 * n * n - 16 * n + 1, 4 * n * n - 12 * n + 3, -(4 * n - 3)), 4 * n - 3
         ),
@@ -248,8 +270,7 @@ CLAIMS = (
     ),
     Claim(
         "Thm4.1(iii)", "4.1", "PQ", "pq",
-        group=lambda p, q: semidirect_pq(p, q), relations=("order", "conjugacy"),
-        matrix="adjacency", routes=("jacobi",),
+        relations=("order", "conjugacy"), matrix="adjacency", routes=("jacobi",),
         cubic=lambda p, q: (
             _cubic(
                 2 * p * p * q - 3 * p * q - 2 * p * p + 2 * p + 1,
@@ -262,22 +283,19 @@ CLAIMS = (
     ),
     Claim(
         "Thm4.2(i)", "4.2", "D", "odd_n", default=(3, 25), least=3, parity=1,
-        group=lambda n: dihedral(n), relations=("order", "conjugacy"),
-        matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("order", "conjugacy"), matrix="laplacian", routes=("exact", "jacobi"),
         closed=lambda n: Spectrum([(0, 1), (1, 1), (n, n - 2), (n + 1, n - 1), (2 * n, 1)]),
     ),
     Claim(
         "Thm4.2(ii)", "4.2", "Q", "odd_n", default=(3, 13), least=3, parity=1,
-        group=lambda n: generalized_quaternion(n), relations=("order",),
-        matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("order",), matrix="laplacian", routes=("exact", "jacobi"),
         closed=lambda n: Spectrum(
             [(0, 1), (2, 1), (2 * n, 2 * n - 3), (2 * n + 2, 2 * n - 1), (4 * n, 2)]
         ),
     ),
     Claim(
         "Thm4.2(iii)", "4.2", "PQ", "pq",
-        group=lambda p, q: semidirect_pq(p, q), relations=("order", "conjugacy"),
-        matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("order", "conjugacy"), matrix="laplacian", routes=("exact", "jacobi"),
         closed=lambda p, q: Spectrum(
             [(0, 1), (1, 1), (p, p - 2), (p * q - p + 1, p * q - p - 1), (p * q, 1)]
         ),
@@ -287,51 +305,43 @@ CLAIMS = (
     # contradict them.
     Claim(
         "Sec4.2-Dc-adj", "4.2", "Dc", "m", default=(2, 6), least=2,
-        group=lambda m: dihedral(2 * m), relations=("conjugacy",),
-        matrix="adjacency", routes=("exact",),
+        relations=("conjugacy",), matrix="adjacency", routes=("exact",),
         closed=lambda m: PolynomialZ.from_roots([(-1, 4 * m - 4), (m - 1, 1)]) * _cubic(
             10 * m * m - 15 * m + 1, 2 * m * m - 10 * m + 3, -(3 * m - 3)
         ),
     ),
     Claim(
         "Sec4.2-Dc-lap", "4.2", "Dc", "m", default=(2, 6), least=2,
-        group=lambda m: dihedral(2 * m), relations=("conjugacy",),
-        matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("conjugacy",), matrix="laplacian", routes=("exact", "jacobi"),
         closed=lambda m: Spectrum(
             [(0, 1), (2, 1), (m + 2, 2 * m - 2), (2 * m, 2 * m - 3), (4 * m, 2)]
         ),
     ),
     Claim(
-        "Sec4.2-Dc-iso", "4.2", "Dc", "m", default=(2, 8), least=2,
-        group=lambda m: dihedral(2 * m), relations=("conjugacy",),
-        closed=lambda m: _super(generalized_quaternion(m), "conjugacy")[0],
+        "Sec4.2-Dc-iso", "4.2", "Dc", "m", default=(2, 8), least=2, relations=("conjugacy",),
+        closed=lambda m: _super(family_group("Q", m), "conjugacy")[0],
         sides=("Dc(D)", "Dc(Q)"),
     ),
     Claim(
         "Sec4.1-complete(D)", "4.1", "D", "n", default=(4, 12), least=4, parity=0,
-        group=lambda n: dihedral(n), relations=("order",),
-        closed=lambda n: complete_graph(2 * n),
+        relations=("order",), closed=lambda n: complete_graph(2 * n),
     ),
     Claim(
         "Sec4.1-complete(Q)", "4.1", "Q", "n", default=(2, 8), least=2, parity=0,
-        group=lambda n: generalized_quaternion(n), relations=("order",),
-        closed=lambda n: complete_graph(4 * n),
+        relations=("order",), closed=lambda n: complete_graph(4 * n),
     ),
     Claim(
-        "Thm4.3", "4.3", "D", "n", default=(3, 12), least=3,
-        group=lambda n: dihedral(n), relations=("conjugacy",),
+        "Thm4.3", "4.3", "D", "n", default=(3, 12), least=3, relations=("conjugacy",),
         closed=lambda n: (
             _star_join(2, n // 2, n // 2, n - 2) if n % 2 == 0 else _star_join(1, n - 1, n)
         ),
     ),
     Claim(
-        "Thm4.4", "4.4", "Q", "n", default=(2, 8), least=2,
-        group=lambda n: generalized_quaternion(n), relations=("conjugacy",),
+        "Thm4.4", "4.4", "Q", "n", default=(2, 8), least=2, relations=("conjugacy",),
         closed=lambda n: _star_join(2, n, n, 2 * n - 2),
     ),
     Claim(
-        "Thm4.5", "4.5", "PQ", "pq",
-        group=lambda p, q: semidirect_pq(p, q), relations=("conjugacy",),
+        "Thm4.5", "4.5", "PQ", "pq", relations=("conjugacy",),
         closed=lambda p, q: _star_join(1, p - 1, p * q - p),
     ),
 )
@@ -386,37 +396,77 @@ def _spectrum_diff(expected: Spectrum, computed: Spectrum) -> str:
 # ---------------------------------------------------------------------------
 # Claim verifiers
 
+_INTERNAL = "quotient pipeline disagrees with brute force"
+_CLOSED_CHECK = f"jacobi ~ closed form ({SPECTRAL_TOL:g})"
+
+
+class SpectralPoint:
+    """The adjacency or Laplacian spectrum of one super graph along every route.
+
+    ``base`` is the commuting graph, ``partition`` the classes of the relation
+    and ``graph`` the super graph over them. Each route runs when it is first
+    read, and at most once: the explicit matrix, its exact char poly
+    (``exact``) and LAPACK spectrum (``jacobi``), and the quotient route's
+    char poly (``quotient``) and spectrum.
+    """
+
+    def __init__(self, base: SimpleGraph, partition: Partition, graph: SimpleGraph, matrix: str):
+        self.base, self.partition, self.graph, self.matrix = base, partition, graph, matrix
+        self.adjacency = _t(matrix) == 0  # the one check of the matrix name
+
+    @cached_property
+    def explicit(self):
+        return self.graph.adjacency_matrix() if self.adjacency else self.graph.laplacian_matrix()
+
+    @cached_property
+    def exact(self) -> PolynomialZ:
+        return char_poly_integer(self.explicit)
+
+    @cached_property
+    def jacobi(self) -> Spectrum:
+        return jacobi_eigenvalues(self.explicit)
+
+    @cached_property
+    def quotient(self) -> PolynomialZ:
+        charpoly = super_adjacency_charpoly if self.adjacency else super_laplacian_charpoly
+        return charpoly(self.base, self.partition)
+
+    @cached_property
+    def quotient_eigenvalues(self) -> Spectrum:
+        return quotient_spectrum(self.base, self.partition, self.matrix)
+
+    def checks(self, claim: Claim | None = None, params=None, routes=("exact", "jacobi")):
+        """Each check as (label, problem), the problem None where the check
+        holds: the explicit routes in ``routes`` against the quotient route,
+        then the published form of ``claim`` at ``params`` against the
+        computed routes."""
+        tol = SPECTRAL_TOL
+        if "exact" in routes:
+            agree = self.exact == self.quotient
+            yield "exact == quotient (char poly)", None if agree else _INTERNAL
+        if "jacobi" in routes:
+            agree = multiset_match(self.jacobi, self.quotient_eigenvalues, tol)
+            yield f"jacobi ~ quotient spectrum ({tol:g})", None if agree else _INTERNAL
+        if claim is not None:
+            jac = self.jacobi if "jacobi" in routes else None
+            yield _CLOSED_CHECK, claim.diff(params, self.quotient, jac)
+
+
 def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
     start = time.perf_counter()
     params = claim.check(params)
-    graph, base, part = _super(claim.group(**params), claim.relations[0])
-    if claim.matrix == "adjacency":
-        quotient = super_adjacency_charpoly(base, part)
-        matrix = graph.adjacency_matrix()
-    else:
-        quotient = super_laplacian_charpoly(base, part)
-        matrix = graph.laplacian_matrix()
-    internal_ok, brute, jac = True, None, None
-    if "exact" in claim.routes:
-        brute = char_poly_integer(matrix)
-        internal_ok = brute == quotient
-    if "jacobi" in claim.routes:
-        brute = jac = jacobi_eigenvalues(matrix)
-        internal_ok = internal_ok and multiset_match(
-            jac, quotient_spectrum(base, part, claim.matrix), SPECTRAL_TOL
-        )
-
+    graph, base, part = _super(family_group(claim.family, *params.values()), claim.relations[0])
+    point = SpectralPoint(base, part, graph, claim.matrix)
     report = ClaimReport(claim=claim.name, params=params)
+    for label, problem in point.checks(claim, params, claim.routes):
+        if problem is not None:
+            report.verdict = PAPER_TABLE if label == _CLOSED_CHECK else MISMATCH
+            report.diff = problem
+            break
+    brute = point.jacobi if "jacobi" in claim.routes else point.exact
     report.artifacts = {
-        "closed": str(claim.form(params)), "quotient": str(quotient), "brute": str(brute)
+        "closed": str(claim.form(params)), "quotient": str(point.quotient), "brute": str(brute)
     }
-    if not internal_ok:
-        report.verdict = MISMATCH
-        report.diff = "quotient pipeline disagrees with brute force"
-    else:
-        report.diff = claim.diff(params, quotient, jac)
-        if report.diff is not None:
-            report.verdict = PAPER_TABLE
     report.ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -432,7 +482,7 @@ def verify_structure(claim: str, params) -> ClaimReport:
     entry = _claim(claim, "structure")
     start = time.perf_counter()
     params = entry.check(params)
-    built, _, _ = _super(entry.group(**params), entry.relations[0])
+    built, _, _ = _super(family_group(entry.family, *params.values()), entry.relations[0])
     f1 = twin_canonical_form(built)
     f2 = twin_canonical_form(entry.closed(**params))
     left, right = entry.sides
@@ -627,7 +677,7 @@ def suite_tasks(
     suite carries no family tag and runs under any family.
     """
     bounds = {"odd_n": odd_n, "n": n_range, "m": m_range}
-    pq_pairs = tuple(pq_pairs) if pq_pairs else DEFAULT_PQ_PAIRS
+    pq_pairs = items(() if pq_pairs is None else pq_pairs, "pq pairs") or DEFAULT_PQ_PAIRS
     tasks: list[tuple] = []
     for claim in CLAIMS:
         if family is None:

@@ -167,15 +167,15 @@ def test_spectrum_compare_skips_out_of_range_closed_form(in_tmp, capsys):
 
 
 def test_spectrum_compare_runs_each_route_once(in_tmp, monkeypatch):
-    import supergraph.cli as cli
+    from supergraph import verify
 
     calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0}
     for name in calls:
-        def counted(*args, _fn=getattr(cli, name), _name=name):
+        def counted(*args, _fn=getattr(verify, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(verify, name, counted)  # the module that binds the routes
     for method in ("exact", "jacobi", "quotient", "closed"):
         calls.update(char_poly_integer=0, jacobi_eigenvalues=0)
         assert main([
@@ -211,6 +211,48 @@ def test_spectrum_compare_judges_the_closed_form_as_verify_does(in_tmp, capsys, 
         "eigenvalue 1: table multiplicity 2, computed 1; "
         "eigenvalue 5: table multiplicity 2, computed 3"
     )
+
+
+def _cli_spectral_points():
+    """(claim, relation, params) for every spectral claim the CLI reaches, under
+    each of its relations, at its first three default points."""
+    from supergraph import verify
+
+    return [
+        (claim, relation, params)
+        for claim in verify.CLAIMS
+        if claim.kind == "spectral" and claim.family != "Dc"
+        for relation in claim.relations
+        for params in claim.points(None, verify.DEFAULT_PQ_PAIRS)[:3]
+    ]
+
+
+def _point_id(value) -> str:
+    if isinstance(value, dict):
+        return ",".join(f"{k}={v}" for k, v in value.items())
+    return getattr(value, "name", value)
+
+
+@pytest.mark.parametrize("claim, relation, params", _cli_spectral_points(), ids=_point_id)
+def test_spectrum_compare_prints_the_checks_verify_judges(in_tmp, capsys, claim, relation,
+                                                           params):
+    from supergraph import verify
+    from supergraph.graphs import commuting_graph, super_graph
+    from supergraph.partitions import relation_partition
+
+    group = verify.family_group(claim.family, *params.values())
+    base, part = commuting_graph(group), relation_partition(group, relation)
+    point = verify.SpectralPoint(base, part, super_graph(base, part), claim.matrix)
+    expected = [f"compare: {label}: {'agree' if problem is None else 'DISAGREE'}"
+                for label, problem in point.checks(claim, params)]
+    code = main([
+        "spectrum", "--group", f"{claim.family}:{','.join(map(str, params.values()))}",
+        "--relation", relation, "--matrix", claim.matrix, "--method", "quotient", "--compare",
+    ])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("compare:")]
+    assert lines == expected and len(lines) == 3
+    verdict = verify.verify_spectral(claim.name, [params])[0].verdict
+    assert (code == 2) == (verdict != verify.MATCH) and code in (0, 2)
 
 
 def test_spectrum_closed_unsupported(in_tmp, capsys):

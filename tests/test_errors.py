@@ -26,7 +26,7 @@ from supergraph import (
     Spectrum,
     SupergraphError,
 )
-from supergraph.errors import integer
+from supergraph.errors import index, integer, real
 
 # ---------------------------------------------------------------------------
 # errors.integer
@@ -63,6 +63,34 @@ def test_integer_least_bound():
         integer(2.5, "order", least=3)  # the type is judged before the bound
 
 
+def test_index_reads_integers_in_range_only():
+    assert index(np.int64(2), "vertex", 3) == 2 and index(0.0, "vertex", 3) == 0
+    with pytest.raises(InvalidParameter, match="^vertex -1 outside 0..2$"):
+        index(-1, "vertex", 3)
+    with pytest.raises(InvalidParameter, match="^vertex 3 outside 0..2$"):
+        index(3, "vertex", 3)
+    with pytest.raises(InvalidParameter, match="is not an integer"):
+        index(0.5, "vertex", 3)
+
+
+def test_real_accepts_ints_floats_and_0d_numpy_reals():
+    for value, expected in (
+        (3, 3), (2.5, 2.5), (True, 1), (np.int8(-4), -4), (np.float32(0.5), 0.5),
+        (np.bool_(True), 1), (np.array(1.5), 1.5), (np.uint64(7), 7),
+    ):
+        result = real(value, "value")
+        assert result == expected and type(result) is type(expected) and type(result) in (int, float)
+
+
+@pytest.mark.parametrize("value", [
+    "3", b"3", 1 + 0j, np.complex128(3), np.array(3 + 0j), np.array([3.0]), None, [1],
+    np.str_("3"),
+])
+def test_real_rejects_strings_bytes_complex_and_arrays(value):
+    with pytest.raises(InvalidParameter, match=f"^widget {re.escape(repr(value))} is not a real"):
+        real(value, "widget")
+
+
 # ---------------------------------------------------------------------------
 # Truncations: each of these returned a wrong answer instead of an error
 
@@ -76,9 +104,13 @@ def test_integer_least_bound():
     lambda: Spectrum([(1, "2")]),
     lambda: sg.star_join_laplacian_spectrum([2.5, 3]),
     lambda: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [(1.5, 2)]),
+    lambda: sg.complete_graph(3).induced_subgraph([0.5, 1]),
+    lambda: sg.dihedral(3).element_order(2.5),
+    lambda: sg.dihedral(3).power(1, 2.5),
 ], ids=["partition-size-3.7", "partition-element-0.5", "partition-element-2.9",
         "partition-size-str", "spectrum-multiplicity-1.7", "spectrum-multiplicity-str",
-        "star-join-size-2.5", "bracket-end-1.5"])
+        "star-join-size-2.5", "bracket-end-1.5", "induced-vertex-0.5", "element-order-2.5",
+        "power-exponent-2.5"])
 def test_non_integral_arguments_are_not_truncated(call):
     with pytest.raises(InvalidParameter, match="is not an integer"):
         call()
@@ -92,6 +124,25 @@ def test_integral_arguments_still_read_as_their_value():
     assert SimpleGraph(3.0, [(0.0, np.int64(1))]) == SimpleGraph(3, [(0, 1)])
     assert sg.dihedral(np.int64(5)).order == sg.dihedral(5.0).order == 10
     assert sg.least_partition(np.int8(2)) == Partition(2, [[0], [1]])
+    assert sg.complete_graph(3).induced_subgraph([np.int64(1), 2.0]) == sg.complete_graph(2)
+    assert sg.dihedral(3).power(np.int8(1), 3.0) == 0 and sg.dihedral(3).power(1, -1) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sg.complete_graph(3).degree(-1),
+    lambda: sg.complete_graph(3).neighbors(-1),
+    lambda: sg.complete_graph(3).induced_subgraph([-1]),
+    lambda: sg.complete_graph(3).degree(3),
+    lambda: sg.dihedral(3).multiply(0, -1),
+    lambda: sg.dihedral(3).inverse(-1),
+    lambda: sg.dihedral(3).power(-1, 2),
+    lambda: sg.dihedral(3).element_order(6),
+    lambda: Partition(3, [[0, 1], [2]]).block_containing(-1),
+], ids=["degree", "neighbors", "induced-subgraph", "degree-past-end", "multiply", "inverse",
+        "power", "element-order", "block-containing"])
+def test_indices_outside_range_are_not_wrapped(call):
+    with pytest.raises(InvalidParameter, match="outside 0.."):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +210,25 @@ def test_integral_arguments_still_read_as_their_value():
     (lambda: PolynomialZ.from_json_dict([1, 2]), FormatError),
     (lambda: sg.spectrum_from_integer_charpoly(PolynomialZ((-1, 1)), bound=2.5),
      InvalidParameter),
+    (lambda: PolynomialZ(5), InvalidParameter),
+    (lambda: sg.char_poly_integers(5), InvalidParameter),
+    (lambda: sg.char_poly_integer([np.array(1)]), InvalidParameter),
+    (lambda: sg.star_join_laplacian_spectrum(5), InvalidParameter),
+    (lambda: sg.run_suite("4.3", n_range=5), InvalidParameter),
+    (lambda: sg.run_suite("4.3", n_range=(3, 4, 5)), InvalidParameter),
+    (lambda: sg.run_suite("4.5", pq_pairs=[(7, 3, 5)]), InvalidParameter),
+    (lambda: SimpleGraph(2, labels=5), InvalidParameter),
+    (lambda: sg.from_cayley_table([[0]], labels=5), InvalidParameter),
+    (lambda: PolynomialZ.from_roots([(1,)]), InvalidParameter),
+    (lambda: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [(1,)]), InvalidParameter),
+    (lambda: Spectrum([("3", 1)]), InvalidParameter),
+    (lambda: Spectrum([(np.complex128(3), 1)]), InvalidParameter),
+    (lambda: Spectrum([(np.array(3 + 0j), 1)]), InvalidParameter),
+    (lambda: sg.multiset_match(Spectrum([(1, 1)]), Spectrum([(1, 1)]), "x"), InvalidParameter),
+    (lambda: sg.interlacing_check([1, "a"], [1]), InvalidParameter),
+    (lambda: sg.jacobi_eigenvalues([[np.complex128(3)]]), InvalidParameter),
+    (lambda: sg.jacobi_eigenvalues(np.array([[3 + 0j]])), InvalidParameter),
+    (lambda: sg.jacobi_eigenvalues([["1"]]), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -197,9 +267,11 @@ def _arrays(values):
 
 
 # Values that are not nonnegative integers: wrong types, strings, non-integral
-# floats, negatives, ragged lists, 0-D and 1-D arrays.
+# floats, negatives, ragged lists, tuples of any arity, 0-D and 1-D arrays.
 MALFORMED = st.one_of(
-    st.sampled_from([None, "", "3", "x", b"7", 1 + 2j, {}, [], object(), math.nan, math.inf]),
+    st.sampled_from([None, "", "3", "x", b"7", 1 + 2j, {}, [], object(), math.nan, math.inf,
+                     np.complex128(3)]),
+    st.lists(st.integers(-2, 5), max_size=3).map(tuple),
     st.text(max_size=4),
     st.floats().filter(lambda v: not v.is_integer() if math.isfinite(v) else True),
     st.integers(max_value=-1),
@@ -219,13 +291,36 @@ def _integral(value) -> bool:
         return False
 
 
+def _real(value) -> bool:
+    if isinstance(value, (int, float)):
+        return True
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    return kind is not None and kind in "biuf" and not value.ndim
+
+
+def _accepts(kind: str, value) -> bool:
+    """Whether a slot of this kind may read the malformed value without an error."""
+    if kind == "any":
+        return True
+    if kind == "index":  # no malformed value is an index in range
+        return False
+    if kind == "real":
+        return _real(value)
+    return _integral(value) or (kind == "opt" and value is None)
+
+
 def _group(x):
     return sg.from_cayley_table([[0, 1], [1, x]])
 
 
+_K3, _D6, _P3 = sg.complete_graph(3), sg.dihedral(3), Partition(3, [[0, 1], [2]])
+_S = Spectrum([(1, 1)])
+
 # Each data-taking name of supergraph.__all__, with its malformed value x put
-# in each integer slot ("int"; "opt" where None is the default) or each
-# container, matrix or record slot ("any").
+# in each integer slot ("int"; "opt" where None is the default), each index
+# slot of a method ("index"), each real-number slot ("real") or each
+# container, matrix or record slot ("any"), a container also where it must
+# be iterable or a pair.
 SLOTS = [
     ("int", lambda x: SimpleGraph(x)),
     ("int", lambda x: SimpleGraph(3, [(x, 1)])),
@@ -245,13 +340,12 @@ SLOTS = [
     ("any", lambda x: PolynomialZ.from_json_dict({"coeffs": ["1", x]})),
     ("any", lambda x: PolynomialZ.from_json_dict(x)),
     ("int", lambda x: Spectrum([(0, 1), (1, x)])),
-    ("any", lambda x: Spectrum([(x, 1)])),
     ("any", lambda x: Spectrum([x])),
     ("int", lambda x: sg.char_poly_integer([[1, x], [x, 0]])),
     ("any", lambda x: sg.char_poly_integer(x)),
     ("any", lambda x: sg.char_poly_integers([[[2]], x])),
     ("any", lambda x: sg.jacobi_eigenvalues(x)),
-    ("any", lambda x: sg.jacobi_eigenvalues([[0, x], [x, 0]])),
+    ("real", lambda x: sg.jacobi_eigenvalues([[0, x], [x, 0]])),
     ("any", lambda x: sg.from_cayley_table(x)),
     ("int", _group),
     ("int", lambda x: sg.complete_graph(x)),
@@ -276,6 +370,37 @@ SLOTS = [
     ("int", lambda x: sg.run_suite("4.3", n_range=(x, 3))),
     ("int", lambda x: sg.run_suite("4.5", pq_pairs=[(7, x)])),
     ("int", lambda x: sg.run_suite("4.5", pq_pairs=[(7, 3)], jobs=x)),
+    ("index", lambda x: _K3.degree(x)),
+    ("index", lambda x: _K3.neighbors(x)),
+    ("index", lambda x: _K3.induced_subgraph([0, x])),
+    ("index", lambda x: _D6.multiply(x, 1)),
+    ("index", lambda x: _D6.multiply(1, x)),
+    ("index", lambda x: _D6.inverse(x)),
+    ("index", lambda x: _D6.power(x, 2)),
+    ("int", lambda x: _D6.power(1, x)),
+    ("index", lambda x: _D6.element_order(x)),
+    ("index", lambda x: _P3.block_containing(x)),
+    ("real", lambda x: Spectrum([(x, 1)])),
+    ("real", lambda x: sg.multiset_match(_S, _S, x)),
+    ("real", lambda x: sg.grouped_match(_S, _S, x)),
+    ("real", lambda x: sg.interlacing_check([0, x], [0])),
+    ("real", lambda x: sg.interlacing_check([0, 1], [0], x)),
+    ("any", lambda x: _K3.induced_subgraph(x)),
+    ("any", lambda x: SimpleGraph(2, labels=x)),
+    ("any", lambda x: sg.from_cayley_table([[0]], labels=x)),
+    ("any", lambda x: PolynomialZ(x)),
+    ("any", lambda x: PolynomialZ.from_roots(x)),
+    ("any", lambda x: PolynomialZ.from_roots([x])),
+    ("any", lambda x: Spectrum(x)),
+    ("any", lambda x: sg.char_poly_integers(x)),
+    ("any", lambda x: sg.char_poly_integer([x])),
+    ("any", lambda x: sg.star_join_laplacian_spectrum(x)),
+    ("any", lambda x: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), x)),
+    ("any", lambda x: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [x])),
+    ("any", lambda x: sg.interlacing_check(x, [])),
+    ("any", lambda x: sg.run_suite("4.3", n_range=x)),
+    ("any", lambda x: sg.run_suite("4.5", pq_pairs=x)),
+    ("any", lambda x: sg.run_suite("4.5", pq_pairs=[x])),
 ]
 
 
@@ -287,8 +412,7 @@ def test_only_typed_errors_escape_and_nothing_is_truncated(x):
             call(x)
         except SupergraphError:
             continue
-        read = kind == "any" or _integral(x) or (kind == "opt" and x is None)
-        assert read, f"{x!r} was read as an integer"
+        assert _accepts(kind, x), f"{x!r} was read as {'a real' if kind == 'real' else 'an'} {kind}"
 
 
 JSON_SCALARS = st.one_of(
