@@ -1,13 +1,15 @@
 """Exception types shared across the package, and its rules for integers,
-indices, real numbers and containers.
+indices, finite real numbers and containers.
 
 Bad input raises a ``SupergraphError``: a bad value ``InvalidParameter``, a bad
 file, JSON document or spec ``FormatError``, a bad Cayley table ``NotAGroup``.
 ``integer`` decides what an integer is in memory and truncates nothing,
-``index`` what an index into 0..n-1 is, and ``real`` what a real number is;
-``items`` and ``pair`` read containers. JSON readers take only integer
-literals (polynomial coefficients also as strings).
+``index`` what an index into 0..n-1 is, and ``real`` what a finite real
+number is; ``items`` and ``pair`` read containers. JSON readers take only
+integer literals (polynomial coefficients also as strings).
 """
+
+import math
 
 
 class SupergraphError(Exception):
@@ -101,27 +103,30 @@ def index(value, what: str, size: int) -> int:
 
 
 def real(value, what: str) -> int | float:
-    """``value`` as a Python int or float if it is an int, a float or a 0-D
-    numpy bool, integer or float; anything else (a string, bytes, a complex
-    number, an array of one or more dimensions) raises ``InvalidParameter``
-    naming it as ``what``."""
-    if type(value) is float or type(value) is int:
-        return value
+    """``value`` as a Python int or float if it is an int, a finite float or a
+    0-D numpy bool, integer or finite float; anything else (NaN, an infinity,
+    a string, bytes, a complex number, an array of one or more dimensions)
+    raises ``InvalidParameter`` naming it as ``what``."""
     kind = getattr(getattr(value, "dtype", None), "kind", None)
-    if kind is None and isinstance(value, (int, float)):  # bool or another subclass
-        return int(value) if isinstance(value, int) else float(value)
-    if kind in ("b", "i", "u", "f") and not getattr(value, "ndim", 0):
-        return float(value) if kind == "f" else int(value)
-    raise InvalidParameter(f"{what} {value!r} is not a real number")
+    number = math.nan  # not a number unless read as one below
+    if kind is None and isinstance(value, (int, float)):  # also a bool or another subclass
+        number = int(value) if isinstance(value, int) else float(value)
+    elif kind in ("b", "i", "u", "f") and not getattr(value, "ndim", 0):
+        number = float(value) if kind == "f" else int(value)
+    if not -math.inf < number < math.inf:  # exact for ints of any size; false for NaN
+        raise InvalidParameter(f"{what} {value!r} is not a real number")
+    return number
 
 
 def items(value, what: str) -> list:
-    """The items of ``value`` as a list; a value that cannot be iterated
-    raises ``InvalidParameter`` naming it as ``what``."""
-    try:
-        return list(value)
-    except TypeError:
-        raise InvalidParameter(f"{what} must be iterable, not {type(value).__name__}") from None
+    """The items of ``value`` as a list; text, bytes and a value that cannot
+    be iterated raise ``InvalidParameter`` naming it as ``what``."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return list(value)
+        except TypeError:
+            pass
+    raise InvalidParameter(f"{what} must be a collection, not {type(value).__name__}")
 
 
 def pair(value, what: str) -> tuple:

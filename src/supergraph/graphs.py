@@ -26,6 +26,14 @@ from .partitions import Partition, _json_value
 _SEARCH_LIMIT = 40320  # exhaustive tie-break bound: 8! orderings
 
 
+def _is_binary(value) -> bool:
+    """Whether a matrix entry is the integer 0 or 1 by ``errors.integer``."""
+    try:
+        return integer(value, "entry") in (0, 1)
+    except InvalidParameter:
+        return False
+
+
 class SimpleGraph:
     """Finite simple undirected graph on vertices 0..n-1.
 
@@ -69,17 +77,30 @@ class SimpleGraph:
 
     @classmethod
     def from_adjacency(cls, matrix, labels=None) -> "SimpleGraph":
+        """Graph of a square matrix of 0s and 1s, each a bool, an integer or an
+        integer-valued float; the first other entry raises ``InvalidParameter``."""
         try:
-            arr = np.asarray(matrix, dtype=bool)
+            arr = np.asarray(matrix)
+            if arr.dtype.kind not in "biuf":  # text, complex or mixed: keep each entry's type
+                arr = np.asarray(matrix, dtype=object)
         except ValueError:  # ragged rows
             arr = None
         if arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParameter("adjacency matrix must be square")
+        if arr.dtype == object:
+            binary = np.frompyfunc(_is_binary, 1, 1)(arr).astype(bool)
+        else:
+            binary = (arr == 0) | (arr == 1)
+        if not binary.all():
+            i, j = np.argwhere(~binary)[0].tolist()
+            raise InvalidParameter(f"adjacency matrix entry {arr.item(i, j)!r} at ({i}, {j}) "
+                                   "is not 0 or 1")
+        arr = arr.astype(bool)
         if not np.array_equal(arr, arr.T):
             raise InvalidParameter("adjacency matrix must be symmetric")
         if arr.diagonal().any():
             raise InvalidParameter("adjacency matrix must have zero diagonal")
-        return cls._of(arr.copy(), labels)
+        return cls._of(arr, labels)
 
     @property
     def n(self) -> int:

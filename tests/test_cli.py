@@ -169,20 +169,47 @@ def test_spectrum_compare_skips_out_of_range_closed_form(in_tmp, capsys):
 def test_spectrum_compare_runs_each_route_once(in_tmp, monkeypatch):
     from supergraph import verify
 
-    calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0}
+    calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0, "real_root_isolate": 0}
     for name in calls:
         def counted(*args, _fn=getattr(verify, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(verify, name, counted)  # the module that binds the routes
-    for method in ("exact", "jacobi", "quotient", "closed"):
-        calls.update(char_poly_integer=0, jacobi_eigenvalues=0)
+    runs = [("laplacian", method) for method in ("exact", "jacobi", "quotient", "closed")]
+    for matrix, method in runs + [("adjacency", "closed")]:  # a cubic: roots isolated once
+        calls.update(char_poly_integer=0, jacobi_eigenvalues=0, real_root_isolate=0)
         assert main([
             "spectrum", "--group", "D:5", "--relation", "order", "--matrix",
-            "laplacian", "--method", method, "--compare",
+            matrix, "--method", method, "--compare",
         ]) == 0
-        assert calls == {"char_poly_integer": 1, "jacobi_eigenvalues": 1}, method
+        isolated = int(matrix == "adjacency")
+        assert calls == {
+            "char_poly_integer": 1, "jacobi_eigenvalues": 1, "real_root_isolate": isolated
+        }, (matrix, method)
+
+
+def test_spectrum_compare_judges_the_published_form_without_lapack(in_tmp, capsys,
+                                                                     monkeypatch):
+    from supergraph import Spectrum, verify
+
+    def shifted(matrix, _fn=verify.jacobi_eigenvalues):  # the top eigenvalue off by 1e-6
+        *rest, (value, mult) = _fn(matrix).pairs
+        return Spectrum([*rest, (value + 1e-6, mult)])
+
+    monkeypatch.setattr(verify, "jacobi_eigenvalues", shifted)
+    assert main([
+        "spectrum", "--group", "D:5", "--relation", "order", "--matrix",
+        "laplacian", "--method", "quotient", "--compare",
+    ]) == 2
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("compare:")]
+    assert lines == [
+        "compare: exact == quotient (char poly): agree",
+        "compare: jacobi ~ quotient spectrum (1e-08): DISAGREE",
+        "compare: jacobi ~ closed form (1e-08): agree",
+    ]
+    report = verify.verify_spectral("Thm4.2(i)", [{"n": 5}])[0]
+    assert (report.verdict, report.diff) == (verify.MISMATCH, verify._INTERNAL)
 
 
 def test_spectrum_compare_judges_the_closed_form_as_verify_does(in_tmp, capsys, monkeypatch):

@@ -26,7 +26,7 @@ from supergraph import (
     Spectrum,
     SupergraphError,
 )
-from supergraph.errors import index, integer, real
+from supergraph.errors import index, integer, items, real
 
 # ---------------------------------------------------------------------------
 # errors.integer
@@ -84,11 +84,30 @@ def test_real_accepts_ints_floats_and_0d_numpy_reals():
 
 @pytest.mark.parametrize("value", [
     "3", b"3", 1 + 0j, np.complex128(3), np.array(3 + 0j), np.array([3.0]), None, [1],
-    np.str_("3"),
+    np.str_("3"), float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+    np.array(np.inf),
 ])
 def test_real_rejects_strings_bytes_complex_and_arrays(value):
     with pytest.raises(InvalidParameter, match=f"^widget {re.escape(repr(value))} is not a real"):
         real(value, "widget")
+
+
+@pytest.mark.parametrize("value", ["ab", np.str_("ab"), b"\x01\x02", bytearray(b"\x01")])
+def test_items_rejects_text_and_bytes(value):
+    with pytest.raises(InvalidParameter, match="^widgets must be a collection, not "):
+        items(value, "widgets")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PolynomialZ(b"\x01\x02"),
+    lambda: PolynomialZ(bytearray(b"\x01\x02")),
+    lambda: sg.star_join_laplacian_spectrum(b"\x02\x03"),
+    lambda: sg.complete_graph(3, labels="abc"),
+    lambda: Spectrum("ab"),
+], ids=["poly-bytes", "poly-bytearray", "star-join-bytes", "labels-str", "spectrum-str"])
+def test_strings_are_not_read_as_containers(call):
+    with pytest.raises(InvalidParameter, match="must be a collection"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +248,8 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: sg.jacobi_eigenvalues([[np.complex128(3)]]), InvalidParameter),
     (lambda: sg.jacobi_eigenvalues(np.array([[3 + 0j]])), InvalidParameter),
     (lambda: sg.jacobi_eigenvalues([["1"]]), InvalidParameter),
+    (lambda: Spectrum([(math.nan, 1)]), InvalidParameter),
+    (lambda: Spectrum([(math.inf, 1), (1, 1)]), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -293,9 +314,9 @@ def _integral(value) -> bool:
 
 def _real(value) -> bool:
     if isinstance(value, (int, float)):
-        return True
+        return isinstance(value, int) or math.isfinite(value)
     kind = getattr(getattr(value, "dtype", None), "kind", None)
-    return kind is not None and kind in "biuf" and not value.ndim
+    return kind is not None and kind in "biuf" and not value.ndim and math.isfinite(value)
 
 
 def _accepts(kind: str, value) -> bool:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ def test_from_adjacency_validation():
         SimpleGraph.from_adjacency([[1, 0], [0, 0]])
     g = SimpleGraph.from_adjacency([[0, 1], [1, 0]])
     assert g.edges() == [(0, 1)]
+
+
+@pytest.mark.parametrize("entry", [2, -1, 0.5, float("nan"), "x", None, ""])
+def test_from_adjacency_names_an_entry_that_is_not_0_or_1(entry):
+    message = f"^adjacency matrix entry {re.escape(repr(entry))} at \\(0, 1\\) is not 0 or 1$"
+    with pytest.raises(InvalidParameter, match=message):
+        SimpleGraph.from_adjacency([[0, entry], [entry, 0]])
+
+
+def test_from_adjacency_reads_0_and_1_as_bools_integers_or_floats():
+    for one in (True, 1, 1.0, np.int8(1), np.float32(1.0)):
+        matrix = [[0, one, 0], [one, 0, False], [0.0, 0, 0]]
+        assert SimpleGraph.from_adjacency(matrix).edges() == [(0, 1)]
+    matrix = np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=np.uint8)
+    assert SimpleGraph.from_adjacency(matrix) == SimpleGraph(3, [(0, 2)])
 
 
 def test_commuting_graph_abelian_is_complete():

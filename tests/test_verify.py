@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -136,6 +137,21 @@ def test_verify_spectral_dc_adjacency_parity():
     assert all(r.verdict == MATCH for r in even)
     odd = verify_spectral("Sec4.2-Dc-adj", [{"m": 3}])[0]
     assert odd.verdict == PAPER_TABLE
+
+
+def test_a_table_whose_poly_does_not_split_is_diffed_as_polynomials(monkeypatch):
+    # Thm4.1(i) published as a table: its computed char poly (the cubic form,
+    # which holds at n = 5) has irrational roots, so no eigenvalue is named
+    # and nothing is rounded
+    claim = verify._claim("Thm4.1(i)")
+    table = dataclasses.replace(
+        claim, cubic=None, brackets=None, closed=lambda n: Spectrum([(-1, 2 * n - 1), (n, 1)])
+    )
+    monkeypatch.setitem(verify._CATALOGUE, claim.name, table)
+    report = verify_spectral(claim.name, [{"n": 5}])[0]
+    published = PolynomialZ.from_roots([(-1, 9), (5, 1)])
+    assert report.verdict == PAPER_TABLE
+    assert report.diff == f"published poly {published} != computed {claim.form({'n': 5})}"
 
 
 # ---------------------------------------------------------------------------
