@@ -103,17 +103,22 @@ def index(value, what: str, size: int) -> int:
 
 
 def real(value, what: str) -> int | float:
-    """``value`` as a Python int or float if it is an int, a finite float or a
-    0-D numpy bool, integer or finite float; anything else (NaN, an infinity,
-    a string, bytes, a complex number, an array of one or more dimensions)
-    raises ``InvalidParameter`` naming it as ``what``."""
+    """``value`` as a Python int or float if it is an int within float range, a
+    finite float or a 0-D numpy bool, integer or finite float; anything else
+    (NaN, an infinity, an int beyond float range, a string, bytes, a complex
+    number, an array of one or more dimensions) raises ``InvalidParameter``
+    naming it as ``what``."""
     kind = getattr(getattr(value, "dtype", None), "kind", None)
     number = math.nan  # not a number unless read as one below
     if kind is None and isinstance(value, (int, float)):  # also a bool or another subclass
         number = int(value) if isinstance(value, int) else float(value)
     elif kind in ("b", "i", "u", "f") and not getattr(value, "ndim", 0):
         number = float(value) if kind == "f" else int(value)
-    if not -math.inf < number < math.inf:  # exact for ints of any size; false for NaN
+    try:
+        finite = math.isfinite(number)  # false for NaN
+    except OverflowError:  # an int that no float can hold
+        finite = False
+    if not finite:
         raise InvalidParameter(f"{what} {value!r} is not a real number")
     return number
 

@@ -1,12 +1,14 @@
 """Simple undirected graphs, super graphs over a vertex partition, and the
-generalized join, plus a canonical form for joins of cliques."""
+generalized join, plus a canonical form for joins of cliques. The super
+graph, the compressed graph, the join, connectivity and containment each run
+one array kernel over a stack of graphs, which the public functions call on
+a stack of one."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,26 +227,94 @@ def _check_partition(graph: SimpleGraph, partition: Partition) -> None:
         )
 
 
+# Array kernels. Each reads a stack of T graphs of one size, (T, n, n) boolean
+# adjacencies with their partitions as (T, n) block labels, so that one call
+# serves one graph (T = 1, as the public functions below call them) or the
+# trials of one size in the generic property suites.
+
+def _clear_diagonal(stack: np.ndarray) -> np.ndarray:
+    stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] = False
+    return stack
+
+
+def _pairs(stack: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(T, n, n) stack: entry (t, x, y) is stack[t, labels[t, x], labels[t, y]]."""
+    count, k = len(stack), stack.shape[-1]
+    rows = (np.arange(count)[:, None] * k + labels) * k
+    return stack.reshape(-1)[rows[:, :, None] + labels[:, None, :]]
+
+
+def _block_cross(adj: np.ndarray, block_of: np.ndarray, k: int) -> np.ndarray:
+    """(T, k, k) stack: blocks i != j adjacent iff some edge joins them, with
+    block labels below k. One scatter of the edges found by ``np.flatnonzero``."""
+    count, n = block_of.shape
+    labels = block_of.reshape(-1)
+    trial = np.arange(count).repeat(n)  # of each row of the stacked rows
+    row, col = np.divmod(np.flatnonzero(adj), n)  # row is t * n + i
+    cells = ((trial * k + labels) * k)[row] + labels[(trial * n)[row] + col]
+    cross = np.zeros(count * k * k, dtype=bool)
+    cross[cells] = True
+    return _clear_diagonal(cross.reshape(count, k, k))
+
+
+def _lift(cross: np.ndarray, block_of: np.ndarray) -> np.ndarray:
+    """(T, n, n) stack of super graphs: x ~ y iff x != y and their blocks are
+    equal or adjacent in ``cross``."""
+    adj = _pairs(cross, block_of)
+    adj |= block_of[:, :, None] == block_of[:, None, :]
+    return _clear_diagonal(adj)
+
+
+def _super_graphs(adj: np.ndarray, block_of: np.ndarray, k: int) -> np.ndarray:
+    """(T, n, n) stack of the super graphs of graphs and partitions, block labels below k."""
+    return _lift(_block_cross(adj, block_of, k), block_of)
+
+
+def _join(template: np.ndarray, owner: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """(T, N, N) stack of generalized joins: vertices of different parts are
+    adjacent iff their owners are adjacent in ``template``; ``inner`` holds
+    the parts on its diagonal blocks, where the template's zero diagonal
+    leaves the gathered entries false."""
+    return _pairs(template, owner) | inner
+
+
+def _reach(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """(T, n) masks: the vertices a path of each graph joins to one of its
+    ``seeds`` (T, n). Level by level, reading only the rows of the newest
+    level; a vertex is in one level, so each row is read at most once."""
+    count, n = seeds.shape
+    rows_of = adj.reshape(-1, n)
+    reached = seeds.copy()
+    level = seeds
+    while level.any():
+        rows = np.flatnonzero(level)  # t * n + v, by trial
+        trial = rows // n
+        first = np.ones(rows.size, dtype=bool)  # the first row of each trial
+        first[1:] = trial[1:] != trial[:-1]
+        level = np.zeros((count, n), dtype=bool)
+        level[trial[first]] = np.logical_or.reduceat(rows_of[rows], np.flatnonzero(first), axis=0)
+        level &= ~reached
+        reached |= level
+    return reached
+
+
+def _contained(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """(T,) whether every edge of sub[t] is an edge of sup[t]."""
+    return ~(sub & ~sup).any(axis=(1, 2))
+
+
 def _block_cross_adjacency(graph: SimpleGraph, partition: Partition) -> np.ndarray:
     """k x k matrix: blocks i != j adjacent iff some cross edge exists."""
-    k = partition.block_count
-    bo = np.asarray(partition.block_of)
-    cross = np.zeros((k, k), dtype=bool)
-    iu, ju = np.nonzero(graph.adjacency)
-    cross[bo[iu], bo[ju]] = True
-    np.fill_diagonal(cross, False)
-    return cross
+    block_of = np.asarray(partition.block_of)[None]
+    return _block_cross(graph.adjacency[None], block_of, partition.block_count)[0]
 
 
 def super_graph(graph: SimpleGraph, partition: Partition) -> SimpleGraph:
     """Relation-lifted graph: x ~ y iff x != y and either x, y share a block or
     some pair of elements of their blocks is adjacent in the original graph."""
     _check_partition(graph, partition)
-    bo = np.asarray(partition.block_of)
-    cross = _block_cross_adjacency(graph, partition)
-    same = bo[:, None] == bo[None, :]
-    adj = same | cross[bo[:, None], bo[None, :]]
-    np.fill_diagonal(adj, False)
+    block_of = np.asarray(partition.block_of)[None]
+    adj = _super_graphs(graph.adjacency[None], block_of, partition.block_count)[0]
     return SimpleGraph._of(adj, graph.labels)
 
 
@@ -272,51 +342,42 @@ def generalized_join(template: SimpleGraph, parts) -> SimpleGraph:
         )
     sizes = [p.n for p in parts]
     owner = np.repeat(np.arange(template.n), sizes)
-    # Vertices of different parts are adjacent iff their owners are; the
-    # template's zero diagonal leaves the diagonal blocks to the parts.
-    adj = template.adjacency[np.ix_(owner, owner)]
+    inner = np.zeros((len(owner), len(owner)), dtype=bool)
     for p, end in zip(parts, np.cumsum(sizes).tolist()):
-        adj[end - p.n:end, end - p.n:end] = p.adjacency
+        inner[end - p.n:end, end - p.n:end] = p.adjacency
     labels = None
     if all(p.labels is not None for p in parts) and parts:
         labels = [lab for p in parts for lab in p.labels]
-    return SimpleGraph._of(adj, labels)
+    return SimpleGraph._of(_join(template.adjacency[None], owner[None], inner[None])[0], labels)
 
 
 def connected_components(graph: SimpleGraph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest vertex."""
-    n = graph.n
-    seen = [False] * n
+    adj = graph.adjacency[None]
+    unseen = np.ones(graph.n, dtype=bool)
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in np.nonzero(graph.adjacency[v])[0]:
-                u = int(u)
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        comps.append(sorted(comp))
+    while unseen.any():
+        seeds = np.zeros((1, graph.n), dtype=bool)
+        seeds[0, unseen.argmax()] = True  # the least vertex not yet in a component
+        comp = _reach(adj, seeds)[0]
+        comps.append(np.flatnonzero(comp).tolist())
+        unseen &= ~comp
     return comps
 
 
 def is_connected(graph: SimpleGraph) -> bool:
     if graph.n < 1:
         raise InvalidParameter("connectivity needs at least one vertex")
-    return len(connected_components(graph)) == 1
+    seeds = np.zeros((1, graph.n), dtype=bool)
+    seeds[0, 0] = True
+    return bool(_reach(graph.adjacency[None], seeds).all())
 
 
 def is_spanning_subgraph(g1: SimpleGraph, g2: SimpleGraph) -> bool:
     """True when g1 and g2 share a vertex set and every g1 edge is a g2 edge."""
     if g1.n != g2.n:
         raise SizeMismatch(f"vertex counts differ: {g1.n} vs {g2.n}")
-    return not np.any(g1.adjacency & ~g2.adjacency)
+    return bool(_contained(g1.adjacency[None], g2.adjacency[None])[0])
 
 
 @dataclass(frozen=True)

@@ -126,18 +126,23 @@ def greatest_partition(n: int) -> Partition:
     return Partition(n, [list(range(integer(n, "partition ground size")))])
 
 
+def _refines(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """(T,) whether each labelling fine[t] refines coarse[t], both (T, n): it
+    does iff each fine block meets one coarse block, that is iff there are as
+    many distinct (fine, coarse) label pairs as distinct fine labels."""
+    def distinct(labels):
+        return 1 + (np.diff(np.sort(labels, axis=1), axis=1) != 0).sum(axis=1)
+
+    return distinct(fine * (coarse.max() + 1) + coarse) == distinct(fine)
+
+
 def refines(p1: Partition, p2: Partition) -> bool:
     """True when every block of p1 is contained in some block of p2."""
     if p1.ground_size != p2.ground_size:
         raise SizeMismatch(
             f"ground sizes differ: {p1.ground_size} vs {p2.ground_size}"
         )
-    bo2 = p2.block_of
-    for block in p1.blocks:
-        target = bo2[block[0]]
-        if any(bo2[v] != target for v in block[1:]):
-            return False
-    return True
+    return bool(_refines(np.asarray(p1.block_of)[None], np.asarray(p2.block_of)[None])[0])
 
 
 def order_partition(group) -> Partition:

@@ -18,11 +18,14 @@ and never thrown).
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     InvalidParameter,
@@ -34,18 +37,23 @@ from .errors import (
 )
 from .graphs import (
     SimpleGraph,
+    _block_cross,
+    _clear_diagonal,
+    _contained,
+    _join,
+    _lift,
+    _pairs,
+    _reach,
+    _super_graphs,
     commuting_graph,
     complete_graph,
-    compressed_graph,
     generalized_join,
-    is_connected,
-    is_spanning_subgraph,
     star_graph,
     super_graph,
     twin_canonical_form,
 )
 from .groups import dihedral, generalized_quaternion, is_prime, semidirect_pq
-from .partitions import Partition, least_partition, refines, relation_partition
+from .partitions import Partition, _refines, relation_partition
 from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 from .spectra import (
     Spectrum,
@@ -478,142 +486,264 @@ def verify_structure(claim: str, params) -> ClaimReport:
 
 # ---------------------------------------------------------------------------
 # Generic randomized property suites
+#
+# Every trial draws from its own rng, always in the same order of calls: a
+# G(n, p) graph as one rng.random() < p per pair i < j, row by row, and a
+# partition as block labels numbered by first appearance, the order of
+# Partition's blocks. A sampler draws every trial of a property; its check
+# then runs the trials of one size as one stack through the array kernels
+# that the public graph functions run on a stack of one. Only the first
+# failing trial is built as a Partition, for its message.
 
-def _random_graph(rng: random.Random, n: int, p: float = 0.4) -> SimpleGraph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return SimpleGraph(n, edges)
+def _edges(rng: random.Random, n: int, p: float = 0.4) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
 
 
-def _random_connected_graph(rng: random.Random, n: int, p: float = 0.4) -> SimpleGraph:
+def _first_appearance(labels) -> list[int]:
+    seen: dict = {}
+    return [seen.setdefault(label, len(seen)) for label in labels]
+
+
+def _labels(rng: random.Random, n: int) -> list[int]:
+    k = rng.randint(1, n)
+    return _first_appearance([rng.randrange(k) for _ in range(n)])
+
+
+def _blocks(labels) -> list[list[int]]:
+    blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for v, b in enumerate(labels):
+        blocks[b].append(v)
+    return blocks
+
+
+def _refined(rng: random.Random, labels) -> list[int]:
+    """Labels of a random refinement: each block, in order, split into
+    rng.randint(1, size) parts."""
+    sub: list = [None] * len(labels)
+    for b, block in enumerate(_blocks(labels)):
+        parts = rng.randint(1, len(block))
+        for v in block:
+            sub[v] = (b, rng.randrange(parts))
+    return _first_appearance(sub)
+
+
+def _partition(labels) -> Partition:
+    return Partition(len(labels), _blocks(labels))
+
+
+def _by_size(trials, sizes):
+    """(size, trials of that size in order) for each size among ``trials``."""
+    groups: dict[int, list[int]] = {}
+    for t in trials:
+        groups.setdefault(sizes[t], []).append(t)
+    return groups.items()
+
+
+def _stack(n: int, edge_lists) -> np.ndarray:
+    """(T, n, n) adjacency stack, layer t holding the edges (i, j), i < j, of edge_lists[t]."""
+    adj = np.zeros((len(edge_lists), n, n), dtype=bool)
+    layer = [t for t, edges in enumerate(edge_lists) for _ in edges]
+    ends = np.array([e for edges in edge_lists for e in edges], dtype=np.intp).reshape(-1, 2)
+    adj[layer, ends[:, 0], ends[:, 1]] = True
+    return adj | adj.transpose(0, 2, 1)
+
+
+def _stacks(draws):
+    """For each size n among draws (n, edges, labels, ...): n, its trials in
+    order, and their adjacency and block label stacks."""
+    for n, trials in _by_size(range(len(draws)), [d[0] for d in draws]):
+        yield (n, trials, _stack(n, [draws[t][1] for t in trials]),
+               np.array([draws[t][2] for t in trials]))
+
+
+def _connected(adj: np.ndarray, counts=None) -> np.ndarray:
+    """(T,) whether the first counts[t] vertices of graph t (all when None)
+    are connected. The vertices past a count pad the stack: isolated and
+    seeded, they are reached however the rest is joined."""
+    if counts is None:
+        seeds = np.zeros(adj.shape[:2], dtype=bool)
+    else:
+        seeds = np.arange(adj.shape[-1]) >= counts[:, None]
+    seeds[:, 0] = True
+    return _reach(adj, seeds).all(axis=1)
+
+
+def _record(failed: dict, trials, mask, check: int) -> None:
+    """Note ``check`` for each trial where ``mask`` holds, unless an earlier check failed."""
+    for i in np.flatnonzero(mask).tolist():
+        failed.setdefault(trials[i], check)
+
+
+def _outcome(failed: dict, message) -> tuple[list[int], str | None]:
+    """The failing trials in order and the first one's problem, message(trial, check)."""
+    order = sorted(failed)
+    return order, message(order[0], failed[order[0]]) if order else None
+
+
+def _sample_graph_partition(rngs) -> list[tuple]:
+    draws = []
+    for rng in rngs:
+        n = rng.randint(2, 9)
+        draws.append((n, _edges(rng, n), _labels(rng, n)))
+    return draws
+
+
+def _sample_prop32(rngs) -> list[tuple]:
+    return [(*draw, _refined(rng, draw[2]))
+            for rng, draw in zip(rngs, _sample_graph_partition(rngs))]
+
+
+def _sample_lemma12(rngs) -> list[tuple]:
+    draws = []
+    for rng in rngs:
+        k = rng.randint(2, 5)
+        template = _edges(rng, k, 0.5)
+        parts = []
+        for _ in range(k):
+            size = rng.randint(1, 4)
+            parts.append((size, _edges(rng, size)))
+        draws.append((k, template, parts))
+    return draws
+
+
+def _sample_thm35(rngs) -> list[tuple]:
+    """A connected graph per trial, redrawn from the trial's rng until one
+    is: each round draws one graph for every trial still waiting and checks
+    those of one size as one stack."""
+    sizes = [rng.randint(2, 9) for rng in rngs]
+    graphs: list = [None] * len(rngs)
+    waiting = list(range(len(rngs)))
     for _ in range(10000):
-        g = _random_graph(rng, n, p)
-        if is_connected(g):
-            return g
+        drawn = {t: _edges(rngs[t], sizes[t]) for t in waiting}
+        for n, trials in _by_size(waiting, sizes):
+            connected = _connected(_stack(n, [drawn[t] for t in trials]))
+            for t in itertools.compress(trials, connected.tolist()):
+                graphs[t] = drawn[t]
+        waiting = [t for t in waiting if graphs[t] is None]
+        if not waiting:
+            return [(n, edges, _labels(rng, n)) for rng, n, edges in zip(rngs, sizes, graphs)]
     raise AssertionError("failed to sample a connected graph")
 
 
-def _random_partition(rng: random.Random, n: int) -> Partition:
-    k = rng.randint(1, n)
-    assignment = [rng.randrange(k) for _ in range(n)]
-    blocks: dict[int, list[int]] = {}
-    for v, b in enumerate(assignment):
-        blocks.setdefault(b, []).append(v)
-    return Partition(n, blocks.values())
+def _check_thm33(draws) -> tuple[list[int], str | None]:
+    failed: dict[int, int] = {}
+    for n, trials, adj, block_of in _stacks(draws):
+        cross = _block_cross(adj, block_of, block_of.max() + 1)
+        sup = _lift(cross, block_of)
+        order = np.argsort(block_of, axis=1, kind="stable")  # the vertices block by block
+        owner = np.take_along_axis(block_of, order, axis=1)
+        join = _join(cross, owner, _clear_diagonal(owner[:, :, None] == owner[:, None, :]))
+        _record(failed, trials, (_pairs(sup, order) != join).any(axis=(1, 2)), 0)
+        _record(failed, trials, ~_contained(adj, sup), 1)
 
-
-def _random_refinement(rng: random.Random, coarse: Partition) -> Partition:
-    blocks = []
-    for block in coarse.blocks:
-        parts = rng.randint(1, len(block))
-        sub: dict[int, list[int]] = {}
-        for v in block:
-            sub.setdefault(rng.randrange(parts), []).append(v)
-        blocks.extend(sub.values())
-    return Partition(coarse.ground_size, blocks)
-
-
-def _block_order_permutation(partition: Partition) -> list[int]:
-    return [v for block in partition.blocks for v in block]
-
-
-def _check_thm33(rng: random.Random) -> str | None:
-    n = rng.randint(2, 9)
-    g = _random_graph(rng, n)
-    part = _random_partition(rng, n)
-    sup = super_graph(g, part)
-    join = generalized_join(
-        compressed_graph(g, part), [complete_graph(s) for s in part.sizes]
-    )
-    perm = _block_order_permutation(part)
-    relabeled = sup.induced_subgraph(perm)
-    if relabeled != join:
-        return f"edge sets differ for n={n}, partition={part.blocks}"
-    if not is_spanning_subgraph(g, sup):
+    def message(t, check):
+        n, _, labels = draws[t]
+        if check == 0:
+            return f"edge sets differ for n={n}, partition={_partition(labels).blocks}"
         return f"original graph not spanning subgraph of super graph for n={n}"
-    return None
+
+    return _outcome(failed, message)
 
 
-def _check_prop32(rng: random.Random) -> str | None:
-    n = rng.randint(2, 9)
-    g = _random_graph(rng, n)
-    coarse = _random_partition(rng, n)
-    fine = _random_refinement(rng, coarse)
-    if not refines(fine, coarse):
-        return "refinement sampler produced a non-refinement"
-    if not is_spanning_subgraph(super_graph(g, fine), super_graph(g, coarse)):
-        return f"containment fails for n={n}, fine={fine.blocks}, coarse={coarse.blocks}"
-    if super_graph(g, least_partition(n)) != g:
+def _check_prop32(draws) -> tuple[list[int], str | None]:
+    failed: dict[int, int] = {}
+    for n, trials, adj, coarse in _stacks(draws):
+        fine = np.array([draws[t][3] for t in trials])
+        least = np.broadcast_to(np.arange(n), coarse.shape)
+        _record(failed, trials, ~_refines(fine, coarse), 0)
+        contained = _contained(_super_graphs(adj, fine, fine.max() + 1),
+                               _super_graphs(adj, coarse, coarse.max() + 1))
+        _record(failed, trials, ~contained, 1)
+        _record(failed, trials, (_super_graphs(adj, least, n) != adj).any(axis=(1, 2)), 2)
+
+    def message(t, check):
+        n, _, coarse, fine = draws[t]
+        if check == 0:
+            return "refinement sampler produced a non-refinement"
+        if check == 1:
+            return (f"containment fails for n={n}, fine={_partition(fine).blocks}, "
+                    f"coarse={_partition(coarse).blocks}")
         return "super graph over the identity relation is not the graph itself"
-    return None
+
+    return _outcome(failed, message)
 
 
-def _check_thm34(rng: random.Random) -> str | None:
-    n = rng.randint(2, 9)
-    g = _random_graph(rng, n)
-    part = _random_partition(rng, n)
-    comp = compressed_graph(g, part)
-    if is_connected(g) and not is_connected(comp):
-        return f"graph connected but compressed graph disconnected (n={n})"
-    blocks_connected = all(
-        is_connected(g.induced_subgraph(b)) for b in part.blocks
-    )
-    if is_connected(comp) and blocks_connected and not is_connected(g):
-        return f"compressed+blocks connected but graph disconnected (n={n})"
-    return None
+def _check_thm34(draws) -> tuple[list[int], str | None]:
+    failed: dict[int, int] = {}
+    for n, trials, adj, block_of in _stacks(draws):
+        counts = block_of.max(axis=1) + 1
+        cross = _block_cross(adj, block_of, counts.max())
+        graph = _connected(adj)
+        compressed = _connected(cross, counts)
+        # the block subgraphs are connected iff reach along the edges inside
+        # blocks, from the first vertex of each block, covers every vertex
+        inside = adj & (block_of[:, :, None] == block_of[:, None, :])
+        firsts = np.diff(np.maximum.accumulate(block_of, axis=1), axis=1, prepend=-1) > 0
+        blocks = _reach(inside, firsts).all(axis=1)
+        _record(failed, trials, graph & ~compressed, 0)
+        _record(failed, trials, compressed & blocks & ~graph, 1)
+
+    def message(t, check):
+        if check == 0:
+            return f"graph connected but compressed graph disconnected (n={draws[t][0]})"
+        return f"compressed+blocks connected but graph disconnected (n={draws[t][0]})"
+
+    return _outcome(failed, message)
 
 
-def _check_lemma12(rng: random.Random) -> str | None:
-    k = rng.randint(2, 5)
-    template = _random_graph(rng, k, 0.5)
-    parts = [_random_graph(rng, rng.randint(1, 4)) for _ in range(k)]
-    join = generalized_join(template, parts)
-    if is_connected(template) != is_connected(join):
-        return f"connectivity equivalence fails for k={k}"
-    return None
+def _check_lemma12(draws) -> tuple[list[int], str | None]:
+    failed: dict[int, int] = {}
+    sizes = [sum(size for size, _ in parts) for _, _, parts in draws]
+    for size, trials in _by_size(range(len(draws)), sizes):
+        counts = np.array([draws[t][0] for t in trials])
+        template = _stack(counts.max(), [draws[t][1] for t in trials])
+        owner = np.array([
+            [b for b, (s, _) in enumerate(draws[t][2]) for _ in range(s)] for t in trials
+        ])
+        inner = []  # the parts' edges, the parts numbered one after another
+        for t in trials:
+            starts = itertools.accumulate([s for s, _ in draws[t][2]], initial=0)
+            inner.append([(i + a, j + a) for a, (_, part) in zip(starts, draws[t][2])
+                          for i, j in part])
+        join = _join(template, owner, _stack(size, inner))
+        _record(failed, trials, _connected(template, counts) != _connected(join), 0)
+    return _outcome(failed, lambda t, _: f"connectivity equivalence fails for k={draws[t][0]}")
 
 
-def _sample_thm35(rng: random.Random) -> tuple[SimpleGraph, Partition]:
-    n = rng.randint(2, 9)
-    return _random_connected_graph(rng, n), _random_partition(rng, n)
-
-
-def _check_thm35(rngs: list[random.Random]) -> list[str | None]:
+def _check_thm35(draws) -> tuple[list[int], str | None]:
     """The quotient route against brute force on every trial's super graph,
     in one batched exact call per route and matrix."""
-    cases = [_sample_thm35(rng) for rng in rngs]
+    cases: list = [None] * len(draws)
+    explicit: list = [None] * (2 * len(draws))
+    for n, trials, adj, block_of in _stacks(draws):
+        sup = _super_graphs(adj, block_of, block_of.max() + 1).astype(np.int64)
+        laplacian = -sup
+        laplacian.reshape(len(trials), -1)[:, :: n + 1] = sup.sum(axis=2)
+        for i, t in enumerate(trials):
+            cases[t] = (SimpleGraph._of(adj[i]), _partition(draws[t][2]))
+            explicit[t], explicit[len(draws) + t] = sup[i], laplacian[i]
     adjacency = super_charpolys(cases, "adjacency")
     laplacian = super_charpolys(cases, "laplacian")
-    supers = [super_graph(g, part) for g, part in cases]
-    explicit = char_poly_integers(
-        [s.adjacency_matrix() for s in supers] + [s.laplacian_matrix() for s in supers]
-    )
-    problems: list[str | None] = []
-    for (g, part), adj, lap, brute_adj, brute_lap in zip(
-        cases, adjacency, laplacian, explicit, explicit[len(cases):]
-    ):
+    explicit = char_poly_integers(explicit)
+    failed: dict[int, str] = {}
+    for t, ((g, part), adj, lap) in enumerate(zip(cases, adjacency, laplacian)):
         where = f"(n={g.n}, partition={part.blocks})"
-        if adj != brute_adj:
-            problems.append(f"adjacency char poly mismatch {where}")
-        elif lap != brute_lap:
-            problems.append(f"Laplacian char poly mismatch {where}")
-        else:
-            problems.append(None)
-    return problems
+        if adj != explicit[t]:
+            failed[t] = f"adjacency char poly mismatch {where}"
+        elif lap != explicit[len(draws) + t]:
+            failed[t] = f"Laplacian char poly mismatch {where}"
+    return _outcome(failed, lambda t, problem: problem)
 
 
-def _per_trial(check: Callable[[random.Random], str | None]):
-    """A generic check on a list of trial rngs, from its one-trial body."""
-    return lambda rngs: [check(rng) for rng in rngs]
-
-
-# Each check takes one seeded rng per trial and returns one problem (or
-# None) per trial.
+# Each property: a sampler that takes one seeded rng per trial and returns
+# its draws, and a check of the draws that returns the failing trials in
+# order and the first one's problem.
 _GENERIC_CHECKS = {
-    "Lemma1.2": _per_trial(_check_lemma12),
-    "Prop3.2": _per_trial(_check_prop32),
-    "Thm3.3": _per_trial(_check_thm33),
-    "Thm3.4": _per_trial(_check_thm34),
-    "Thm3.5": _check_thm35,
+    "Lemma1.2": (_sample_lemma12, _check_lemma12),
+    "Prop3.2": (_sample_prop32, _check_prop32),
+    "Thm3.3": (_sample_graph_partition, _check_thm33),
+    "Thm3.4": (_sample_graph_partition, _check_thm34),
+    "Thm3.5": (_sample_thm35, _check_thm35),
 }
 
 
@@ -626,11 +756,12 @@ def verify_generic(seed: int, trials: int) -> list[ClaimReport]:
         report = ClaimReport(claim=name, params={"seed": seed, "trials": trials})
         # string seeds hash via sha512, stable across runs and processes
         rngs = [random.Random(f"{seed}:{name}:{t}") for t in range(trials)]
-        failed = [(t, p) for t, p in enumerate(_GENERIC_CHECKS[name](rngs)) if p is not None]
+        sample, check = _GENERIC_CHECKS[name]
+        failed, problem = check(sample(rngs))
         report.verdict = MATCH if not failed else MISMATCH
         if failed:
-            t, problem = failed[0]
-            report.diff = f"{len(failed)}/{trials} counterexamples; first: trial {t}: {problem}"
+            report.diff = (f"{len(failed)}/{trials} counterexamples; "
+                           f"first: trial {failed[0]}: {problem}")
         report.artifacts = {"trials": str(trials)}
         report.ms = int((time.perf_counter() - start) * 1000)
         reports.append(report)

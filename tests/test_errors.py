@@ -85,7 +85,8 @@ def test_real_accepts_ints_floats_and_0d_numpy_reals():
 @pytest.mark.parametrize("value", [
     "3", b"3", 1 + 0j, np.complex128(3), np.array(3 + 0j), np.array([3.0]), None, [1],
     np.str_("3"), float("nan"), float("inf"), float("-inf"), np.float64("nan"),
-    np.array(np.inf),
+    np.array(np.inf), pytest.param(2 ** 2000, id="2**2000"),
+    pytest.param(-(2 ** 2000), id="-2**2000"),
 ])
 def test_real_rejects_strings_bytes_complex_and_arrays(value):
     with pytest.raises(InvalidParameter, match=f"^widget {re.escape(repr(value))} is not a real"):
@@ -250,6 +251,7 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: sg.jacobi_eigenvalues([["1"]]), InvalidParameter),
     (lambda: Spectrum([(math.nan, 1)]), InvalidParameter),
     (lambda: Spectrum([(math.inf, 1), (1, 1)]), InvalidParameter),
+    (lambda: hash(Spectrum([(2 ** 2000, 1)])), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -314,7 +316,10 @@ def _integral(value) -> bool:
 
 def _real(value) -> bool:
     if isinstance(value, (int, float)):
-        return isinstance(value, int) or math.isfinite(value)
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an int beyond float range
+            return False
     kind = getattr(getattr(value, "dtype", None), "kind", None)
     return kind is not None and kind in "biuf" and not value.ndim and math.isfinite(value)
 

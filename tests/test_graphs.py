@@ -207,6 +207,29 @@ def test_connectivity():
         is_connected(SimpleGraph(0))
 
 
+def _path_graph(n):
+    return SimpleGraph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def test_connectivity_against_networkx():
+    # random graphs around the connectivity threshold, and paths, whose
+    # reach from vertex 0 takes one level per vertex
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    graphs = [_random_graph(rng, n, p) for n in (1, 2, 5, 12, 30) for p in (0.05, 0.15, 0.4)
+              for _ in range(4)]
+    graphs += [_path_graph(n) for n in (1, 2, 3, 64)]
+    graphs += [SimpleGraph(n, _path_graph(n).edges()[::-1][:-1]) for n in (5, 40)]  # 0 cut off
+    for g in graphs:
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges())
+        assert is_connected(g) == nx.is_connected(ref)
+        assert connected_components(g) == sorted(
+            (sorted(c) for c in nx.connected_components(ref)), key=lambda c: c[0])
+    assert connected_components(SimpleGraph(0)) == []
+
+
 def test_connectivity_of_compressed_graph_random():
     rng = random.Random(5)
     for _ in range(40):

@@ -149,3 +149,19 @@ def test_least_refines_everything(chain):
     n = fine.ground_size
     assert refines(least_partition(n), fine)
     assert refines(coarse, greatest_partition(n))
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
+def test_refines_matches_its_definition(assignments):
+    p1, p2 = (Partition(len(keys), _blocks_of(keys).values()) for keys in assignments)
+    definition = all(any(set(b1) <= set(b2) for b2 in p2.blocks) for b1 in p1.blocks)
+    assert refines(p1, p2) == definition
+
+
+def _blocks_of(keys):
+    blocks = {}
+    for v, key in enumerate(keys):
+        blocks.setdefault(key, []).append(v)
+    return blocks

@@ -1,23 +1,34 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from supergraph import (
     InvalidParameter,
     OutOfRange,
+    Partition,
     PolynomialZ,
+    SimpleGraph,
     Spectrum,
     commuting_graph,
+    complete_graph,
+    compressed_graph,
     conjugacy_partition,
     dihedral,
+    generalized_join,
+    greatest_partition,
+    is_connected,
+    is_spanning_subgraph,
+    least_partition,
     order_partition,
     semidirect_pq,
     super_graph,
 )
-from supergraph import verify
+from supergraph import graphs, verify
 from supergraph.verify import (
     MATCH,
     PAPER_TABLE,
@@ -268,16 +279,95 @@ def test_verify_generic_reports_at_seed_42():
     ]
 
 
+# The one-trial samplers the generic suite was first written with, kept as
+# the reference for its batched samplers. Each trial draws from its own rng.
+
+def _reference_graph(rng, n, p=0.4):
+    return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def _reference_partition(rng, n):
+    k = rng.randint(1, n)
+    assignment = [rng.randrange(k) for _ in range(n)]
+    blocks = {}
+    for v, b in enumerate(assignment):
+        blocks.setdefault(b, []).append(v)
+    return Partition(n, blocks.values())
+
+
+def _reference_refinement(rng, coarse):
+    blocks = []
+    for block in coarse.blocks:
+        parts = rng.randint(1, len(block))
+        sub = {}
+        for v in block:
+            sub.setdefault(rng.randrange(parts), []).append(v)
+        blocks.extend(sub.values())
+    return Partition(coarse.ground_size, blocks)
+
+
+def _reference_records(seed, trials):
+    """(property, trial, n, edges, blocks) of every trial, drawn one trial at a
+    time; Lemma 1.2 records its template size, edges and parts instead."""
+    for name in ("Lemma1.2", "Prop3.2", "Thm3.3", "Thm3.4", "Thm3.5"):
+        for t in range(trials):
+            rng = random.Random(f"{seed}:{name}:{t}")
+            if name == "Lemma1.2":
+                k = rng.randint(2, 5)
+                template = _reference_graph(rng, k, 0.5)
+                parts = [_reference_graph(rng, rng.randint(1, 4)) for _ in range(k)]
+                yield (name, t, k, tuple(template.edges()),
+                       tuple((p.n, tuple(p.edges())) for p in parts))
+                continue
+            n = rng.randint(2, 9)
+            g = _reference_graph(rng, n)
+            while name == "Thm3.5" and not is_connected(g):
+                g = _reference_graph(rng, n)
+            part = _reference_partition(rng, n)
+            blocks = part.blocks
+            if name == "Prop3.2":
+                blocks = (part.blocks, _reference_refinement(rng, part).blocks)
+            yield (name, t, n, tuple(g.edges()), blocks)
+
+
+def _label_blocks(labels):
+    return tuple(tuple(v for v, b in enumerate(labels) if b == label)
+                 for label in range(max(labels) + 1))
+
+
+def _suite_records(seed, trials):
+    """The same records from the suite's own samplers."""
+    for name, (sample, _) in sorted(verify._GENERIC_CHECKS.items()):
+        draws = sample([random.Random(f"{seed}:{name}:{t}") for t in range(trials)])
+        for t, draw in enumerate(draws):
+            if name == "Lemma1.2":
+                k, template, parts = draw
+                yield (name, t, k, tuple(template), tuple((s, tuple(e)) for s, e in parts))
+            elif name == "Prop3.2":
+                n, edges, coarse, fine = draw
+                yield (name, t, n, tuple(edges), (_label_blocks(coarse), _label_blocks(fine)))
+            else:
+                n, edges, labels = draw
+                yield (name, t, n, tuple(edges), _label_blocks(labels))
+
+
+def _digest(records):
+    return hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
+
+
+# Of the records of verify_generic(42, 200), drawn by the one-trial samplers.
+GENERIC_DRAWS_SHA256 = "e4b5884d5593a934577f21f3463b9cc7a1a8797c263b03c8b5c47afafef375bd"
+
+
+def test_generic_draws_are_pinned():
+    assert _digest(_reference_records(42, 200)) == GENERIC_DRAWS_SHA256
+    assert _digest(_suite_records(42, 200)) == GENERIC_DRAWS_SHA256
+
+
 def _thm35_draws(seed, trials):
     """The (n, partition blocks) of each Thm 3.5 trial, drawn one trial at a
     time from the trial's own rng."""
-    draws = []
-    for t in range(trials):
-        rng = random.Random(f"{seed}:Thm3.5:{t}")
-        n = rng.randint(2, 9)
-        verify._random_connected_graph(rng, n)
-        draws.append((n, verify._random_partition(rng, n).blocks))
-    return draws
+    return [(r[2], r[4]) for r in _reference_records(seed, trials) if r[0] == "Thm3.5"]
 
 
 def _recording_super_charpolys(monkeypatch, wrong_at=()):
@@ -328,6 +418,83 @@ def test_thm35_reports_a_laplacian_mismatch(monkeypatch):
         f"(n={n}, partition={blocks})"
     )
 
+
+# A defect planted in one graph kernel reaches the public functions and the
+# generic suite alike. Each failing property's (count, first trial, problem)
+# in verify_generic(42, 200) is that of the one-trial suite with the same
+# defect planted in the public function it called.
+PLANTED_DEFECTS = [
+    (
+        "lift drops same-block edges", "_lift",
+        lambda cross, block_of: graphs._clear_diagonal(graphs._pairs(cross, block_of)),
+        lambda: super_graph(SimpleGraph(2), greatest_partition(2)).edge_count == 1,
+        {
+            "Prop3.2": (67, 7, "containment fails for n=6, fine=((0,), (1,), (2, 4), (3,), "
+                        "(5,)), coarse=((0, 2, 3, 4), (1,), (5,))"),
+            "Thm3.3": (191, 0, "edge sets differ for n=7, "
+                       "partition=((0, 1), (2, 3, 5, 6), (4,))"),
+            "Thm3.5": (185, 0, "adjacency char poly mismatch "
+                        "(n=8, partition=((0,), (1, 3, 6), (2, 4), (5,), (7,)))"),
+        },
+    ),
+    (
+        "join drops part edges", "_join",
+        lambda template, owner, inner: graphs._pairs(template, owner),
+        lambda: generalized_join(complete_graph(1), [complete_graph(2)]).edge_count == 1,
+        {
+            "Thm3.3": (191, 0, "edge sets differ for n=7, "
+                       "partition=((0, 1), (2, 3, 5, 6), (4,))"),
+        },
+    ),
+    (
+        "reach follows one edge", "_reach",
+        lambda adj, seeds: seeds | (adj & seeds[:, :, None]).any(axis=1),
+        lambda: is_connected(SimpleGraph(3, [(0, 2), (1, 2)])),
+        {
+            "Lemma1.2": (27, 5, "connectivity equivalence fails for k=2"),
+            "Thm3.4": (3, 42, "compressed+blocks connected but graph disconnected (n=5)"),
+        },
+    ),
+    (
+        "containment reversed", "_contained",
+        lambda sub, sup, real=graphs._contained: real(sup, sub),
+        lambda: is_spanning_subgraph(SimpleGraph(2), complete_graph(2)),
+        {
+            "Prop3.2": (80, 5, "containment fails for n=9, fine=((0,), (1,), (2,), (3,), "
+                        "(4, 7), (5,), (6,), (8,)), coarse=((0,), (1, 4, 7), (2,), (3, 8), "
+                        "(5,), (6,))"),
+            "Thm3.3": (183, 0, "original graph not spanning subgraph of super graph for n=7"),
+        },
+    ),
+    (
+        "cross adjacency one way", "_block_cross",
+        lambda adj, block_of, k, real=graphs._block_cross: np.triu(real(adj, block_of, k), 1),
+        lambda: compressed_graph(complete_graph(2), least_partition(2)) == complete_graph(2),
+        {
+            "Prop3.2": (181, 0, "super graph over the identity relation is not the graph "
+                        "itself"),
+            "Thm3.3": (136, 0, "original graph not spanning subgraph of super graph for n=7"),
+            "Thm3.4": (14, 8, "graph connected but compressed graph disconnected (n=9)"),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("defect, kernel, planted, public, failing", PLANTED_DEFECTS,
+                         ids=[d[0] for d in PLANTED_DEFECTS])
+def test_a_defect_planted_in_a_graph_kernel_fails_the_generic_suite(
+        monkeypatch, defect, kernel, planted, public, failing):
+    assert public()
+    for module in (graphs, verify):
+        if hasattr(module, kernel):
+            monkeypatch.setattr(module, kernel, planted)
+    assert not public()
+    expected = [
+        (name, "Match", None) if name not in failing else
+        (name, "Mismatch", "%d/200 counterexamples; first: trial %d: %s" % failing[name])
+        for name in ("Lemma1.2", "Prop3.2", "Thm3.3", "Thm3.4", "Thm3.5")
+    ]
+    assert [(r.claim, r.verdict, r.diff) for r in verify_generic(42, 200)] == expected
 
 # ---------------------------------------------------------------------------
 # Suites
