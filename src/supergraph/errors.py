@@ -1,19 +1,27 @@
 """Exception types shared across the package, and its rules for integers,
-indices, finite real numbers and containers.
+integer matrices, indices, finite real numbers and containers.
 
 Bad input raises a ``SupergraphError``: a bad value ``InvalidParameter``, a bad
 file, JSON document or spec ``FormatError``, a bad Cayley table ``NotAGroup``.
 ``integer`` decides what an integer is in memory and truncates nothing,
-``index`` what an index into 0..n-1 is, and ``real`` what a finite real
-number is; ``items`` and ``pair`` read containers. JSON readers take only
-integer literals (polynomial coefficients also as strings).
+``integer_matrix`` reads a square matrix of such integers, ``index`` what an
+index into 0..n-1 is, and ``real`` what a finite real number is; ``items``
+and ``pair`` read containers. JSON readers take only integer literals
+(polynomial coefficients also as strings).
 """
 
 import math
 
+import numpy as np
+
 
 class SupergraphError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``witness``, if
+    given, carries the offending data."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAGroup(SupergraphError):
@@ -25,10 +33,6 @@ class NotAGroup(SupergraphError):
     failure; or the (row, column) of an entry that is not an integer in
     0..n-1.
     """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InvalidParameter(SupergraphError):
@@ -91,6 +95,41 @@ def integer(value, what: str, least: int | None = None) -> int:
     if least is not None and number < least:
         raise InvalidParameter(f"{what} must be >= {least}, got {number}")
     return number
+
+
+def integer_matrix(value, what: str, nonempty: bool = True) -> np.ndarray:
+    """``value`` as a square (n, n) integer array, int64 or, when some entry
+    is beyond int64, of Python ints. An array of a dtype that casts safely to
+    int64, or a float or uint64 array of integers in int64, is read as an
+    array; anything else entry by entry by ``integer``, and the first entry
+    in row order that is not an integer raises ``InvalidParameter`` naming
+    it, with its (row, column) as ``witness``. So does a value that is not a
+    square 2-D array (with no witness), or is empty when ``nonempty``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or (nonempty and not arr.size):
+        raise InvalidParameter(f"{what} must be square" + " and nonempty" * nonempty)
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    # One vectorized check, which NaN and infinities fail; not of a list that
+    # numpy read as floats, as it may have rounded the list's ints beyond 2^53.
+    if arr.dtype.kind in "uf" and isinstance(value, np.ndarray):
+        if np.all((abs(arr) < 2.0 ** 63) & (arr == np.trunc(arr))):
+            return arr.astype(np.int64)
+    rows = np.asarray(value, dtype=object).tolist()  # each entry as the caller gave it
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            try:
+                row[j] = integer(entry, what)
+            except InvalidParameter:
+                raise InvalidParameter(f"{what} entry {entry!r} at ({i}, {j}) is not an integer",
+                                       witness=(i, j)) from None
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:  # some entry beyond int64
+        return np.array(rows, dtype=object)
 
 
 def index(value, what: str, size: int) -> int:

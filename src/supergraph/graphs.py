@@ -21,19 +21,12 @@ from .errors import (
     SizeMismatch,
     index,
     integer,
+    integer_matrix,
     items,
 )
 from .partitions import Partition, _json_value
 
 _SEARCH_LIMIT = 40320  # exhaustive tie-break bound: 8! orderings
-
-
-def _is_binary(value) -> bool:
-    """Whether a matrix entry is the integer 0 or 1 by ``errors.integer``."""
-    try:
-        return integer(value, "entry") in (0, 1)
-    except InvalidParameter:
-        return False
 
 
 class SimpleGraph:
@@ -79,20 +72,10 @@ class SimpleGraph:
 
     @classmethod
     def from_adjacency(cls, matrix, labels=None) -> "SimpleGraph":
-        """Graph of a square matrix of 0s and 1s, each a bool, an integer or an
-        integer-valued float; the first other entry raises ``InvalidParameter``."""
-        try:
-            arr = np.asarray(matrix)
-            if arr.dtype.kind not in "biuf":  # text, complex or mixed: keep each entry's type
-                arr = np.asarray(matrix, dtype=object)
-        except ValueError:  # ragged rows
-            arr = None
-        if arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidParameter("adjacency matrix must be square")
-        if arr.dtype == object:
-            binary = np.frompyfunc(_is_binary, 1, 1)(arr).astype(bool)
-        else:
-            binary = (arr == 0) | (arr == 1)
+        """Graph of a square matrix of 0s and 1s read by ``errors.integer_matrix``;
+        the first other entry raises ``InvalidParameter``."""
+        arr = integer_matrix(matrix, "adjacency matrix", nonempty=False)
+        binary = (arr == 0) | (arr == 1)
         if not binary.all():
             i, j = np.argwhere(~binary)[0].tolist()
             raise InvalidParameter(f"adjacency matrix entry {arr.item(i, j)!r} at ({i}, {j}) "
@@ -221,6 +204,8 @@ def commuting_graph(group) -> SimpleGraph:
 
 
 def _check_partition(graph: SimpleGraph, partition: Partition) -> None:
+    if not (isinstance(graph, SimpleGraph) and isinstance(partition, Partition)):
+        raise InvalidParameter("a super graph takes a SimpleGraph and a Partition")
     if partition.ground_size != graph.n:
         raise SizeMismatch(
             f"partition covers {partition.ground_size} points, graph has {graph.n}"
@@ -333,7 +318,7 @@ def generalized_join(template: SimpleGraph, parts) -> SimpleGraph:
     """Replace vertex i of the template by parts[i] and join parts completely
     whenever the template has the corresponding edge. Vertices are numbered by
     concatenating the parts in order."""
-    parts = list(parts)
+    parts = items(parts, "parts")
     if not all(isinstance(g, SimpleGraph) for g in [template, *parts]):
         raise InvalidParameter("a generalized join takes a SimpleGraph template and parts")
     if len(parts) != template.n:

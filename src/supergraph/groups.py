@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, NotAGroup, index, integer, items
+from .errors import FormatError, InvalidParameter, NotAGroup, index, integer, integer_matrix, items
 from .partitions import Partition
 
 # Largest order a family constructor builds: its int64 Cayley table then takes
@@ -150,32 +150,17 @@ class FiniteGroup:
 
 
 def _index_table(table) -> np.ndarray:
-    """``table`` as a square int64 array; entries must be exact integers.
-
-    Integer and boolean arrays convert as they are (range checks follow in
-    validation); float entries must be integral and in 0..n-1, so nothing is
-    truncated, and any other entry type is rejected.
-    """
+    """``table`` by ``errors.integer_matrix`` with entries in 0..n-1; else
+    ``NotAGroup``, whose witness is the (row, column) of the first bad entry."""
     try:
-        raw = np.asarray(table)
-    except ValueError:
-        raise NotAGroup("multiplication table rows must all have the same length") from None
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
-        raise NotAGroup("multiplication table must be square and nonempty")
-    n = raw.shape[0]
-    if raw.dtype.kind == "f":
-        bad = ~((raw >= 0) & (raw < n) & (raw == np.floor(raw)))
-        if bad.any():
-            i, j = (int(v) for v in np.argwhere(bad)[0])
-            raise NotAGroup(
-                f"table entry {raw[i, j]} at ({i}, {j}) is not an integer in 0..{n - 1}",
-                witness=(i, j),
-            )
-    elif raw.dtype.kind not in "biu":
-        found = {"O": "entries beyond int64 or not numbers", "U": "string entries",
-                 "S": "string entries"}.get(raw.dtype.kind, f"{raw.dtype} entries")
-        raise NotAGroup(f"table entries must be integers in 0..{n - 1}, found {found}")
-    return raw.astype(np.int64, copy=False)
+        arr = integer_matrix(table, "multiplication table")
+    except InvalidParameter as exc:
+        raise NotAGroup(str(exc), witness=exc.witness) from None
+    n = arr.shape[0]
+    if arr.min() < 0 or arr.max() >= n:  # as an object array, some entry is beyond int64
+        i, j = np.argwhere((arr < 0) | (arr >= n))[0].tolist()
+        raise NotAGroup(f"table entry at ({i}, {j}) outside 0..{n - 1}", witness=(i, j))
+    return arr
 
 
 def _find_identity(table: np.ndarray):
@@ -213,12 +198,6 @@ def _generating_set(table: np.ndarray, identity: int) -> list[int]:
 
 def _validate_table(table: np.ndarray) -> int:
     n = table.shape[0]
-    if table.min() < 0 or table.max() >= n:
-        bad = np.argwhere((table < 0) | (table >= n))[0]
-        raise NotAGroup(
-            f"table entry at ({bad[0]}, {bad[1]}) outside 0..{n - 1}",
-            witness=(int(bad[0]), int(bad[1])),
-        )
     idx = np.arange(n)
     seen = np.zeros((n, n), dtype=bool)
     seen[idx[:, None], table] = True  # seen[i, v]: row i holds v

@@ -138,6 +138,8 @@ def _refines(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
 
 def refines(p1: Partition, p2: Partition) -> bool:
     """True when every block of p1 is contained in some block of p2."""
+    if not (isinstance(p1, Partition) and isinstance(p2, Partition)):
+        raise InvalidParameter("refinement compares two Partitions")
     if p1.ground_size != p2.ground_size:
         raise SizeMismatch(
             f"ground sizes differ: {p1.ground_size} vs {p2.ground_size}"

@@ -21,12 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, integer, items, pair
+from .errors import FormatError, InvalidParameter, integer, integer_matrix, items, pair
 from .groups import is_prime
 
 
@@ -172,8 +171,9 @@ class PolynomialZ:
         return result
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; exact for int/Fraction arguments."""
-        acc = 0 if isinstance(value, (int, Fraction)) else 0.0
+        """Evaluate by Horner's rule; exact for int and Fraction arguments. A
+        numpy integer is evaluated in floats, where numpy's int64 would wrap."""
+        acc = 0.0 if isinstance(value, np.integer) else 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
         return acc
@@ -297,10 +297,10 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     The results are exact, not probabilistic, and do not depend on
     machine-integer width.
 
-    A square numpy array of integer or bool dtype (one that casts safely to
-    int64) is read as an array, with no per-entry Python. Anything else is
-    read entry by entry: entries must be integral (integer-valued floats are
-    accepted), and any other entry raises ``InvalidParameter``.
+    Each matrix is read by ``errors.integer_matrix``: a numpy array of
+    integer or bool dtype (one that casts safely to int64) as an array, with
+    no per-entry Python, and the first entry that is not an integer raises
+    ``InvalidParameter`` naming it and its position.
     """
     arrays = [_integer_array(m) for m in items(matrices, "matrices")]
     groups: dict[int, list[int]] = {}
@@ -345,29 +345,12 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
 
 
 def _integer_array(matrix) -> np.ndarray:
-    """A square integer matrix as an (n, n) array: int64, or of Python ints
-    (dtype object) when some entry is beyond int64. A square nonempty array
-    whose dtype casts safely to int64 is taken as it is; anything else is
-    read and checked entry by entry."""
-    if isinstance(matrix, np.ndarray):
-        if (matrix.ndim == 2 and np.can_cast(matrix.dtype, np.int64)
-                and 0 < matrix.shape[0] == matrix.shape[1] <= MAX_DIMENSION):
-            return matrix.astype(np.int64, copy=False)
-        matrix = matrix.tolist()
-    try:  # a 0-D array has __len__ but raises on it
-        n = len(matrix)
-        square = n > 0 and all(len(row) == n for row in matrix)
-    except TypeError:  # a matrix or a row without a length
-        n, square = 0, False
+    """A square nonempty integer matrix of at most ``MAX_DIMENSION`` rows by
+    ``errors.integer_matrix``, its dimension checked before it is read."""
+    n = operator.length_hint(matrix)  # 0 without a length, as for a 0-D array
     if n > MAX_DIMENSION:
         raise InvalidParameter(f"matrix dimension {n} exceeds {MAX_DIMENSION}")
-    if not square:
-        raise InvalidParameter("matrix must be square and nonempty")
-    rows = [[v if type(v) is int else integer(v, "matrix entry") for v in row] for row in matrix]
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:  # some entry beyond int64
-        return np.array(rows, dtype=object)
+    return integer_matrix(matrix, "matrix")
 
 
 def _coefficient_bound(stack: np.ndarray) -> int:

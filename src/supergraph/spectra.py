@@ -229,7 +229,8 @@ def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
     ``super_laplacian_charpoly`` of each case, with the quotient cores of all
     cases computed in one ``char_poly_integers`` call."""
     t = _t(matrix)
-    quotients = [_quotient(graph, partition, t) for graph, partition in cases]
+    quotients = [_quotient(*pair(case, "a (graph, partition) case"), t)
+                 for case in items(cases, "cases")]
     cores = char_poly_integers([companion for companion, _, _ in quotients])
     return [
         core * PolynomialZ.from_roots(cliques) for core, (_, _, cliques) in zip(cores, quotients)

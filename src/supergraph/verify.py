@@ -226,12 +226,18 @@ class Claim:
 
     def diff(self, params: dict, quotient: PolynomialZ) -> str | None:
         """How the published form contradicts the quotient route's exact char
-        poly; None when it holds. A table that differs is told apart
-        eigenvalue by eigenvalue where the computed char poly splits over Z."""
+        poly, or a cubic's published root brackets the cubic; None when both
+        hold. A table that differs is told apart eigenvalue by eigenvalue
+        where the computed char poly splits over Z."""
         form = self.form(params)
         published = PolynomialZ.from_roots(form.pairs) if isinstance(form, Spectrum) else form
         if published == quotient:
-            return None
+            if self.brackets is None:
+                return None
+            cubic, brackets = self.cubic(**params)[0], self.brackets(**params)
+            if all(cubic(lo) * cubic(hi) < 0 for lo, hi in brackets):
+                return None
+            return f"root bracket sign check failed on {brackets}"
         computed = spectrum_from_integer_charpoly(quotient) if isinstance(form, Spectrum) else None
         if computed is not None:
             return _spectrum_diff(form, computed)

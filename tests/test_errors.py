@@ -10,6 +10,8 @@ import json
 import math
 import re
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from supergraph import (
     Spectrum,
     SupergraphError,
 )
-from supergraph.errors import index, integer, items, real
+from supergraph.errors import index, integer, integer_matrix, items, real
 
 # ---------------------------------------------------------------------------
 # errors.integer
@@ -252,6 +254,16 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: Spectrum([(math.nan, 1)]), InvalidParameter),
     (lambda: Spectrum([(math.inf, 1), (1, 1)]), InvalidParameter),
     (lambda: hash(Spectrum([(2 ** 2000, 1)])), InvalidParameter),
+    (lambda: sg.super_graph(5, Partition(3, [[0, 1], [2]])), InvalidParameter),
+    (lambda: sg.super_graph(sg.complete_graph(3), 5), InvalidParameter),
+    (lambda: sg.compressed_graph(sg.complete_graph(3), 5), InvalidParameter),
+    (lambda: sg.super_adjacency_charpoly(sg.complete_graph(3), 5), InvalidParameter),
+    (lambda: sg.quotient_spectrum(sg.complete_graph(3), 5, "adjacency"), InvalidParameter),
+    (lambda: sg.super_charpolys([5], "adjacency"), InvalidParameter),
+    (lambda: sg.super_charpolys(5, "adjacency"), InvalidParameter),
+    (lambda: sg.generalized_join(sg.complete_graph(3), 5), InvalidParameter),
+    (lambda: sg.refines(Partition(3, [[0, 1], [2]]), 5), InvalidParameter),
+    (lambda: sg.refines(5, Partition(3, [[0, 1], [2]])), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -279,6 +291,94 @@ def test_read_cayley_file_rejects_bytes_that_are_not_text(tmp_path):
         sg.read_cayley_file(path)
     with pytest.raises(FormatError):
         sg.read_cayley_file(f"{tmp_path}/a\0b")
+
+
+# ---------------------------------------------------------------------------
+# errors.integer_matrix: one rule for every integer matrix
+
+# Entries of every kind the rule meets: integers as bools, ints, ints beyond
+# int64, integral floats, Fractions, Decimals and numpy scalars, and entries
+# that are not integers.
+MATRIX_ENTRIES = st.one_of(
+    st.booleans(),
+    st.integers(-2, 3),
+    st.integers(2 ** 63, 2 ** 70),
+    st.integers(-(2 ** 70), -(2 ** 63) - 1),
+    st.integers(-2, 3).map(float),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+    st.integers(-2, 3).map(Decimal),
+    st.sampled_from([np.int8(1), np.uint64(2 ** 64 - 1), np.float32(2.0), np.float64(0.5),
+                     Decimal("0.5"), 0.5, math.nan, math.inf, "1", None, 1 + 0j, 1j]),
+)
+SQUARE_MATRICES = st.integers(2, 3).flatmap(
+    lambda n: st.lists(st.lists(MATRIX_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _error(call):
+    try:
+        call()
+    except SupergraphError as exc:
+        return exc
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(SQUARE_MATRICES)
+def test_one_rule_reads_char_poly_adjacency_and_table_entries(matrix):
+    bad = [(i, j, v) for i, row in enumerate(matrix) for j, v in enumerate(row)
+           if not _integral(v)]
+    poly = _error(lambda: sg.char_poly_integer(matrix))
+    adjacency = _error(lambda: SimpleGraph.from_adjacency(matrix))
+    table = _error(lambda: sg.from_cayley_table(matrix))
+    if not bad:  # the adjacency and table rules may still reject it
+        assert poly is None
+        for exc in (adjacency, table):
+            assert exc is None or "is not an integer" not in str(exc)
+        return
+    i, j, v = bad[0]
+    where = f"entry {v!r} at ({i}, {j}) is not an integer"
+    assert type(poly) is InvalidParameter and str(poly) == f"matrix {where}"
+    assert type(adjacency) is InvalidParameter and str(adjacency) == f"adjacency matrix {where}"
+    assert type(table) is sg.NotAGroup and str(table) == f"multiplication table {where}"
+    assert table.witness == (i, j)
+
+
+def test_integer_matrix_reads_arrays_as_arrays():
+    ints = np.array([[1, -2], [3, 4]])
+    assert integer_matrix(ints, "m") is ints  # int64: no copy
+    for arr in (ints.astype(np.int8), ints.astype(float), np.array([[1, 2], [3, 4]], np.uint64),
+                ints.astype(np.float32).T, np.array([[True, False], [False, True]])):
+        result = integer_matrix(arr, "m")
+        assert result.dtype == np.int64 and result.tolist() == arr.astype(np.int64).tolist()
+    big = integer_matrix(np.array([[2 ** 64 - 1, 0], [1e20, 2]], dtype=object), "m")
+    assert big.dtype == object and big.tolist() == [[2 ** 64 - 1, 0], [10 ** 20, 2]]
+    assert integer_matrix(np.array([[2 ** 64 - 1]], np.uint64), "m").tolist() == [[2 ** 64 - 1]]
+    assert integer_matrix(np.array([[1e20]]), "m").tolist() == [[10 ** 20]]
+    assert integer_matrix(np.zeros((0, 0)), "m", nonempty=False).shape == (0, 0)
+
+
+def test_integer_matrix_rounds_no_int_that_numpy_reads_as_a_float():
+    # numpy reads these lists as float64, rounding 2^62 + 1 and 2^63 + 1
+    for row in ([2 ** 62 + 1, 1.0], [-1, 2 ** 63 + 1]):
+        assert np.asarray(row).dtype == np.float64
+        assert integer_matrix([row, [0, 0]], "m").tolist() == [row, [0, 0]]
+
+
+@pytest.mark.parametrize("value, message, witness", [
+    ([[1, 2], [3]], "m must be square and nonempty", None),
+    ([[1, 2, 3]], "m must be square and nonempty", None),
+    (np.zeros((2, 2, 2)), "m must be square and nonempty", None),
+    (np.zeros((0, 0)), "m must be square and nonempty", None),
+    (5, "m must be square and nonempty", None),
+    ([[0, 1], [np.nan, 0]], "m entry nan at (1, 0) is not an integer", (1, 0)),
+    (np.array([[0, 1], [np.inf, 0]]), "m entry inf at (1, 0) is not an integer", (1, 0)),
+    ([[0, "1"], [2, 0]], "m entry '1' at (0, 1) is not an integer", (0, 1)),
+    ([[Fraction(1, 2)]], "m entry Fraction(1, 2) at (0, 0) is not an integer", (0, 0)),
+])
+def test_integer_matrix_names_the_first_bad_entry(value, message, witness):
+    with pytest.raises(InvalidParameter) as raised:
+        integer_matrix(value, "m")
+    assert str(raised.value) == message and raised.value.witness == witness
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ def test_from_adjacency_validation():
 
 @pytest.mark.parametrize("entry", [2, -1, 0.5, float("nan"), "x", None, ""])
 def test_from_adjacency_names_an_entry_that_is_not_0_or_1(entry):
-    message = f"^adjacency matrix entry {re.escape(repr(entry))} at \\(0, 1\\) is not 0 or 1$"
+    rule = "0 or 1" if isinstance(entry, int) else "an integer"  # integers by the one rule
+    message = f"^adjacency matrix entry {re.escape(repr(entry))} at \\(0, 1\\) is not {rule}$"
     with pytest.raises(InvalidParameter, match=message):
         SimpleGraph.from_adjacency([[0, entry], [entry, 0]])
 

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,6 +245,20 @@ def test_integer_valued_entries_accepted():
         g = from_cayley_table(table)
         assert g.table.dtype == np.int64
         assert g.table.tolist() == z2
+
+
+def test_table_entries_are_read_by_the_one_integer_rule():
+    z2 = [[0, 1], [1, 0]]
+    for one in (Fraction(1), Decimal(1), Decimal("1.0"), np.uint64(1), True):
+        assert from_cayley_table([[0, one], [one, 0]]).table.tolist() == z2
+    for validate in (True, False):  # the witness is the entry's (row, column) either way
+        message = r"^multiplication table entry 0\.5 at \(1, 1\) is not an integer$"
+        with pytest.raises(NotAGroup, match=message) as exc:
+            FiniteGroup([[0, 1], [1, 0.5]], validate=validate)
+        assert exc.value.witness == (1, 1)
+        with pytest.raises(NotAGroup, match=r"^table entry at \(0, 1\) outside 0..1$") as exc:
+            FiniteGroup([[0, 2 ** 64], [1, 0]], validate=validate)
+        assert exc.value.witness == (0, 1)
 
 
 def test_direct_product():
@@ -562,7 +578,7 @@ def test_cayley_file_rows_off_the_plain_path(tmp_path):
         path.write_text(text)
         assert read_cayley_file(path).table.tolist() == [[0, 1], [1, 0]]
     for entry, message in (
-        ("100000000000000000000", "found entries beyond int64"),
+        ("100000000000000000000", r"table entry at \(1, 1\) outside 0..1"),
         ("9223372036854775807", r"table entry at \(1, 1\) outside 0..1"),
         ("2", r"table entry at \(1, 1\) outside 0..1"),
         ("-1", r"table entry at \(1, 1\) outside 0..1"),

@@ -619,8 +619,8 @@ def test_char_poly_integers_edge_cases():
     assert char_poly_integers([]) == []
     good = [[1, 2], [2, 1]]
     for bad, message in (
-        ([[0.5, 0], [0, 1]], "matrix entry 0.5 is not an integer"),
-        ([["1"]], "matrix entry '1' is not an integer"),
+        ([[0.5, 0], [0, 1]], "matrix entry 0.5 at (0, 0) is not an integer"),
+        ([["1"]], "matrix entry '1' at (0, 0) is not an integer"),
         ([[1, 2, 3], [4, 5, 6]], "matrix must be square and nonempty"),
         ([], "matrix must be square and nonempty"),
     ):
@@ -714,11 +714,12 @@ def test_char_poly_array_input_messages_unchanged():
     for bad, message in (
         (np.zeros((2, 3), dtype=np.int64), "matrix must be square and nonempty"),
         (np.zeros((2, 3, 3), dtype=np.int64), "matrix must be square and nonempty"),
-        (np.zeros((2, 2, 2), dtype=np.int64), "matrix entry [0, 0] is not an integer"),
+        (np.zeros((2, 2, 2), dtype=np.int64), "matrix must be square and nonempty"),
         (np.zeros((0, 0), dtype=np.int64), "matrix must be square and nonempty"),
         (np.zeros((0,), dtype=np.int8), "matrix must be square and nonempty"),
-        (np.array([[1.0, 0.5], [0.5, 1.0]]), "matrix entry 0.5 is not an integer"),
-        (np.array([[1, 0.5], [2, 3]], dtype=object), "matrix entry 0.5 is not an integer"),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), "matrix entry 0.5 at (0, 1) is not an integer"),
+        (np.array([[1, 0.5], [2, 3]], dtype=object),
+         "matrix entry 0.5 at (0, 1) is not an integer"),
     ):
         for batch in ([bad], [np.eye(2, dtype=np.int64), bad]):
             with pytest.raises(InvalidParameter) as raised:

@@ -165,6 +165,19 @@ def test_a_table_whose_poly_does_not_split_is_diffed_as_polynomials(monkeypatch)
     assert report.diff == f"published poly {published} != computed {claim.form({'n': 5})}"
 
 
+def test_a_published_root_bracket_without_a_sign_change_is_a_paper_table_diff(monkeypatch):
+    # the cubic's roots at n = 5 lie in (-2, -1), (3, 4) and (5, 6); a third
+    # bracket of (10, 11) holds none, though the published poly holds
+    claim = verify._claim("Thm4.1(i)")
+    planted = dataclasses.replace(
+        claim, brackets=lambda n: [(-2, -1), (n - 2, n - 1), (n + 5, n + 6)])
+    monkeypatch.setitem(verify._CATALOGUE, claim.name, planted)
+    report = verify_spectral(claim.name, [{"n": 5}])[0]
+    assert report.verdict == PAPER_TABLE
+    assert report.diff == "root bracket sign check failed on [(-2, -1), (3, 4), (10, 11)]"
+    assert report.artifacts["quotient"] == str(claim.form({"n": 5}))
+
+
 # ---------------------------------------------------------------------------
 # Structure claims
 
