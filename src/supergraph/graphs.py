@@ -288,12 +288,6 @@ def _contained(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return ~(sub & ~sup).any(axis=(1, 2))
 
 
-def _block_cross_adjacency(graph: SimpleGraph, partition: Partition) -> np.ndarray:
-    """k x k matrix: blocks i != j adjacent iff some cross edge exists."""
-    block_of = np.asarray(partition.block_of)[None]
-    return _block_cross(graph.adjacency[None], block_of, partition.block_count)[0]
-
-
 def super_graph(graph: SimpleGraph, partition: Partition) -> SimpleGraph:
     """Relation-lifted graph: x ~ y iff x != y and either x, y share a block or
     some pair of elements of their blocks is adjacent in the original graph."""
@@ -307,7 +301,8 @@ def compressed_graph(graph: SimpleGraph, partition: Partition) -> SimpleGraph:
     """Quotient graph with one vertex per block; blocks adjacent iff some cross
     edge exists in the original graph."""
     _check_partition(graph, partition)
-    cross = _block_cross_adjacency(graph, partition)
+    block_of = np.asarray(partition.block_of)[None]
+    cross = _block_cross(graph.adjacency[None], block_of, partition.block_count)[0]
     labels = None
     if graph.labels is not None:
         labels = ["{" + ",".join(graph.labels[v] for v in b) + "}" for b in partition.blocks]

@@ -35,12 +35,14 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 class FiniteGroup:
-    """Group on elements 0..order-1 with an explicit multiplication table."""
+    """Group on elements 0..order-1 with its own read-only multiplication table."""
 
     __slots__ = ("_table", "_identity", "_labels", "_inverses", "name")
 
-    def __init__(self, table, labels=None, name="group", validate=True):
+    def __init__(self, table, labels=None, name="group", validate=True, _fresh=False):
         arr = _index_table(table)
+        if not _fresh:  # only a family builder hands over a table that no one else holds
+            arr = arr.copy()
         n = arr.shape[0]
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
@@ -256,7 +258,7 @@ def cyclic(n: int) -> FiniteGroup:
     _check_order(n)
     i = np.arange(n)
     labels = ["e"] + [_pow_label("a", k) for k in range(1, n)]
-    return FiniteGroup((i[:, None] + i) % n, labels=labels, name=f"Z{n}")
+    return FiniteGroup((i[:, None] + i) % n, labels=labels, name=f"Z{n}", _fresh=True)
 
 
 def _dicyclic(m: int, s: int, prefix: str) -> FiniteGroup:
@@ -275,7 +277,7 @@ def _dicyclic(m: int, s: int, prefix: str) -> FiniteGroup:
     table[m:, :m] += m
     labels = ["e"] + [_pow_label("a", k) for k in range(1, m)]
     labels += ["b" + _pow_label("a", k) for k in range(m)]
-    return FiniteGroup(table, labels=labels, name=f"{prefix}{2 * m}")
+    return FiniteGroup(table, labels=labels, name=f"{prefix}{2 * m}", _fresh=True)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -359,7 +361,7 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
     j, i = np.divmod(np.arange(p * q), p)
     twist = np.array([pow(m, k, p) for k in range(q)])[j]
     table = (j[:, None] + j) % q * p + (i[:, None] + twist[:, None] * i) % p
-    return FiniteGroup(table, labels=labels, name=f"Z{p}xZ{q}")
+    return FiniteGroup(table, labels=labels, name=f"Z{p}xZ{q}", _fresh=True)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -371,7 +373,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     table = (a[:, None, :, None] * h.order + b[None, :, None, :]).reshape(
         g.order * h.order, -1)
     labels = [f"({x},{y})" for x in g.labels for y in h.labels]
-    return FiniteGroup(table, labels=labels, name=f"{g.name}x{h.name}")
+    return FiniteGroup(table, labels=labels, name=f"{g.name}x{h.name}", _fresh=True)
 
 
 # A table row as ``write_cayley_file`` writes it: ASCII digits, one space

@@ -3,14 +3,14 @@
 Three independent routes are provided: LAPACK's symmetric eigensolver on the
 explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
-join of cliques on a small matrix. One private function, ``_quotient``, is
+join of cliques on a small matrix. One private function, ``_quotients``, is
 the quotient route: it builds the quotient matrix of the whole compressed
-graph and one clique eigenvalue per block. The two exact char polys and the
-quotient spectrum share it, ``_t`` is the one check of a matrix name, and
-``super_charpolys`` runs the quotient cores of many super graphs in one exact
-kernel call. Root isolation and integer-root factorization serve the
-verifier; the star-join Laplacian closed form and the interlacing check serve
-the acceptance criteria.
+graph and one clique eigenvalue per block, for many super graphs as one stack
+per vertex count. The exact char polys and the quotient spectrum share it,
+``_t`` is the one check of a matrix name, and ``super_charpolys`` runs the
+quotient cores of many super graphs in one exact kernel call. Root isolation
+and integer-root factorization serve the verifier; the star-join Laplacian
+closed form and the interlacing check serve the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     pair,
     real,
 )
-from .graphs import SimpleGraph, _block_cross_adjacency, _check_partition
+from .graphs import SimpleGraph, _block_cross, _check_partition
 from .partitions import Partition
 from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 
@@ -191,17 +191,34 @@ def _quotient(graph: SimpleGraph, partition: Partition, t: int):
     similar by diag(sqrt(n_i)), so with the same char poly) and as a float
     symmetric matrix, and the clique (eigenvalue, multiplicity) pairs.
     """
-    _check_partition(graph, partition)
-    rho = _block_cross_adjacency(graph, partition)
-    n = np.array(partition.sizes, dtype=np.int64)
-    neighbor_sums = rho.astype(np.int64) @ n
-    diag = np.diag(n - 1 - t * (n - 1 + neighbor_sums))
+    return _quotients([(graph, partition)], t)[0]
+
+
+def _quotients(cases, t: int) -> list[tuple]:
+    """``_quotient`` of each (graph, partition) case. The cases of one vertex
+    count are one stack, padded to their largest block count with empty
+    blocks, which join nothing; a case's matrices are slices of its layer."""
+    by_size: dict[int, list[int]] = {}
+    for c, (graph, partition) in enumerate(cases):
+        _check_partition(graph, partition)
+        by_size.setdefault(graph.n, []).append(c)
+    quotients: list = [None] * len(cases)
     sign = -1 if t else 1
-    companion = sign * (np.where(rho, n, 0) + diag)
-    symmetric = sign * (np.where(rho, np.sqrt(np.outer(n, n).astype(float)), 0.0) + diag)
-    cliques = [(big_n + n_i if t else -1, n_i - 1)
-               for n_i, big_n in zip(partition.sizes, neighbor_sums.tolist())]
-    return companion, symmetric, cliques
+    for members in by_size.values():
+        counts = [cases[c][1].block_count for c in members]
+        k = max(counts)
+        block_of = np.array([cases[c][1].block_of for c in members])
+        rho = _block_cross(np.array([cases[c][0].adjacency for c in members]), block_of, k)
+        n = np.array([cases[c][1].sizes + (0,) * (k - kc) for c, kc in zip(members, counts)])
+        neighbor_sums = (rho.astype(np.int64) @ n[:, :, None])[:, :, 0]
+        diag = np.eye(k, dtype=np.int64) * (n - 1 - t * (n - 1 + neighbor_sums))[:, None, :]
+        companion = sign * (np.where(rho, n[:, None, :], 0) + diag)
+        symmetric = sign * (np.where(rho, np.sqrt(n[:, :, None] * n[:, None, :]), 0.0) + diag)
+        for i, (c, kc) in enumerate(zip(members, counts)):
+            cliques = [(big_n + n_i if t else -1, n_i - 1)
+                       for n_i, big_n in zip(n[i, :kc].tolist(), neighbor_sums[i, :kc].tolist())]
+            quotients[c] = companion[i, :kc, :kc], symmetric[i, :kc, :kc], cliques
+    return quotients
 
 
 def _quotient_charpoly(graph: SimpleGraph, partition: Partition, t: int) -> PolynomialZ:
@@ -229,8 +246,8 @@ def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
     ``super_laplacian_charpoly`` of each case, with the quotient cores of all
     cases computed in one ``char_poly_integers`` call."""
     t = _t(matrix)
-    quotients = [_quotient(*pair(case, "a (graph, partition) case"), t)
-                 for case in items(cases, "cases")]
+    quotients = _quotients([pair(case, "a (graph, partition) case")
+                            for case in items(cases, "cases")], t)
     cores = char_poly_integers([companion for companion, _, _ in quotients])
     return [
         core * PolynomialZ.from_roots(cliques) for core, (_, _, cliques) in zip(cores, quotients)

@@ -109,21 +109,41 @@ def _star_join(*sizes: int) -> SimpleGraph:
     return generalized_join(star_graph(len(sizes)), [complete_graph(s) for s in sizes])
 
 
+_built: dict | None = None  # what the running ``run_suite`` call has built, by call
+
+
+def _shared(build, *args):
+    """build(*args), or inside ``run_suite`` what the run first built by that call."""
+    if _built is None:
+        return build(*args)
+    key = (build, *args)
+    if key not in _built:
+        _built[key] = build(*args)
+    return _built[key]
+
+
+def _family_call(family: str, params) -> tuple:
+    """The constructor and its arguments that build a family group."""
+    if family not in ("D", "Q", "PQ", "Dc") or len(params) != (2 if family == "PQ" else 1):
+        raise InvalidParameter(f"no group family {family!r} with parameters {params}")
+    if family == "Dc":
+        return (dihedral, 2 * integer(params[0], "Dc parameter"))
+    return ({"D": dihedral, "Q": generalized_quaternion, "PQ": semidirect_pq}[family], *params)
+
+
 def family_group(family: str, *params):
     """The group of a family tag and its parameters: D n is D_2n, Q n is Q_4n,
     PQ p q is Z_p x| Z_q and Dc m is D_4m, the dihedral group of order 4m."""
-    if family not in ("D", "Q", "PQ", "Dc") or len(params) != (2 if family == "PQ" else 1):
-        raise InvalidParameter(f"no group family {family!r} with parameters {params}")
-    if family == "D":
-        return dihedral(*params)
-    if family == "Q":
-        return generalized_quaternion(*params)
-    if family == "PQ":
-        return semidirect_pq(*params)
-    return dihedral(2 * integer(params[0], "Dc parameter"))
+    return _shared(*_family_call(family, params))
 
 
-def _super(group, relation: str) -> tuple[SimpleGraph, SimpleGraph, Partition]:
+def _super(relation: str, family: str, *params) -> tuple[SimpleGraph, SimpleGraph, Partition]:
+    """The super graph of a family group over a relation, its commuting graph and partition."""
+    return _shared(_super_of, relation, *_family_call(family, params))
+
+
+def _super_of(relation: str, *call):
+    group = _shared(*call)
     base = commuting_graph(group)
     part = relation_partition(group, relation)
     return super_graph(base, part), base, part
@@ -316,7 +336,7 @@ CLAIMS = (
     ),
     Claim(
         "Sec4.2-Dc-iso", "4.2", "Dc", "m", default=(2, 8), least=2, relations=("conjugacy",),
-        closed=lambda m: _super(family_group("Q", m), "conjugacy")[0],
+        closed=lambda m: _super("conjugacy", "Q", m)[0],
         sides=("Dc(D)", "Dc(Q)"),
     ),
     Claim(
@@ -450,7 +470,7 @@ class SpectralPoint:
 def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
     start = time.perf_counter()
     params = claim.check(params)
-    graph, base, part = _super(family_group(claim.family, *params.values()), claim.relations[0])
+    graph, base, part = _super(claim.relations[0], claim.family, *params.values())
     point = SpectralPoint(base, part, graph, claim.matrix)
     report = ClaimReport(claim=claim.name, params=params)
     for label, problem in point.checks(claim, params, claim.routes):
@@ -477,7 +497,7 @@ def verify_structure(claim: str, params) -> ClaimReport:
     entry = _claim(claim, "structure")
     start = time.perf_counter()
     params = entry.check(params)
-    built, _, _ = _super(family_group(entry.family, *params.values()), entry.relations[0])
+    built, _, _ = _super(entry.relations[0], entry.family, *params.values())
     f1 = twin_canonical_form(built)
     f2 = twin_canonical_form(entry.closed(**params))
     left, right = entry.sides
@@ -829,8 +849,10 @@ def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
 
     At most one worker per task is started. Reports come back
     deterministically ordered by (claim, params) regardless of the worker
-    count.
+    count. With one worker, a run builds each group and super graph once and
+    shares it between claims; nothing built outlives the run.
     """
+    global _built
     tasks = suite_tasks(suite, **kwargs)
     jobs = min(integer(jobs, "jobs"), len(tasks))
     if jobs > 1:
@@ -839,7 +861,11 @@ def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             grouped = list(pool.map(run_claim_task, tasks))
     else:
-        grouped = [run_claim_task(t) for t in tasks]
+        _built = {}
+        try:
+            grouped = [run_claim_task(t) for t in tasks]
+        finally:
+            _built = None
     reports = [r for group in grouped for r in group]
     reports.sort(key=lambda r: (r.claim, sorted(r.params.items())))
     return reports

@@ -261,6 +261,21 @@ def test_table_entries_are_read_by_the_one_integer_rule():
         assert exc.value.witness == (0, 1)
 
 
+def test_a_write_to_the_callers_table_never_reaches_the_group():
+    d6 = dihedral(3).table
+    for validate in (True, False):
+        table = d6.copy()
+        g = FiniteGroup(table, validate=validate)
+        table.setflags(write=True)
+        table[0, 0] = 1
+        wide = np.hstack([d6, d6])  # the caller holds the array a view reads
+        h = from_cayley_table(wide[:, :6])
+        wide[0, 0] = 1
+        for group in (g, h):
+            assert np.array_equal(group.table, d6) and not group.table.flags.writeable
+    assert not d6.flags.writeable  # a family table is read-only too
+
+
 def test_direct_product():
     d6, z2 = dihedral(3), cyclic(2)
     g = direct_product(d6, z2)

@@ -28,7 +28,7 @@ from supergraph import (
     semidirect_pq,
     super_graph,
 )
-from supergraph import graphs, verify
+from supergraph import graphs, spectra, verify
 from supergraph.verify import (
     MATCH,
     PAPER_TABLE,
@@ -498,7 +498,7 @@ PLANTED_DEFECTS = [
 def test_a_defect_planted_in_a_graph_kernel_fails_the_generic_suite(
         monkeypatch, defect, kernel, planted, public, failing):
     assert public()
-    for module in (graphs, verify):
+    for module in (graphs, spectra, verify):
         if hasattr(module, kernel):
             monkeypatch.setattr(module, kernel, planted)
     assert not public()
@@ -566,3 +566,69 @@ def test_run_suite_all_pins_the_catalogue():
         | {("Thm4.3", (n,)) for n in (6, 10)}
         | {("Thm4.4", (n,)) for n in (3, 5, 7)}
     )
+
+
+# One run builds each group and super graph once and shares it between the
+# claims that ask for it; nothing it built outlives it.
+
+def _reports(reports):
+    return [(*_strip_ms([r])[0], r.artifacts) for r in reports]
+
+
+def _counting_family_builders(monkeypatch):
+    built = []
+    for name in ("dihedral", "generalized_quaternion", "semidirect_pq"):
+        def counted(*args, build=getattr(verify, name), name=name):
+            built.append((name, *args))
+            return build(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    return built
+
+
+def test_a_run_shares_each_build_and_reports_what_each_task_reports_alone():
+    shared = run_suite("all", seed=42)
+    alone = [r for task in suite_tasks("all", seed=42) for r in verify.run_claim_task(task)]
+    alone.sort(key=lambda r: (r.claim, sorted(r.params.items())))
+    assert _reports(shared) == _reports(alone)
+    assert summarize(shared) == {"match": 88, "mismatch": 0, "paper_table": 12}
+
+
+def test_each_run_builds_each_group_once_and_keeps_nothing(monkeypatch):
+    built = _counting_family_builders(monkeypatch)
+    run_suite("all", seed=42)
+    assert len(built) == len(set(built)) == 35  # Dc m is D 2m: one dihedral(2m)
+    assert verify._built is None
+    run_suite("all", seed=42)
+    assert len(built) == 70 and set(built[35:]) == set(built[:35])
+    verify.family_group("D", 3)
+    verify.family_group("D", 3)  # outside a run, every call builds
+    assert built[70:] == [("dihedral", 3)] * 2
+
+
+def test_a_failing_task_closes_the_runs_build_table(monkeypatch):
+    def failing(task):
+        verify.family_group("Q", 3)
+        raise InvalidParameter("planted")
+
+    monkeypatch.setattr(verify, "run_claim_task", failing)
+    with pytest.raises(InvalidParameter, match="planted"):
+        run_suite("4.5")
+    assert verify._built is None
+
+
+def test_run_suite_all_parallel_matches_serial_in_order():
+    assert _strip_ms(run_suite("all", seed=42, jobs=2)) == _strip_ms(run_suite("all", seed=42))
+
+
+def test_a_shuffled_task_order_gives_the_same_reports(monkeypatch):
+    serial = run_suite("all", seed=42)
+    tasks = verify.suite_tasks
+
+    def shuffled(*args, **kwargs):  # as the benchmark reorders a pass's tasks
+        order = tasks(*args, **kwargs)
+        random.Random(3).shuffle(order)
+        return order
+
+    monkeypatch.setattr(verify, "suite_tasks", shuffled)
+    assert _reports(run_suite("all", seed=42)) == _reports(serial)
