@@ -39,10 +39,8 @@ class FiniteGroup:
 
     __slots__ = ("_table", "_identity", "_labels", "_inverses", "name")
 
-    def __init__(self, table, labels=None, name="group", validate=True, _fresh=False):
-        arr = _index_table(table)
-        if not _fresh:  # only a family builder hands over a table that no one else holds
-            arr = arr.copy()
+    def __init__(self, table, labels=None, name="group", validate=True):
+        arr = _index_table(table).copy()  # a caller's array never reaches the group
         n = arr.shape[0]
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
@@ -258,7 +256,7 @@ def cyclic(n: int) -> FiniteGroup:
     _check_order(n)
     i = np.arange(n)
     labels = ["e"] + [_pow_label("a", k) for k in range(1, n)]
-    return FiniteGroup((i[:, None] + i) % n, labels=labels, name=f"Z{n}", _fresh=True)
+    return FiniteGroup((i[:, None] + i) % n, labels=labels, name=f"Z{n}")
 
 
 def _dicyclic(m: int, s: int, prefix: str) -> FiniteGroup:
@@ -277,7 +275,7 @@ def _dicyclic(m: int, s: int, prefix: str) -> FiniteGroup:
     table[m:, :m] += m
     labels = ["e"] + [_pow_label("a", k) for k in range(1, m)]
     labels += ["b" + _pow_label("a", k) for k in range(m)]
-    return FiniteGroup(table, labels=labels, name=f"{prefix}{2 * m}", _fresh=True)
+    return FiniteGroup(table, labels=labels, name=f"{prefix}{2 * m}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -361,7 +359,7 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
     j, i = np.divmod(np.arange(p * q), p)
     twist = np.array([pow(m, k, p) for k in range(q)])[j]
     table = (j[:, None] + j) % q * p + (i[:, None] + twist[:, None] * i) % p
-    return FiniteGroup(table, labels=labels, name=f"Z{p}xZ{q}", _fresh=True)
+    return FiniteGroup(table, labels=labels, name=f"Z{p}xZ{q}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -373,7 +371,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     table = (a[:, None, :, None] * h.order + b[None, :, None, :]).reshape(
         g.order * h.order, -1)
     labels = [f"({x},{y})" for x in g.labels for y in h.labels]
-    return FiniteGroup(table, labels=labels, name=f"{g.name}x{h.name}", _fresh=True)
+    return FiniteGroup(table, labels=labels, name=f"{g.name}x{h.name}")
 
 
 # A table row as ``write_cayley_file`` writes it: ASCII digits, one space

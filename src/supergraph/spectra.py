@@ -4,13 +4,13 @@ Three independent routes are provided: LAPACK's symmetric eigensolver on the
 explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
 join of cliques on a small matrix. One private function, ``_quotients``, is
-the quotient route: it builds the quotient matrix of the whole compressed
-graph and one clique eigenvalue per block, for many super graphs as one stack
-per vertex count. The exact char polys and the quotient spectrum share it,
-``_t`` is the one check of a matrix name, and ``super_charpolys`` runs the
-quotient cores of many super graphs in one exact kernel call. Root isolation
-and integer-root factorization serve the verifier; the star-join Laplacian
-closed form and the interlacing check serve the acceptance criteria.
+the quotient route: it builds the quotient matrix of each compressed graph
+and one clique eigenvalue per block. The exact char polys and the quotient
+spectrum share it, ``_t`` is the one check of a matrix name, and
+``super_charpolys`` runs the quotient cores of many super graphs in one exact
+kernel call. Root isolation and integer-root factorization serve the
+verifier; the star-join Laplacian closed form and the interlacing check serve
+the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -174,8 +174,9 @@ def _t(matrix: str) -> int:
     return 0 if matrix == "adjacency" else 1
 
 
-def _quotient(graph: SimpleGraph, partition: Partition, t: int):
-    """The quotient route: the quotient matrix N(t) and the clique eigenvalues.
+def _quotients(cases, t: int) -> list[tuple]:
+    """The quotient route of each (graph, partition) case: the quotient
+    matrix N(t) and the clique eigenvalues.
 
     With n_i the size of block i, rho the compressed graph's adjacency (read
     as the block cross adjacency, without building the graph's labels) and
@@ -189,15 +190,10 @@ def _quotient(graph: SimpleGraph, partition: Partition, t: int):
 
     Returns N(0) or -N(1) as an int64 companion matrix (n_j for sqrt(n_i n_j):
     similar by diag(sqrt(n_i)), so with the same char poly) and as a float
-    symmetric matrix, and the clique (eigenvalue, multiplicity) pairs.
+    symmetric matrix, and the clique (eigenvalue, multiplicity) pairs. The
+    cases of one vertex count are one stack, padded with empty blocks, which
+    join nothing.
     """
-    return _quotients([(graph, partition)], t)[0]
-
-
-def _quotients(cases, t: int) -> list[tuple]:
-    """``_quotient`` of each (graph, partition) case. The cases of one vertex
-    count are one stack, padded to their largest block count with empty
-    blocks, which join nothing; a case's matrices are slices of its layer."""
     by_size: dict[int, list[int]] = {}
     for c, (graph, partition) in enumerate(cases):
         _check_partition(graph, partition)
@@ -205,24 +201,26 @@ def _quotients(cases, t: int) -> list[tuple]:
     quotients: list = [None] * len(cases)
     sign = -1 if t else 1
     for members in by_size.values():
-        counts = [cases[c][1].block_count for c in members]
-        k = max(counts)
-        block_of = np.array([cases[c][1].block_of for c in members])
-        rho = _block_cross(np.array([cases[c][0].adjacency for c in members]), block_of, k)
-        n = np.array([cases[c][1].sizes + (0,) * (k - kc) for c, kc in zip(members, counts)])
+        graphs, parts = zip(*(cases[c] for c in members))
+        k = max(p.block_count for p in parts)
+        adjacency = [g.adjacency for g in graphs]
+        stack = adjacency[0][None] if len(graphs) == 1 else np.array(adjacency)  # no copy of one
+        rho = _block_cross(stack, np.array([p.block_of for p in parts]), k)
+        n = np.array([p.sizes + (0,) * (k - p.block_count) for p in parts])
         neighbor_sums = (rho.astype(np.int64) @ n[:, :, None])[:, :, 0]
         diag = np.eye(k, dtype=np.int64) * (n - 1 - t * (n - 1 + neighbor_sums))[:, None, :]
         companion = sign * (np.where(rho, n[:, None, :], 0) + diag)
         symmetric = sign * (np.where(rho, np.sqrt(n[:, :, None] * n[:, None, :]), 0.0) + diag)
-        for i, (c, kc) in enumerate(zip(members, counts)):
+        for i, (c, p) in enumerate(zip(members, parts)):
+            kc = p.block_count
             cliques = [(big_n + n_i if t else -1, n_i - 1)
-                       for n_i, big_n in zip(n[i, :kc].tolist(), neighbor_sums[i, :kc].tolist())]
+                       for n_i, big_n in zip(p.sizes, neighbor_sums[i].tolist())]
             quotients[c] = companion[i, :kc, :kc], symmetric[i, :kc, :kc], cliques
     return quotients
 
 
 def _quotient_charpoly(graph: SimpleGraph, partition: Partition, t: int) -> PolynomialZ:
-    companion, _, cliques = _quotient(graph, partition, t)
+    [(companion, _, cliques)] = _quotients([(graph, partition)], t)
     return char_poly_integer(companion) * PolynomialZ.from_roots(cliques)
 
 
@@ -263,7 +261,7 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
     grouping tolerance, 1e-8 * max(1, ||N||_F), merge into one eigenvalue.
     Independent of any catalogued closed form.
     """
-    _, symmetric, cliques = _quotient(graph, partition, _t(matrix))
+    [(_, symmetric, cliques)] = _quotients([(graph, partition)], _t(matrix))
     pairs = sorted([*jacobi_eigenvalues(symmetric).pairs, *((v, m) for v, m in cliques if m)])
     values, mults = zip(*pairs)
     return _grouped(values, mults, _GROUPING_FACTOR * max(1.0, float(np.linalg.norm(symmetric))))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,17 +110,19 @@ def _star_join(*sizes: int) -> SimpleGraph:
     return generalized_join(star_graph(len(sizes)), [complete_graph(s) for s in sizes])
 
 
-_built: dict | None = None  # what the running ``run_suite`` call has built, by call
+_reads: Counter | None = None  # in ``run_suite``: the reads its tasks will make of each call
+_built: dict | None = None  # what the run holds of a call, from its first read to its last
 
 
 def _shared(build, *args):
-    """build(*args), or inside ``run_suite`` what the run first built by that call."""
-    if _built is None:
-        return build(*args)
+    """build(*args), built once for all the reads that a run counted of it."""
     key = (build, *args)
+    if not _reads or _reads[key] <= 0:
+        return build(*args)
     if key not in _built:
         _built[key] = build(*args)
-    return _built[key]
+    _reads[key] -= 1
+    return _built[key] if _reads[key] else _built.pop(key)
 
 
 def _family_call(family: str, params) -> tuple:
@@ -137,12 +140,9 @@ def family_group(family: str, *params):
     return _shared(*_family_call(family, params))
 
 
-def _super(relation: str, family: str, *params) -> tuple[SimpleGraph, SimpleGraph, Partition]:
-    """The super graph of a family group over a relation, its commuting graph and partition."""
-    return _shared(_super_of, relation, *_family_call(family, params))
-
-
-def _super_of(relation: str, *call):
+def _super_of(relation: str, *call) -> tuple[SimpleGraph, SimpleGraph, Partition]:
+    """The super graph of a group call over a relation, its commuting graph and
+    partition; the one build of a super graph is the one read of its group."""
     group = _shared(*call)
     base = commuting_graph(group)
     part = relation_partition(group, relation)
@@ -168,6 +168,7 @@ class Claim:
     parity: int | None = None  # required parameter % 2, if any
     matrix: str | None = None  # adjacency | laplacian; None for a structure claim
     closed: Callable | None = None  # published polynomial or spectrum, or the claimed graph
+    twin: str | None = None  # in place of closed: the family whose super graph is claimed
     cubic: Callable | None = None  # (cubic factor, multiplicity of -1) of an adjacency claim
     brackets: Callable | None = None  # integer brackets of the cubic's roots
     routes: tuple[str, ...] = ()  # explicit-matrix routes that run: "exact", "jacobi"
@@ -193,9 +194,10 @@ class Claim:
         return dict(zip(self.keys, values))
 
     def points(self, bounds, pq_pairs) -> list[dict]:
-        """Parameter points in ``bounds`` (else the default range) that the claim covers."""
+        """Parameter points in ``bounds`` (else the default range) that the
+        claim covers, each as ``check`` passes it; a pq pair it refuses raises."""
         if self.axis == "pq":
-            return [self.point(values) for values in pq_pairs]
+            return [self.check(self.point(values)) for values in pq_pairs]
         bounds = pair(self.default if bounds is None else bounds, f"{self.axis} range")
         lo, hi = (integer(b, f"{self.axis} bound") for b in bounds)
         return [
@@ -225,8 +227,15 @@ class Claim:
 
     # The methods below take a point that ``check`` has passed.
 
+    def supers(self, params: dict) -> list[tuple]:
+        """The ``_shared`` calls of the super graphs of its family and its twin."""
+        return [(_super_of, self.relations[0], *_family_call(f, tuple(params.values())))
+                for f in (self.family, self.twin) if f]
+
     def form(self, params: dict):
         """The published form: a PolynomialZ or a Spectrum, or the claimed graph."""
+        if self.twin is not None:
+            return _shared(*self.supers(params)[1])[0]
         if self.cubic is None:
             return self.closed(**params)
         cubic, exp = self.cubic(**params)
@@ -336,7 +345,7 @@ CLAIMS = (
     ),
     Claim(
         "Sec4.2-Dc-iso", "4.2", "Dc", "m", default=(2, 8), least=2, relations=("conjugacy",),
-        closed=lambda m: _super("conjugacy", "Q", m)[0],
+        twin="Q",
         sides=("Dc(D)", "Dc(Q)"),
     ),
     Claim(
@@ -470,7 +479,7 @@ class SpectralPoint:
 def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
     start = time.perf_counter()
     params = claim.check(params)
-    graph, base, part = _super(claim.relations[0], claim.family, *params.values())
+    graph, base, part = _shared(*claim.supers(params)[0])
     point = SpectralPoint(base, part, graph, claim.matrix)
     report = ClaimReport(claim=claim.name, params=params)
     for label, problem in point.checks(claim, params, claim.routes):
@@ -497,9 +506,9 @@ def verify_structure(claim: str, params) -> ClaimReport:
     entry = _claim(claim, "structure")
     start = time.perf_counter()
     params = entry.check(params)
-    built, _, _ = _super(entry.relations[0], entry.family, *params.values())
+    built, _, _ = _shared(*entry.supers(params)[0])
     f1 = twin_canonical_form(built)
-    f2 = twin_canonical_form(entry.closed(**params))
+    f2 = twin_canonical_form(entry.form(params))
     left, right = entry.sides
     report = ClaimReport(claim=claim, params=params)
     report.artifacts = {left: f1.describe(), right: f2.describe()}
@@ -850,9 +859,9 @@ def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
     At most one worker per task is started. Reports come back
     deterministically ordered by (claim, params) regardless of the worker
     count. With one worker, a run builds each group and super graph once and
-    shares it between claims; nothing built outlives the run.
+    drops it at the last read its claims make; nothing outlives the run.
     """
-    global _built
+    global _reads, _built
     tasks = suite_tasks(suite, **kwargs)
     jobs = min(integer(jobs, "jobs"), len(tasks))
     if jobs > 1:
@@ -861,11 +870,13 @@ def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             grouped = list(pool.map(run_claim_task, tasks))
     else:
-        _built = {}
+        reads = [key for _, name, params in tasks if name in _CATALOGUE
+                 for key in _CATALOGUE[name].supers(params)]
+        _reads, _built = Counter(reads) + Counter(key[2:] for key in set(reads)), {}
         try:
             grouped = [run_claim_task(t) for t in tasks]
         finally:
-            _built = None
+            _reads = _built = None
     reports = [r for group in grouped for r in group]
     reports.sort(key=lambda r: (r.claim, sorted(r.params.items())))
     return reports

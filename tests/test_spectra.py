@@ -40,7 +40,7 @@ from supergraph import (
     super_graph,
     super_laplacian_charpoly,
 )
-from supergraph.spectra import _quotient
+from supergraph.spectra import _quotients
 
 # frozen by bisection (independent of the quotient pipeline); the trace
 # identity alpha+beta+gamma = 3 pins them down
@@ -146,6 +146,10 @@ def test_jacobi_maps_lapack_failure_to_no_convergence(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Quotient matrices
+
+def _quotient(graph, part, t):
+    return _quotients([(graph, part)], t)[0]
+
 
 def _join_of_cliques(template, sizes):
     """The join of cliques of the given sizes over a template, with its block partition."""

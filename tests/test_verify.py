@@ -632,3 +632,30 @@ def test_a_shuffled_task_order_gives_the_same_reports(monkeypatch):
 
     monkeypatch.setattr(verify, "suite_tasks", shuffled)
     assert _reports(run_suite("all", seed=42)) == _reports(serial)
+
+
+def test_a_run_drops_each_build_after_the_last_task_that_reads_it(monkeypatch):
+    tasks, run, order, held = verify.suite_tasks, verify.run_claim_task, [], []
+
+    def shuffled(*args, **kwargs):
+        out = tasks(*args, **kwargs)
+        random.Random(5).shuffle(out)
+        return out
+
+    def holding(task):
+        order.append(task)
+        held.append(set(verify._built))
+        return run(task)
+
+    monkeypatch.setattr(verify, "suite_tasks", shuffled)
+    monkeypatch.setattr(verify, "run_claim_task", holding)
+    run_suite("all", seed=42)
+    for i, keys in enumerate(held):  # (_super_of, relation, *group call)
+        supers = {key for _, name, params in order[i:] if name in verify._CATALOGUE
+                  for key in verify._CATALOGUE[name].supers(params)}
+        groups = {key[2:] for key in supers - keys}  # still to build from their group
+        assert keys <= supers | groups
+    assert any(held)  # what a later task reads is kept
+    held.clear()
+    run_suite("4.1", odd_n=(3, 41))  # no two tasks of suite 4.1 read one group
+    assert held and not any(held)
