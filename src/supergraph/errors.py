@@ -1,12 +1,14 @@
 """Exception types shared across the package, and its rules for integers,
-integer matrices, indices, finite real numbers and containers.
+integer matrices, indices, finite real numbers, containers and argument
+types.
 
 Bad input raises a ``SupergraphError``: a bad value ``InvalidParameter``, a bad
 file, JSON document or spec ``FormatError``, a bad Cayley table ``NotAGroup``.
 ``integer`` decides what an integer is in memory and truncates nothing,
 ``integer_matrix`` reads a square matrix of such integers, ``index`` what an
 index into 0..n-1 is, and ``real`` what a finite real number is; ``items``
-and ``pair`` read containers. JSON readers take only integer literals
+and ``pair`` read containers, and ``instance`` checks that an argument is of
+the package type a function takes. JSON readers take only integer literals
 (polynomial coefficients also as strings).
 """
 
@@ -181,3 +183,11 @@ def pair(value, what: str) -> tuple:
     except (TypeError, ValueError):
         raise InvalidParameter(f"{what} must be a pair") from None
     return first, second
+
+
+def instance(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; anything else raises ``InvalidParameter``
+    naming it as ``what`` and its type."""
+    if not isinstance(value, kind):
+        raise InvalidParameter(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    return value

@@ -20,10 +20,12 @@ from .errors import (
     InvalidParameter,
     SizeMismatch,
     index,
+    instance,
     integer,
     integer_matrix,
     items,
 )
+from .groups import FiniteGroup
 from .partitions import Partition, _json_value
 
 _SEARCH_LIMIT = 40320  # exhaustive tie-break bound: 8! orderings
@@ -197,7 +199,7 @@ def star_graph(k: int) -> SimpleGraph:
 
 def commuting_graph(group) -> SimpleGraph:
     """Graph on the group's elements; distinct elements adjacent iff they commute."""
-    t = group.table
+    t = instance(group, FiniteGroup, "group").table
     adj = np.array(t == t.T)
     np.fill_diagonal(adj, False)
     return SimpleGraph._of(adj, group.labels)
@@ -333,7 +335,7 @@ def generalized_join(template: SimpleGraph, parts) -> SimpleGraph:
 
 def connected_components(graph: SimpleGraph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest vertex."""
-    adj = graph.adjacency[None]
+    adj = instance(graph, SimpleGraph, "graph").adjacency[None]
     unseen = np.ones(graph.n, dtype=bool)
     comps = []
     while unseen.any():
@@ -346,7 +348,7 @@ def connected_components(graph: SimpleGraph) -> list[list[int]]:
 
 
 def is_connected(graph: SimpleGraph) -> bool:
-    if graph.n < 1:
+    if instance(graph, SimpleGraph, "graph").n < 1:
         raise InvalidParameter("connectivity needs at least one vertex")
     seeds = np.zeros((1, graph.n), dtype=bool)
     seeds[0, 0] = True
@@ -355,7 +357,8 @@ def is_connected(graph: SimpleGraph) -> bool:
 
 def is_spanning_subgraph(g1: SimpleGraph, g2: SimpleGraph) -> bool:
     """True when g1 and g2 share a vertex set and every g1 edge is a g2 edge."""
-    if g1.n != g2.n:
+    instance(g1, SimpleGraph, "graph")
+    if g1.n != instance(g2, SimpleGraph, "graph").n:
         raise SizeMismatch(f"vertex counts differ: {g1.n} vs {g2.n}")
     return bool(_contained(g1.adjacency[None], g2.adjacency[None])[0])
 
@@ -408,6 +411,7 @@ def twin_canonical_form(graph: SimpleGraph) -> TwinForm:
     is feasible because quotients of joins of cliques are tiny. Raises
     CanonicalAmbiguity if the tie-break search space exceeds the bound.
     """
+    instance(graph, SimpleGraph, "graph")
     if graph.n < 1:
         raise InvalidParameter("canonical form needs at least one vertex")
     classes = _twin_classes(graph)

@@ -22,7 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, NotAGroup, index, integer, integer_matrix, items
+from .errors import (
+    FormatError,
+    InvalidParameter,
+    NotAGroup,
+    index,
+    instance,
+    integer,
+    integer_matrix,
+    items,
+)
 from .partitions import Partition
 
 # Largest order a family constructor builds: its int64 Cayley table then takes
@@ -40,8 +49,11 @@ class FiniteGroup:
     __slots__ = ("_table", "_identity", "_labels", "_inverses", "name")
 
     def __init__(self, table, labels=None, name="group", validate=True):
-        arr = _index_table(table).copy()  # a caller's array never reaches the group
+        arr = _index_table(table)
         n = arr.shape[0]
+        # One copy, over an immutable buffer: a caller's array never reaches
+        # the group, and no one can make the table writable again.
+        arr = np.frombuffer(arr.tobytes(), dtype=np.int64).reshape(n, n)
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
         else:
@@ -58,7 +70,6 @@ class FiniteGroup:
         missing = np.flatnonzero(~holds_identity.any(axis=1))
         if missing.size:
             raise NotAGroup(f"row {missing[0]} holds no identity", witness=int(missing[0]))
-        arr.setflags(write=False)
         self._table = arr
         self._identity = identity
         self._labels = labels
@@ -441,7 +452,7 @@ def read_cayley_file(path) -> FiniteGroup:
 
 
 def write_cayley_file(group: FiniteGroup, path) -> None:
-    lines = [str(group.order)]
+    lines = [str(instance(group, FiniteGroup, "group").order)]
     for i in range(group.order):
         lines.append(" ".join(str(int(v)) for v in group.table[i]))
     lines.append("#labels: " + " ".join(group.labels))

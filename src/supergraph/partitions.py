@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameter, SizeMismatch, index, integer
+from .errors import FormatError, InvalidParameter, SizeMismatch, index, instance, integer
 
 
 class Partition:
@@ -149,14 +149,20 @@ def refines(p1: Partition, p2: Partition) -> bool:
 
 def order_partition(group) -> Partition:
     """Partition of a group's elements into fibers of equal element order."""
-    orders = group.element_orders()
+    orders = _group(group).element_orders()
     return Partition(group.order,
                      [np.flatnonzero(orders == t).tolist() for t in set(orders.tolist())])
 
 
 def conjugacy_partition(group) -> Partition:
     """Partition of a group's elements into conjugacy classes."""
-    return group.conjugacy_classes()
+    return _group(group).conjugacy_classes()
+
+
+def _group(value):
+    from .groups import FiniteGroup  # not at the top: groups imports this module
+
+    return instance(value, FiniteGroup, "group")
 
 
 def relation_partition(group, relation: str) -> Partition:

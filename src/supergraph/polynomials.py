@@ -1,19 +1,24 @@
 """Exact integer univariate polynomials and exact characteristic polynomials.
 
 Coefficients are arbitrary-precision Python ints stored in ascending degree
-order. Characteristic polynomials are computed multi-modularly, many
-matrices per call: Hessenberg reduction and the Hessenberg recurrence mod
-word-size primes in numpy int64 (Cohen, *A Course in Computational Algebraic
-Number Theory*, Alg. 2.2.9), then Chinese remaindering per matrix (Dumas,
-Pernet & Wan, "Efficient computation of the characteristic polynomial",
-ISSAC 2005). The matrices of one dimension share one list of primes, which
-covers 2 (1 + S)^n with S = ceil(sqrt(ceil(||M||_F^2 / n))) for each of
-them, a proven bound on every coefficient by Maclaurin's and Schur's
-inequalities (see ``char_poly_integers``). Each (matrix, prime) pair is one
-layer of a (P, n, n) stack of residues, run in the fewest equal chunks of at
-most 2^18 int64 entries (2 MiB), so the 20 primes of a 98 x 98 matrix run as
-one stack. Integer numpy arrays are read as arrays. The result is exact at
-any size.
+order. Characteristic polynomials are computed many matrices per call, by
+Hessenberg reduction and the Hessenberg recurrence (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9) in numpy int64. The
+matrices of one dimension share one coefficient bound, 2 (1 + S)^n with
+S = ceil(sqrt(ceil(||M||_F^2 / n))), a proven bound on every coefficient by
+Maclaurin's and Schur's inequalities (see ``char_poly_integers``), and one
+list of word-size primes whose product covers it. Where that takes two
+primes or more, each matrix is first reduced over the integers by
+unimodular similarity transforms, as long as every pivot divides the
+entries below it and no entry can wrap int64; super graphs' matrices get
+there in one pass and split into mostly 1 x 1 blocks, whose char polys
+multiply out exactly. The rest are computed multi-modularly (Dumas, Pernet
+& Wan, "Efficient computation of the characteristic polynomial", ISSAC
+2005): each (matrix, prime) pair is one layer of a (P, n, n) stack of
+residues, run in the fewest equal chunks of at most 2^18 int64 entries
+(2 MiB), and each matrix's coefficients are rebuilt by Chinese
+remaindering. Integer numpy arrays are read as arrays. The result is exact
+at any size.
 """
 
 from __future__ import annotations
@@ -272,18 +277,25 @@ def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
 def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[PolynomialZ]:
     """Exact monic characteristic polynomials det(xI - M) of integer matrices.
 
-    Multi-modular: for each prime p, M mod p is reduced to upper Hessenberg
-    form by similarity transforms and the Hessenberg recurrence gives the
-    characteristic polynomial mod p (Cohen, *A Course in Computational
-    Algebraic Number Theory*, Alg. 2.2.9), in O(n^3) int64 operations. The
-    matrices are grouped by dimension, and each group gets one list of
-    primes, chosen for the largest bound (below) in the group. Every
-    (matrix, prime) pair of a group is one layer of a stack of residues,
-    matrix by matrix and prime by prime, run in the fewest chunks of at most
-    ``_STACK_ENTRIES`` int64 entries; a chunk may end inside a matrix. The
-    integer coefficients of each matrix are rebuilt by the Chinese remainder
-    theorem (Garner) into the symmetric range (Dumas, Pernet & Wan, ISSAC
-    2005).
+    The matrices are grouped by dimension, and each group gets one list of
+    primes, chosen for the largest bound (below) in the group. If it takes
+    two primes or more, ``_hessenberg_over_z`` first reduces the group's
+    stack to upper Hessenberg form over the integers, layer by layer, where
+    that stays exact; a layer that gets there is finished by
+    ``_split_char_poly`` from its 1 x 1 and 2 x 2 diagonal blocks, and its
+    blocks of three rows or more join one modular stack per size. With one
+    prime the modular route is already a single int64 reduction.
+
+    Multi-modular route: for each prime p, M mod p is reduced to upper
+    Hessenberg form by similarity transforms and the Hessenberg recurrence
+    gives the characteristic polynomial mod p (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 2.2.9), in O(n^3) int64
+    operations. Every (matrix, prime) pair of a group is one layer of a
+    stack of residues, matrix by matrix and prime by prime, run in the
+    fewest chunks of at most ``_STACK_ENTRIES`` int64 entries; a chunk may
+    end inside a matrix. The integer coefficients of each matrix are rebuilt
+    by the Chinese remainder theorem (Garner) into the symmetric range
+    (Dumas, Pernet & Wan, ISSAC 2005).
 
     The primes of a group are chosen up front so that their product exceeds
     2 (1 + S)^n for every matrix in it, where S = ceil(sqrt(ceil(||M||_F^2 /
@@ -307,41 +319,174 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     for index, a in enumerate(arrays):
         groups.setdefault(len(a), []).append(index)
     results: list = [None] * len(arrays)
+    blocks: dict[int, list] = {}  # rows -> (matrix index, block) for blocks of 3 rows or more
     for n, members in groups.items():
         stack = np.array([arrays[i] for i in members])  # object if any entry is beyond int64
-        bound = _coefficient_bound(stack)
-        primes = []
-        modulus = 1
-        for p in _primes(_prime_bits(n)):
-            primes.append(p)
-            modulus *= p
-            if modulus > bound:
-                break
-        # Garner step k: the unique value mod moduli[k] * p_k that is c mod
-        # moduli[k] and r mod p_k is c + moduli[k] * ((r - c) * inverses[k] % p_k).
-        moduli = list(itertools.accumulate(primes[:-1], operator.mul, initial=1))
-        inverses = [pow(m, -1, p) for m, p in zip(moduli, primes)]
-        layer_primes = np.array(primes, dtype=np.int64)
-        count = len(primes)
-        total = len(members) * count
-        chunks = -(-total // max(1, _STACK_ENTRIES // (n * n)))
-        size = -(-total // chunks)
-        coeffs = [[0] * (n + 1) for _ in members]
-        for lo in range(0, total, size):
-            layers = np.arange(lo, min(lo + size, total))
-            which, prime_index = np.divmod(layers, count)
-            mods = layer_primes[prime_index]
-            residues = stack[which]  # a copy, reduced in place
-            np.remainder(residues, mods[:, None, None], out=residues)
-            polys = _char_poly_mod(residues.astype(np.int64, copy=False), mods).tolist()
-            del residues  # before the next chunk's copy is made
-            for j, k, p, row in zip(which.tolist(), prime_index.tolist(), mods.tolist(), polys):
-                m, inverse = moduli[k], inverses[k]
-                coeffs[j] = [c + m * ((r - c % p) * inverse % p) for c, r in zip(coeffs[j], row)]
-        half = modulus // 2
-        for i, cs in zip(members, coeffs):
-            results[i] = PolynomialZ(c - modulus if c > half else c for c in cs)
+        primes = _covering_primes(stack)
+        if len(primes) > 1:  # with one prime the modular route is one int64 reduction
+            forms, done = _hessenberg_over_z(stack)
+            for k in np.flatnonzero(done).tolist():
+                results[members[k]], big = _split_char_poly(forms[k])
+                for block in big:
+                    blocks.setdefault(len(block), []).append((members[k], block))
+            stack = stack[~done]
+            members = [i for i, d in zip(members, done.tolist()) if not d]
+        for i, poly in zip(members, _char_polys_modular(stack, primes)):
+            results[i] = poly
+    for pairs in blocks.values():
+        stack = np.array([block for _, block in pairs])
+        for (i, _), poly in zip(pairs, _char_polys_modular(stack, _covering_primes(stack))):
+            results[i] = results[i] * poly
     return results
+
+
+def _covering_primes(stack: np.ndarray) -> list[int]:
+    """The fewest primes of ``_primes(_prime_bits(n))``, in its order, whose
+    product exceeds ``_coefficient_bound(stack)``."""
+    bound = _coefficient_bound(stack)
+    primes = []
+    modulus = 1
+    for p in _primes(_prime_bits(stack.shape[-1])):
+        primes.append(p)
+        modulus *= p
+        if modulus > bound:
+            return primes
+
+
+def _char_polys_modular(stack: np.ndarray, primes: list[int]) -> list[PolynomialZ]:
+    """det(xI - M) of each layer M of an (m, n, n) stack, int64 or of Python
+    ints, from its residues mod ``primes``, whose product must exceed twice
+    every coefficient: every (layer, prime) pair is one layer of a stack of
+    residues, run in the fewest chunks of at most ``_STACK_ENTRIES`` entries
+    by ``_char_poly_mod``, and each layer's coefficients are rebuilt by
+    Garner's algorithm into the symmetric range."""
+    if not len(stack):
+        return []
+    n = stack.shape[-1]
+    # Garner step k: the unique value mod moduli[k] * p_k that is c mod
+    # moduli[k] and r mod p_k is c + moduli[k] * ((r - c) * inverses[k] % p_k).
+    moduli = list(itertools.accumulate(primes, operator.mul, initial=1))
+    inverses = [pow(m, -1, p) for m, p in zip(moduli, primes)]
+    layer_primes = np.array(primes, dtype=np.int64)
+    count = len(primes)
+    total = len(stack) * count
+    chunks = -(-total // max(1, _STACK_ENTRIES // (n * n)))
+    size = -(-total // chunks)
+    coeffs = [[0] * (n + 1) for _ in range(len(stack))]
+    for lo in range(0, total, size):
+        layers = np.arange(lo, min(lo + size, total))
+        which, prime_index = np.divmod(layers, count)
+        mods = layer_primes[prime_index]
+        residues = stack[which]  # a copy, reduced in place
+        np.remainder(residues, mods[:, None, None], out=residues)
+        polys = _char_poly_mod(residues.astype(np.int64, copy=False), mods).tolist()
+        del residues  # before the next chunk's copy is made
+        for j, k, p, row in zip(which.tolist(), prime_index.tolist(), mods.tolist(), polys):
+            m, inverse = moduli[k], inverses[k]
+            coeffs[j] = [c + m * ((r - c % p) * inverse % p) for c, r in zip(coeffs[j], row)]
+    modulus = moduli[-1]
+    half = modulus // 2
+    return [PolynomialZ(c - modulus if c > half else c for c in cs) for cs in coeffs]
+
+
+def _entry_limit(n: int) -> int:
+    """L = floor(cbrt(2^62 / n)). With every entry of an n x n int64 matrix
+    in [-L, L], one step of ``_hessenberg_over_z`` leaves the row operations'
+    entries in [-(L + L^2), L + L^2], and the column operation adds at most
+    n L (L + L^2) to one of them: no intermediate reaches 2^63."""
+    target = (1 << 62) // n
+    root = round(target ** (1 / 3))  # the real root to within 1e-9
+    return root - 1 if root ** 3 > target else root
+
+
+def _hessenberg_over_z(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper Hessenberg forms over the integers of the layers of an (m, n, n)
+    stack, int64 or of Python ints, where they stay exact, in int64; and
+    which layers got there.
+
+    At column j a layer's pivot is its least-magnitude nonzero entry below
+    the diagonal, swapped into row j + 1. If it divides every entry below it,
+    the row operations R_i -= (h_ij / pivot) R_{j+1} and the inverse column
+    operation are unimodular similarity transforms, so the characteristic
+    polynomial is unchanged (Cohen, Alg. 2.2.9, over Z). A layer stops at
+    the first column without such a pivot, or once an entry leaves [-L, L]
+    for L = ``_entry_limit(n)``, which keeps every intermediate below 2^63;
+    a stopped layer is set to zero, on which every later step is a no-op.
+    """
+    count, n, _ = stack.shape
+    limit = _entry_limit(n)
+    h = np.clip(stack, -limit - 1, limit + 1).astype(np.int64, copy=False)  # a copy
+    ok = np.ones(count, dtype=bool)
+    _stop(h, ok, np.abs(h).max(axis=(1, 2)) > limit)
+    every = np.arange(count)
+    for j in range(n - 2):
+        below = h[:, j + 1:, j]
+        if not np.count_nonzero(below):
+            continue
+        # |entry| - 1 as uint64 puts the zeros last
+        offset = (np.abs(below) - 1).view(np.uint64).argmin(axis=1)
+        pivot = below[every, offset]
+        quotients, remainders = np.divmod(below, (pivot + (pivot == 0))[:, None])
+        if np.count_nonzero(remainders):
+            _stop(h, ok, remainders.any(axis=1))
+            quotients[~ok] = 0
+        if np.count_nonzero(offset):
+            swap = np.flatnonzero(offset)
+            a, b = j + 1, j + 1 + offset[swap]
+            h[swap, a], h[swap, b] = h[swap, b], h[swap, a]
+            h[swap, :, a], h[swap, :, b] = h[swap, :, b], h[swap, :, a]
+            quotients[swap, offset[swap]] = quotients[swap, 0]
+        u = quotients[:, 1:]
+        pivot_row = h[:, j + 1, None, j:]
+        step = max(1, _STACK_ENTRIES // 8 // (count * (n - j)))
+        for lo in range(0, n - j - 2, step):
+            h[:, j + 2 + lo:j + 2 + lo + step, j:] -= u[:, lo:lo + step, None] * pivot_row
+        h[:, :, j + 1] += np.matmul(h[:, :, j + 2:], u[:, :, None])[:, :, 0]
+        changed = np.abs(h[:, :, j + 1:])
+        if changed.max() > limit:
+            _stop(h, ok, changed.max(axis=(1, 2)) > limit)
+    return h, ok
+
+
+def _stop(h: np.ndarray, ok: np.ndarray, stop: np.ndarray) -> None:
+    """Mark the layers of ``stop`` as stopped in ``ok`` and set them to zero."""
+    ok &= ~stop
+    h[stop] = 0
+
+
+def _split_char_poly(h: np.ndarray) -> tuple[PolynomialZ, list[np.ndarray]]:
+    """det(xI - H) of an upper Hessenberg integer matrix H, cut into diagonal
+    blocks where the subdiagonal is zero, as the product of its blocks of
+    one and two rows, and its blocks of three rows or more.
+
+    The product starts as (x - d)^m for the value d of the most 1 x 1
+    blocks, expanded by its binomial row; each other 1 x 1 block multiplies
+    it by x - d, a pass of small-by-large products, and each 2 x 2 block by
+    x^2 - tr x + det through ``PolynomialZ.__mul__``.
+    """
+    n = len(h)
+    diagonal, below, above = (h.diagonal(k).tolist() for k in (0, -1, 1))
+    cuts = [0, *(k + 1 for k, v in enumerate(below) if v == 0), n]
+    ones: dict[int, int] = {}
+    factors, big = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a == 1:
+            ones[diagonal[a]] = ones.get(diagonal[a], 0) + 1
+        elif b - a == 2:
+            d, e = diagonal[a:b]
+            factors.append(PolynomialZ((d * e - above[a] * below[a], -d - e, 1)))
+        else:
+            big.append(h[a:b, a:b])
+    d = max(ones, key=ones.get, default=0)
+    m = ones.pop(d, 0)
+    coeffs = [math.comb(m, k) * (-d) ** (m - k) for k in range(m + 1)]
+    for d, m in ones.items():
+        for _ in range(m):
+            coeffs = [a - d * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    poly = PolynomialZ(coeffs)
+    for factor in factors:
+        poly = poly * factor
+    return poly, big
 
 
 def _integer_array(matrix) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
     NoSignChange,
     NotSymmetric,
     SizeMismatch,
+    instance,
     integer,
     items,
     pair,
@@ -287,6 +288,7 @@ def real_root_isolate(poly: PolynomialZ, brackets) -> list[float]:
     Each bracket must exhibit a strict sign change at its endpoints, checked
     with exact integer evaluation.
     """
+    instance(poly, PolynomialZ, "polynomial")
     roots = []
     for bracket in items(brackets, "brackets"):
         lo, hi = (integer(end, "bracket end") for end in pair(bracket, "a bracket"))
@@ -313,6 +315,8 @@ def real_root_isolate(poly: PolynomialZ, brackets) -> list[float]:
 
 def multiset_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
     """True when the expanded eigenvalue lists pair up within tol."""
+    instance(s1, Spectrum, "spectrum")
+    instance(s2, Spectrum, "spectrum")
     tol = real(tol, "tolerance")
     if s1.total_multiplicity != s2.total_multiplicity:
         raise SizeMismatch(
@@ -324,6 +328,8 @@ def multiset_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:
 def grouped_match(expected: Spectrum, actual: Spectrum, tol: float) -> bool:
     """True when the grouped (value, multiplicity) pairs agree: equal group
     counts, identical multiplicities, values within tol."""
+    instance(expected, Spectrum, "spectrum")
+    instance(actual, Spectrum, "spectrum")
     tol = real(tol, "tolerance")
     if len(expected.pairs) != len(actual.pairs):
         return False
@@ -355,7 +361,7 @@ def spectrum_from_integer_charpoly(poly: PolynomialZ, bound: int | None = None) 
     matrices of simple graphs. Returns None when the polynomial does not split
     into integer roots within the bound.
     """
-    if not poly.is_monic():
+    if not instance(poly, PolynomialZ, "polynomial").is_monic():
         return None
     bound = 2 * max(poly.degree, 0) if bound is None else integer(bound, "root bound")
     pairs = []

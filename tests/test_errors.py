@@ -264,6 +264,21 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: sg.generalized_join(sg.complete_graph(3), 5), InvalidParameter),
     (lambda: sg.refines(Partition(3, [[0, 1], [2]]), 5), InvalidParameter),
     (lambda: sg.refines(5, Partition(3, [[0, 1], [2]])), InvalidParameter),
+    (lambda: sg.is_connected(5), InvalidParameter),
+    (lambda: sg.connected_components(5), InvalidParameter),
+    (lambda: sg.is_spanning_subgraph(5, sg.complete_graph(2)), InvalidParameter),
+    (lambda: sg.is_spanning_subgraph(sg.complete_graph(2), 5), InvalidParameter),
+    (lambda: sg.twin_canonical_form(5), InvalidParameter),
+    (lambda: sg.commuting_graph(5), InvalidParameter),
+    (lambda: sg.order_partition(5), InvalidParameter),
+    (lambda: sg.conjugacy_partition(5), InvalidParameter),
+    (lambda: sg.write_cayley_file(5, "never-written.txt"), InvalidParameter),
+    (lambda: sg.spectrum_from_integer_charpoly(5), InvalidParameter),
+    (lambda: sg.multiset_match(5, Spectrum([(1, 1)]), 0.1), InvalidParameter),
+    (lambda: sg.multiset_match(Spectrum([(1, 1)]), 5, 0.1), InvalidParameter),
+    (lambda: sg.grouped_match(5, Spectrum([(1, 1)]), 0.1), InvalidParameter),
+    (lambda: sg.grouped_match(Spectrum([(1, 1)]), 5, 0.1), InvalidParameter),
+    (lambda: sg.real_root_isolate(5, [(1, 2)]), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):

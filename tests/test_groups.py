@@ -276,6 +276,15 @@ def test_a_write_to_the_callers_table_never_reaches_the_group():
     assert not d6.flags.writeable  # a family table is read-only too
 
 
+def test_a_validated_table_cannot_be_made_writable():
+    for group in (dihedral(3), from_cayley_table(dihedral(3).table.tolist()),
+                  FiniteGroup(np.array(dihedral(4).table), validate=False)):
+        for array in (group.table, group.table.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+        assert not group.table.flags.writeable
+
+
 def test_direct_product():
     d6, z2 = dihedral(3), cyclic(2)
     g = direct_product(d6, z2)

@@ -20,6 +20,7 @@ from supergraph import (
     is_prime,
     order_partition,
     semidirect_pq,
+    super_adjacency_charpoly,
     super_graph,
     super_laplacian_charpoly,
 )
@@ -513,10 +514,21 @@ def _wide_matrix(seed):
     return [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(60)] for _ in range(60)]
 
 
+def _stage_stops(matrix):
+    """An int64 copy of ``matrix`` with 2, 3, 0, ... below the diagonal of its
+    first column: the least of them, 2, does not divide 3, so the stage over
+    the integers stops at once and leaves the matrix to the modular route."""
+    m = np.array(matrix, dtype=np.int64)
+    m[1:, 0] = 0
+    m[1, 0], m[2, 0] = 2, 3
+    return m
+
+
 def test_char_poly_across_several_chunks(monkeypatch):
-    # a budget of 2^16 entries splits both matrices' primes into several stacks
+    # a budget of 2^16 entries splits both matrices' primes into several
+    # stacks; the stage over the integers leaves both to the modular route
     monkeypatch.setattr(polynomials, "_STACK_ENTRIES", 1 << 16)
-    for m in (_order_laplacian(dihedral(49)), _wide_matrix(31)):
+    for m in (_stage_stops(_order_laplacian(dihedral(49))), _wide_matrix(31)):
         stacks = _recording_stacks(monkeypatch)
         result = char_poly_integer(m)
         n = len(m)
@@ -564,9 +576,13 @@ def test_char_poly_integers_mixed_dimensions_and_repeats():
 
 def test_char_poly_integers_one_matrix_needs_more_primes(monkeypatch):
     # at n = 5 one matrix with entries near 10^12 needs several primes and
-    # the 0/1 matrices one; the group takes the larger list for all of them
+    # the 0/1 matrices one; the group takes the larger list for all of them.
+    # The stage over the integers leaves every n = 5 matrix to the modular
+    # route: the wide one's entries exceed its entry limit, and the others
+    # stop at their first column.
     rng = random.Random(59)
-    small = [[[rng.randint(0, 1) for _ in range(5)] for _ in range(5)] for _ in range(3)]
+    small = [_stage_stops([[rng.randint(0, 1) for _ in range(5)] for _ in range(5)])
+             for _ in range(3)]
     wide = [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(5)] for _ in range(5)]
     batch = [small[0], [[2, 1], [1, 2]], small[1], wide, small[2]]
     stacks = _recording_stacks(monkeypatch)
@@ -731,28 +747,37 @@ def test_char_poly_array_input_messages_unchanged():
         assert char_poly_integer(big) == x - PolynomialZ((int(big[0, 0]),))
 
 
+def _modular_char_poly(matrix):
+    """The multi-modular route alone on one matrix, with the primes that
+    ``char_poly_integers`` would choose for it."""
+    stack = _integer_array(matrix)[None]
+    [result] = polynomials._char_polys_modular(stack, polynomials._covering_primes(stack))
+    return result
+
+
 def test_char_poly_one_stack_at_the_default_budget(monkeypatch):
-    # the 20 layers of the 98 x 98 matrix run as one stack; a 400 x 400
-    # matrix runs one prime at a time
+    # on the modular route, the 20 layers of the 98 x 98 matrix run as one
+    # stack; a 400 x 400 matrix runs one prime at a time
     stacks = _recording_stacks(monkeypatch)
     m = _order_laplacian(dihedral(49))
-    result = char_poly_integer(m)
+    result = _modular_char_poly(m)
     assert [len(primes) for primes in stacks] == [20]
     assert result == _per_prime_char_poly(m)
     stacks.clear()
     scaled = 2 * np.eye(400, dtype=np.int8)
-    assert char_poly_integer(scaled) == (PolynomialZ.x() - PolynomialZ((2,))) ** 400
+    assert _modular_char_poly(scaled) == (PolynomialZ.x() - PolynomialZ((2,))) ** 400
     assert len(stacks) > 1 and all(len(primes) == 1 for primes in stacks)
 
 
 def test_char_poly_traced_memory_of_one_stack():
-    # one stack of 20 x 98 x 98 residues (1.5 MiB), the reduction's row
-    # updates in blocks of 2^15 entries and the recurrence's few polynomials
+    # on the modular route, one stack of 20 x 98 x 98 residues (1.5 MiB), the
+    # reduction's row updates in blocks of 2^15 entries and the recurrence's
+    # few polynomials
     matrix = _order_laplacian(dihedral(49))
-    char_poly_integer(matrix)  # the primes are found once per process
+    _modular_char_poly(matrix)  # the primes are found once per process
     tracemalloc.start()
     try:
-        char_poly_integer(matrix)
+        _modular_char_poly(matrix)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -866,3 +891,175 @@ def test_char_poly_traced_memory_stays_small(matrix_of):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2 ** 20, f"traced peak {peak / 2 ** 20:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# The stage over the integers
+
+def _stage(matrices):
+    """The stage's forms and which layers it finished, on one stack."""
+    return polynomials._hessenberg_over_z(np.array([_integer_array(m) for m in matrices]))
+
+
+def _recording_modular_dimensions(monkeypatch):
+    """Record the dimension of every stack that the modular route runs."""
+    dimensions = []
+    kernel = polynomials._char_poly_mod
+
+    def recorded(h, primes):
+        dimensions.append(h.shape[1])
+        return kernel(h, primes)
+
+    monkeypatch.setattr(polynomials, "_char_poly_mod", recorded)
+    return dimensions
+
+
+def _dividing_pivots(rng, sizes, pivots=(-1, 1), entries=4):
+    """L H L^-1 and H: H upper Hessenberg with entries in -entries..entries, its
+    subdiagonal drawn from ``pivots`` inside diagonal blocks of the given
+    sizes and 0 between them; L unit lower triangular, with column k equal
+    to e_k unless H[k, k-1] is nonzero. At every column j the entries below
+    the diagonal are H[j+1, j] times column j + 1 of what is left of L, so
+    H[j+1, j], in row j + 1, is a least pivot that divides them, and the
+    stage ends at H."""
+    n = sum(sizes)
+    h = np.triu(np.array([[rng.randint(-entries, entries) for _ in range(n)] for _ in range(n)]))
+    starts = set(itertools.accumulate(sizes[:-1]))
+    for k in range(1, n):
+        h[k, k - 1] = 0 if k in starts else rng.choice(pivots)
+    lower = np.eye(n, dtype=np.int64)
+    for k in range(1, n):
+        if h[k, k - 1]:
+            lower[k + 1:, k] = [rng.randint(-2, 2) for _ in range(n - k - 1)]
+    inverse = np.round(np.linalg.inv(lower)).astype(np.int64)
+    assert (lower @ inverse == np.eye(n)).all()
+    return lower @ h @ inverse, h
+
+
+def test_stage_finishes_matrices_whose_pivots_divide(monkeypatch):
+    rng = random.Random(89)
+    for pivots in ((-1, 1), (-2, 2, 3)):
+        # entries up to 999 make every dimension need two primes or more
+        cases = [_dividing_pivots(rng, sizes, pivots, 999) for sizes in
+                 ((1, 2, 1), (2, 2, 2, 1), (1,) * 7, (2, 1, 2, 1, 2, 2), (3, 1, 2), (4, 2, 3))]
+        for m, h in cases:
+            forms, done = _stage([m])
+            assert done.tolist() == [True] and (forms[0] == h).all()
+            assert len(polynomials._covering_primes(m[None])) > 1
+        matrices = [m for m, _ in cases]
+        dimensions = _recording_modular_dimensions(monkeypatch)
+        results = char_poly_integers(matrices)
+        # only blocks of three rows or more take the modular route, one
+        # stack per size
+        assert sorted(dimensions) == [3, 4]
+        for m, result in zip(matrices, results):
+            assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def test_stage_stops_partway(monkeypatch):
+    # Column 0 takes the pivot 1 and undoes L; column 1 then holds 2 in row 2
+    # and 3 in row 3, so the stage stops there and the modular route takes
+    # the whole matrix.
+    rng = random.Random(97)
+    n = 7
+    a = np.triu(np.array([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]), -1)
+    a[1, 0], a[2, 1], a[3, 1] = 1, 2, 3
+    lower = np.eye(n, dtype=np.int64)
+    lower[2:, 1] = [1, -2, 3, 1, -1]
+    inverse = np.round(np.linalg.inv(lower)).astype(np.int64)
+    stopped = lower @ a @ inverse
+    assert np.count_nonzero(stopped[2:, 0])  # column 0 has work to do
+    finished, _ = _dividing_pivots(rng, (2, 1, 2, 2))
+    forms, done = _stage([stopped, finished])
+    assert done.tolist() == [False, True] and not forms[0].any()
+    dimensions = _recording_modular_dimensions(monkeypatch)
+    results = char_poly_integers([stopped, finished])
+    assert dimensions == [n]
+    for m, result in zip((stopped, finished), results):
+        assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def test_stage_entry_limit():
+    for n in (1, 2, 5, 98, 400, MAX_DIMENSION):
+        limit = polynomials._entry_limit(n)
+        assert n * limit ** 3 <= 2 ** 62 < n * (limit + 1) ** 3
+    n = 5
+    limit = polynomials._entry_limit(n)
+    for sign in (1, -1):
+        # entries at the limit, already Hessenberg: the stage finishes
+        at = np.triu(np.full((n, n), sign * limit), -1)
+        # one entry past it: the stage leaves the matrix at once
+        past = at.copy()
+        past[0, n - 1] += sign
+        # pivot 1 and every other entry at the limit: the first step's
+        # products reach n L^3 = 2^62 without wrapping, and the layer stops
+        grows = np.full((n, n), sign * limit)
+        grows[1, 0] = 1
+        forms, done = _stage([at, past, grows])
+        assert done.tolist() == [True, False, False]
+        assert (forms[0] == at).all()
+        for m, result in zip((at, past, grows), char_poly_integers([at, past, grows])):
+            assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def test_stage_reads_object_stacks():
+    # one matrix beyond int64 makes the group's stack of Python ints; the
+    # stage still finishes the others
+    rng = random.Random(101)
+    finished, _ = _dividing_pivots(rng, (2, 1, 2))
+    huge = finished.astype(object)
+    huge[0, 4] = 2 ** 70
+    batch = [finished.tolist(), huge, np.array(finished, dtype=object), finished + 2 ** 40]
+    assert np.array([_integer_array(m) for m in batch]).dtype == object
+    assert _stage(batch)[1].tolist() == [True, False, True, False]
+    _assert_batch_matches_oracles(batch)
+
+
+def test_stage_runs_on_groups_that_need_two_primes_or_more(monkeypatch):
+    calls = []
+    stage = polynomials._hessenberg_over_z
+
+    def recorded(stack):
+        calls.append(stack.shape)
+        return stage(stack)
+
+    monkeypatch.setattr(polynomials, "_hessenberg_over_z", recorded)
+    rng = random.Random(103)
+    one = [[[rng.randint(0, 1) for _ in range(4)] for _ in range(4)] for _ in range(3)]
+    several = [_dividing_pivots(rng, (2, 2, 1, 2, 1, 2, 2))[0] for _ in range(2)]
+    for m in one:
+        assert len(polynomials._covering_primes(_integer_array(m)[None])) == 1
+    assert len(polynomials._covering_primes(np.array(several))) > 1
+    _assert_batch_matches_oracles([one[0], several[0], one[1], several[1], one[2]])
+    assert (2, 12, 12) in calls and all(shape[1] == 12 for shape in calls)
+
+
+def test_stage_never_builds_clique_factors(monkeypatch):
+    # from_roots builds the quotient route's clique factors; the explicit
+    # route's finish multiplies its own factors, so the two stay independent
+    def refused(cls, roots):
+        raise AssertionError("from_roots called")
+
+    matrices = _bench_matrices()
+    expected = char_poly_integers(matrices)
+    monkeypatch.setattr(PolynomialZ, "from_roots", classmethod(refused))
+    assert char_poly_integers(matrices) == expected
+
+
+@pytest.mark.parametrize("case", ["D98 order Laplacian", "Q68 conjugacy adjacency",
+                                  "Z19xZ3 order adjacency", "D400 conjugacy Laplacian"])
+def test_stage_finishes_the_benchmark_matrices(case, monkeypatch):
+    group, partition_of, kind = {
+        "D98 order Laplacian": (dihedral(49), order_partition, "laplacian"),
+        "Q68 conjugacy adjacency": (generalized_quaternion(17), conjugacy_partition, "adjacency"),
+        "Z19xZ3 order adjacency": (semidirect_pq(19, 3), order_partition, "adjacency"),
+        "D400 conjugacy Laplacian": (dihedral(200), conjugacy_partition, "laplacian"),
+    }[case]
+    graph, partition = commuting_graph(group), partition_of(group)
+    sup = super_graph(graph, partition)
+    matrix = sup.laplacian_matrix() if kind == "laplacian" else sup.adjacency_matrix()
+    quotient = (super_laplacian_charpoly if kind == "laplacian" else super_adjacency_charpoly)
+    dimensions = _recording_modular_dimensions(monkeypatch)
+    result = char_poly_integer(matrix)
+    assert all(d < len(matrix) for d in dimensions)  # no modular stack of the whole matrix
+    assert result == quotient(graph, partition)

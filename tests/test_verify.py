@@ -31,6 +31,7 @@ from supergraph import (
 from supergraph import graphs, spectra, verify
 from supergraph.verify import (
     MATCH,
+    MISMATCH,
     PAPER_TABLE,
     closed_form,
     format_report_table,
@@ -615,6 +616,23 @@ def test_a_failing_task_closes_the_runs_build_table(monkeypatch):
     with pytest.raises(InvalidParameter, match="planted"):
         run_suite("4.5")
     assert verify._built is None
+
+
+def test_a_wrong_clique_factor_shows_as_an_exact_route_mismatch(monkeypatch):
+    # PolynomialZ.from_roots builds the quotient route's clique factors; the
+    # explicit matrix's exact char poly never calls it, so the two exact
+    # routes stay independent and a fault planted there cannot hide
+    from_roots = PolynomialZ.from_roots.__func__
+
+    def wrong(cls, roots):
+        low, *rest = from_roots(cls, roots).coeffs
+        return cls((low + 1, *rest))
+
+    monkeypatch.setattr(PolynomialZ, "from_roots", classmethod(wrong))
+    reports = run_suite("all", seed=42)
+    exact = [r for r in reports if r.verdict == MISMATCH and r.claim in verify._CATALOGUE
+             and verify._CATALOGUE[r.claim].routes[:1] == ("exact",)]
+    assert exact and all(r.diff == verify._INTERNAL for r in exact)
 
 
 def test_run_suite_all_parallel_matches_serial_in_order():
