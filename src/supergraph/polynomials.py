@@ -268,8 +268,8 @@ def char_poly_integer(matrix: Sequence[Sequence[int]]) -> PolynomialZ:
     """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
 
     This is ``char_poly_integers`` on a batch of one: the matrix is its own
-    dimension group, so its primes cover its own coefficient bound and every
-    layer of the stack is one of its primes.
+    dimension group, so its primes cover its own coefficient bound, and on
+    the modular route every layer of the stack is one of its primes.
     """
     return char_poly_integers([matrix])[0]
 
