@@ -442,9 +442,9 @@ def _hessenberg_over_z(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for lo in range(0, n - j - 2, step):
             h[:, j + 2 + lo:j + 2 + lo + step, j:] -= u[:, lo:lo + step, None] * pivot_row
         h[:, :, j + 1] += np.matmul(h[:, :, j + 2:], u[:, :, None])[:, :, 0]
-        changed = np.abs(h[:, :, j + 1:])
-        if changed.max() > limit:
-            _stop(h, ok, changed.max(axis=(1, 2)) > limit)
+        changed = h[:, :, j + 1:]
+        if max(changed.max(), -changed.min()) > limit:  # no temporary of the stack's size
+            _stop(h, ok, np.abs(changed).max(axis=(1, 2)) > limit)
     return h, ok
 
 
