@@ -992,7 +992,8 @@ def test_stage_entry_limit():
         past = at.copy()
         past[0, n - 1] += sign
         # pivot 1 and every other entry at the limit: the first step's
-        # products reach n L^3 = 2^62 without wrapping, and the layer stops
+        # column operation reaches (n - 2) L^3, 0.6 * 2^62, without wrapping,
+        # and the layer stops
         grows = np.full((n, n), sign * limit)
         grows[1, 0] = 1
         forms, done = _stage([at, past, grows])
