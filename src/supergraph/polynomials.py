@@ -11,14 +11,14 @@ list of word-size primes whose product covers it. Where that takes two
 primes or more, each matrix is first reduced over the integers by
 unimodular similarity transforms, as long as every pivot divides the
 entries below it and no entry can wrap int64; super graphs' matrices get
-there in one pass and split into mostly 1 x 1 blocks, whose char polys
-multiply out exactly. The rest are computed multi-modularly (Dumas, Pernet
-& Wan, "Efficient computation of the characteristic polynomial", ISSAC
-2005): each (matrix, prime) pair is one layer of a (P, n, n) stack of
-residues, run in the fewest equal chunks of at most 2^18 int64 entries
-(2 MiB), and each matrix's coefficients are rebuilt by Chinese
-remaindering. Integer numpy arrays are read as arrays. The result is exact
-at any size.
+there in one pass, and the char poly of each diagonal block of the form is
+found over the integers. The other matrices are computed multi-modularly
+(Dumas, Pernet & Wan, "Efficient computation of the characteristic
+polynomial", ISSAC 2005): each (matrix, prime) pair is one layer of a
+(P, n, n) stack of residues, run in the fewest equal chunks of at most 2^18
+int64 entries (2 MiB), and each matrix's coefficients are rebuilt by
+Chinese remaindering. Integer numpy arrays are read as arrays. The result
+is exact at any size.
 """
 
 from __future__ import annotations
@@ -281,10 +281,10 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     primes, chosen for the largest bound (below) in the group. If it takes
     two primes or more, ``_hessenberg_over_z`` first reduces the group's
     stack to upper Hessenberg form over the integers, layer by layer, where
-    that stays exact; a layer that gets there is finished by
-    ``_split_char_poly`` from its 1 x 1 and 2 x 2 diagonal blocks, and its
-    blocks of three rows or more join one modular stack per size. With one
-    prime the modular route is already a single int64 reduction.
+    that stays exact; a layer that gets there is finished over the integers
+    by ``_split_char_poly``, and only the layers that stop take the modular
+    route, whole. With one prime the modular route is already a single int64
+    reduction, and the group takes it at once.
 
     Multi-modular route: for each prime p, M mod p is reduced to upper
     Hessenberg form by similarity transforms and the Hessenberg recurrence
@@ -319,24 +319,17 @@ def char_poly_integers(matrices: Iterable[Sequence[Sequence[int]]]) -> list[Poly
     for index, a in enumerate(arrays):
         groups.setdefault(len(a), []).append(index)
     results: list = [None] * len(arrays)
-    blocks: dict[int, list] = {}  # rows -> (matrix index, block) for blocks of 3 rows or more
     for n, members in groups.items():
         stack = np.array([arrays[i] for i in members])  # object if any entry is beyond int64
         primes = _covering_primes(stack)
         if len(primes) > 1:  # with one prime the modular route is one int64 reduction
             forms, done = _hessenberg_over_z(stack)
             for k in np.flatnonzero(done).tolist():
-                results[members[k]], big = _split_char_poly(forms[k])
-                for block in big:
-                    blocks.setdefault(len(block), []).append((members[k], block))
+                results[members[k]] = _split_char_poly(forms[k])
             stack = stack[~done]
             members = [i for i, d in zip(members, done.tolist()) if not d]
         for i, poly in zip(members, _char_polys_modular(stack, primes)):
             results[i] = poly
-    for pairs in blocks.values():
-        stack = np.array([block for _, block in pairs])
-        for (i, _), poly in zip(pairs, _char_polys_modular(stack, _covering_primes(stack))):
-            results[i] = results[i] * poly
     return results
 
 
@@ -454,29 +447,36 @@ def _stop(h: np.ndarray, ok: np.ndarray, stop: np.ndarray) -> None:
     h[stop] = 0
 
 
-def _split_char_poly(h: np.ndarray) -> tuple[PolynomialZ, list[np.ndarray]]:
-    """det(xI - H) of an upper Hessenberg integer matrix H, cut into diagonal
-    blocks where the subdiagonal is zero, as the product of its blocks of
-    one and two rows, and its blocks of three rows or more.
-
-    The product starts as (x - d)^m for the value d of the most 1 x 1
-    blocks, expanded by its binomial row; each other 1 x 1 block multiplies
-    it by x - d, a pass of small-by-large products, and each 2 x 2 block by
-    x^2 - tr x + det through ``PolynomialZ.__mul__``.
+def _split_char_poly(h: np.ndarray) -> PolynomialZ:
+    """det(xI - H) of an upper Hessenberg integer matrix H over the integers:
+    the product of its diagonal blocks' char polys, cut where the subdiagonal
+    is zero. It starts as (x - d)^m for the value d of the most 1 x 1 blocks,
+    by its binomial row; each other 1 x 1 block multiplies it by x - d, a
+    pass of small-by-large products, and each longer block by p_r of the
+    Hessenberg recurrence in Python ints (Cohen, Alg. 2.2.9) through
+    ``PolynomialZ.__mul__``: p_0 = 1 and, from 1 in the block,
+    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1).
     """
-    n = len(h)
-    diagonal, below, above = (h.diagonal(k).tolist() for k in (0, -1, 1))
-    cuts = [0, *(k + 1 for k, v in enumerate(below) if v == 0), n]
+    diagonal, below = h.diagonal().tolist(), h.diagonal(-1).tolist()
+    cuts = [0, *(k + 1 for k, v in enumerate(below) if v == 0), len(h)]
     ones: dict[int, int] = {}
-    factors, big = [], []
+    factors = []
     for a, b in zip(cuts, cuts[1:]):
         if b - a == 1:
             ones[diagonal[a]] = ones.get(diagonal[a], 0) + 1
-        elif b - a == 2:
-            d, e = diagonal[a:b]
-            factors.append(PolynomialZ((d * e - above[a] * below[a], -d - e, 1)))
-        else:
-            big.append(h[a:b, a:b])
+            continue
+        block = h[a:b, a:b].tolist()
+        polys = [[1]]  # polys[k]: ascending coefficients of p_k
+        for j in range(b - a):  # p_(j+1) from the block's column j, from 0
+            row = [0, *polys[j]]
+            chain = 1  # block[i+1][i] ... block[j][j-1], 1 for i = j
+            for i in range(j, -1, -1):
+                weight = block[i][j] * chain
+                if weight:
+                    row[:i + 1] = [r - weight * c for r, c in zip(row, polys[i])]
+                chain *= block[i][i - 1]  # block[0][-1] at i = 0, after the last term
+            polys.append(row)
+        factors.append(PolynomialZ(polys[-1]))
     d = max(ones, key=ones.get, default=0)
     m = ones.pop(d, 0)
     coeffs = [math.comb(m, k) * (-d) ** (m - k) for k in range(m + 1)]
@@ -486,7 +486,7 @@ def _split_char_poly(h: np.ndarray) -> tuple[PolynomialZ, list[np.ndarray]]:
     poly = PolynomialZ(coeffs)
     for factor in factors:
         poly = poly * factor
-    return poly, big
+    return poly
 
 
 def _integer_array(matrix) -> np.ndarray:

@@ -941,7 +941,8 @@ def test_stage_finishes_matrices_whose_pivots_divide(monkeypatch):
     for pivots in ((-1, 1), (-2, 2, 3)):
         # entries up to 999 make every dimension need two primes or more
         cases = [_dividing_pivots(rng, sizes, pivots, 999) for sizes in
-                 ((1, 2, 1), (2, 2, 2, 1), (1,) * 7, (2, 1, 2, 1, 2, 2), (3, 1, 2), (4, 2, 3))]
+                 ((1, 2, 1), (2, 2, 2, 1), (1,) * 7, (2, 1, 2, 1, 2, 2), (3, 1, 2), (4, 2, 3),
+                  (12,), (1, 9, 2), (5, 5))]
         for m, h in cases:
             forms, done = _stage([m])
             assert done.tolist() == [True] and (forms[0] == h).all()
@@ -949,11 +950,37 @@ def test_stage_finishes_matrices_whose_pivots_divide(monkeypatch):
         matrices = [m for m, _ in cases]
         dimensions = _recording_modular_dimensions(monkeypatch)
         results = char_poly_integers(matrices)
-        # only blocks of three rows or more take the modular route, one
-        # stack per size
-        assert sorted(dimensions) == [3, 4]
+        # every block of a finished form is finished over the integers
+        assert dimensions == []
         for m, result in zip(matrices, results):
             assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def _path_laplacian(n):
+    laplacian = np.diag([1] + [2] * (n - 2) + [1])
+    laplacian[np.arange(n - 1), np.arange(1, n)] = -1
+    laplacian[np.arange(1, n), np.arange(n - 1)] = -1
+    return laplacian
+
+
+def _dense_hessenberg(rng, n):
+    """Upper Hessenberg, entries in -3..3 above the subdiagonal, which is
+    drawn from -1 and 1: one diagonal block of n rows."""
+    h = np.triu(np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+    h[np.arange(1, n), np.arange(n - 1)] = [rng.choice((-1, 1)) for _ in range(n - 1)]
+    return h
+
+
+@pytest.mark.parametrize("case", ["path Laplacian", "dense Hessenberg"])
+def test_stage_finishes_one_long_block_over_the_integers(case, monkeypatch):
+    matrix = (_path_laplacian(120) if case == "path Laplacian"
+              else _dense_hessenberg(random.Random(107), 60))
+    forms, done = _stage([matrix])
+    assert done.tolist() == [True] and np.count_nonzero(forms[0].diagonal(-1)) == len(matrix) - 1
+    dimensions = _recording_modular_dimensions(monkeypatch)
+    result = char_poly_integer(matrix)
+    assert dimensions == []
+    assert result == _per_prime_char_poly(matrix) == _faddeev_leverrier_char_poly(matrix)
 
 
 def test_stage_stops_partway(monkeypatch):
@@ -1064,3 +1091,33 @@ def test_stage_finishes_the_benchmark_matrices(case, monkeypatch):
     result = char_poly_integer(matrix)
     assert all(d < len(matrix) for d in dimensions)  # no modular stack of the whole matrix
     assert result == quotient(graph, partition)
+
+
+def test_the_modular_route_sees_only_whole_input_matrices(monkeypatch):
+    # Over a verify run, every layer of every modular stack is an input
+    # matrix reduced mod its prime (a stage-stopped one, or one of a group
+    # that needs one prime), never a block of a form the stage finished.
+    from supergraph.verify import run_suite
+
+    inputs, layers = {}, []
+    read, kernel = polynomials._integer_array, polynomials._char_poly_mod
+
+    def recorded_input(matrix):
+        array = read(matrix)
+        inputs.setdefault(len(array), []).append(array)
+        return array
+
+    def recorded_stack(h, primes):
+        layers.extend(zip(h.copy(), primes.tolist()))
+        return kernel(h, primes)
+
+    monkeypatch.setattr(polynomials, "_integer_array", recorded_input)
+    monkeypatch.setattr(polynomials, "_char_poly_mod", recorded_stack)
+    run_suite("all", seed=42)
+    assert layers
+    residues = {}  # (n, p) -> the inputs of n rows reduced mod p
+    for layer, p in layers:
+        n = len(layer)
+        if (n, p) not in residues:
+            residues[n, p] = {(a % p).astype(np.int64).tobytes() for a in inputs[n]}
+        assert layer.tobytes() in residues[n, p], (n, p)

@@ -28,7 +28,7 @@ from supergraph import (
     semidirect_pq,
     super_graph,
 )
-from supergraph import graphs, spectra, verify
+from supergraph import graphs, polynomials, spectra, verify
 from supergraph.verify import (
     MATCH,
     MISMATCH,
@@ -633,6 +633,95 @@ def test_a_wrong_clique_factor_shows_as_an_exact_route_mismatch(monkeypatch):
     exact = [r for r in reports if r.verdict == MISMATCH and r.claim in verify._CATALOGUE
              and verify._CATALOGUE[r.claim].routes[:1] == ("exact",)]
     assert exact and all(r.diff == verify._INTERNAL for r in exact)
+
+
+def _laplacian_clique_plus_one(monkeypatch):
+    quotients = spectra._quotients
+
+    def planted(cases, t):
+        out = quotients(cases, t)
+        return [(c, s, [(v + t, m) for v, m in cliques]) for c, s, cliques in out]
+
+    monkeypatch.setattr(spectra, "_quotients", planted)
+
+
+def _adjacency_quotient_diagonal_plus_one(monkeypatch):
+    quotients = spectra._quotients
+
+    def planted(cases, t):
+        out = quotients(cases, t)
+        if t:
+            return out
+        return [(c + np.eye(len(c), dtype=np.int64), s + np.eye(len(s)), cliques)
+                for c, s, cliques in out]
+
+    monkeypatch.setattr(spectra, "_quotients", planted)
+
+
+def _explicit_laplacian_corner_plus_one(monkeypatch):
+    laplacian = SimpleGraph.laplacian_matrix
+
+    def planted(self):
+        out = laplacian(self)
+        out[0, 0] += 1
+        return out
+
+    monkeypatch.setattr(SimpleGraph, "laplacian_matrix", planted)
+
+
+def _lapack_top_eigenvalue_up(monkeypatch):
+    jacobi = verify.jacobi_eigenvalues
+
+    def planted(matrix):
+        *rest, (top, mult) = jacobi(matrix).pairs
+        return Spectrum([*rest, (top + 1e-6, mult)])
+
+    monkeypatch.setattr(verify, "jacobi_eigenvalues", planted)
+
+
+def _exact_finish_coefficient_off(monkeypatch):
+    split = polynomials._split_char_poly
+
+    def planted(h):
+        low, *rest = split(h).coeffs
+        return PolynomialZ((low + 1, *rest))
+
+    monkeypatch.setattr(polynomials, "_split_char_poly", planted)
+
+
+@pytest.fixture(scope="module")
+def seed_42_verdicts():
+    return _verdicts(run_suite("all", seed=42))
+
+
+def _verdicts(reports):
+    return {(r.claim, tuple(sorted(r.params.items()))): r.verdict for r in reports}
+
+
+# One fault per layer that a route owns. Each must be seen, and every
+# verdict it changes must read Mismatch: a planted fault that turned a Match
+# into Mismatch(paper-table) would blame the paper for the program.
+@pytest.mark.parametrize("plant", [_laplacian_clique_plus_one,
+                                   _adjacency_quotient_diagonal_plus_one,
+                                   _explicit_laplacian_corner_plus_one,
+                                   _lapack_top_eigenvalue_up])
+def test_a_planted_fault_reads_mismatch(plant, monkeypatch, seed_42_verdicts):
+    plant(monkeypatch)
+    planted = _verdicts(run_suite("all", seed=42))
+    assert planted.keys() == seed_42_verdicts.keys()
+    changed = {k: v for k, v in planted.items() if v != seed_42_verdicts[k]}
+    assert changed
+    assert set(changed.values()) == {MISMATCH}
+    assert not any(seed_42_verdicts[k] == MATCH and v == PAPER_TABLE for k, v in planted.items())
+
+
+def test_a_wrong_coefficient_of_the_exact_finish_reads_mismatch(monkeypatch, seed_42_verdicts):
+    # The quotient core of Thm4.1(ii) at n = 15 also takes the stage, and
+    # Thm4.1 runs no explicit exact route, so that one point reads
+    # Mismatch(paper-table): only Mismatch is asserted here.
+    _exact_finish_coefficient_off(monkeypatch)
+    planted = _verdicts(run_suite("all", seed=42))
+    assert any(seed_42_verdicts[k] == MATCH and v == MISMATCH for k, v in planted.items())
 
 
 def test_run_suite_all_parallel_matches_serial_in_order():

@@ -31,10 +31,13 @@ graph and that graph's Laplacian:
     numeric_eigenvalues  jacobi_eigenvalues of the explicit Laplacian (LAPACK)
     exact_char_poly      char_poly_integer of the explicit Laplacian
 
-A layer's figure is the least wall time of ``--runs`` calls, in ms. A call
-still running after ``CAP_S`` seconds is stopped by a timer signal and its
-layer recorded as null, as is a layer whose input a stopped layer did not
-make; the cap is written to the file. The timer needs a POSIX system.
+Each layer first makes one untimed warm-up call, so that its figure does not
+depend on what the layers timed before it in the same process left in the
+caches and the allocator; its figure is then the median wall time of
+``--runs`` calls (default 5), in ms. A call still running after ``CAP_S``
+seconds, the warm-up included, is stopped by a timer signal and its layer
+recorded as null, as is a layer whose input a stopped layer did not make;
+the cap is written to the file. The timer needs a POSIX system.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ import time
 from pathlib import Path
 
 ORDERS = (50, 100, 200, 400)
-# The explicit exact route takes about 1.1 s at order 400 on a 2-core host.
+# The explicit exact route took about 1.1 s at order 400 on a 2-core host
+# before it reduced super graphs' matrices over the integers.
 CAP_S = 5.0
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,12 +69,13 @@ def _raise_over_cap(signum, frame):
 
 
 def timed(call, runs: int, cap: float) -> tuple[float | None, object]:
-    """The least wall time of ``runs`` calls in ms, and the last result; the
-    time is None when a call runs past ``cap`` seconds."""
-    best, result = None, None
+    """The median wall time in ms of ``runs`` calls after one untimed warm-up
+    call, and the last result; the time is None when a call runs past
+    ``cap`` seconds."""
+    walls, result = [], None
     previous = signal.signal(signal.SIGALRM, _raise_over_cap)
     try:
-        for _ in range(runs):
+        for _ in range(runs + 1):
             start = time.perf_counter()
             signal.setitimer(signal.ITIMER_REAL, cap)
             try:
@@ -79,11 +84,10 @@ def timed(call, runs: int, cap: float) -> tuple[float | None, object]:
                 return None, None
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
-            ms = (time.perf_counter() - start) * 1000.0
-            best = ms if best is None else min(best, ms)
+            walls.append((time.perf_counter() - start) * 1000.0)
     finally:
         signal.signal(signal.SIGALRM, previous)
-    return best, result
+    return statistics.median(walls[1:]), result
 
 
 def layers(sg, order: int, runs: int, cap: float) -> dict:
@@ -138,7 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write to")
     parser.add_argument("--orders", type=int, nargs="+", default=list(ORDERS))
-    parser.add_argument("--runs", type=int, default=3, help="calls per layer and verify runs")
+    parser.add_argument("--runs", type=int, default=5,
+                        help="timed calls per layer, and verify runs")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
