@@ -31,13 +31,17 @@ graph and that graph's Laplacian:
     numeric_eigenvalues  jacobi_eigenvalues of the explicit Laplacian (LAPACK)
     exact_char_poly      char_poly_integer of the explicit Laplacian
 
-Each layer first makes one untimed warm-up call, so that its figure does not
-depend on what the layers timed before it in the same process left in the
-caches and the allocator; its figure is then the median wall time of
-``--runs`` calls (default 5), in ms. A call still running after ``CAP_S``
-seconds, the warm-up included, is stopped by a timer signal and its layer
-recorded as null, as is a layer whose input a stopped layer did not make;
-the cap is written to the file. The timer needs a POSIX system.
+The process and its ``verify`` runs are pinned to one BLAS and OpenMP
+thread, as ``bench/run.py`` pins them: with a pool per core, LAPACK's idle
+threads spin after each call and take CPU time from the layers timed after
+them on a small host. Each layer first makes one untimed warm-up call, so
+that its figure does not depend on what the layers timed before it in the
+same process left in the caches and the allocator; its figure is then the
+median wall time of ``--runs`` calls (default 5), in ms. A call still
+running after ``CAP_S`` seconds, the warm-up included, is stopped by a timer
+signal and its layer recorded as null, as is a layer whose input a stopped
+layer did not make; the cap is written to the file. The timer needs a POSIX
+system.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ ORDERS = (50, 100, 200, 400)
 # before it reduced super graphs' matrices over the integers.
 CAP_S = 5.0
 ROOT = Path(__file__).resolve().parents[1]
+# Environment variables that size the BLAS and OpenMP thread pools.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 class OverCap(Exception):
@@ -146,6 +153,8 @@ def main(argv=None) -> int:
                         help="timed calls per layer, and verify runs")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
     sys.path.insert(0, str(root / "src"))
     import numpy as np
 
