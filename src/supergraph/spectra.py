@@ -6,11 +6,12 @@ matrices, and the quotient-matrix factorization that carries the spectrum of a
 join of cliques on a small matrix. One private function, ``_quotients``, is
 the quotient route: it builds the quotient matrix of each compressed graph
 and one clique eigenvalue per block. The exact char polys and the quotient
-spectrum share it, ``_t`` is the one check of a matrix name, and
-``super_charpolys`` runs the quotient cores of many super graphs in one exact
-kernel call. Root isolation and integer-root factorization serve the
-verifier; the star-join Laplacian closed form and the interlacing check serve
-the acceptance criteria.
+spectrum share it: ``_quotient_charpoly`` and ``_quotient_spectrum`` read one
+of its entries, so a caller that needs both builds it once. ``_t`` is the one
+check of a matrix name, and ``super_charpolys`` runs the quotient cores of
+many super graphs in one exact kernel call. Root isolation and integer-root
+factorization serve the verifier; the star-join Laplacian closed form and the
+interlacing check serve the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -220,22 +221,31 @@ def _quotients(cases, t: int) -> list[tuple]:
     return quotients
 
 
-def _quotient_charpoly(graph: SimpleGraph, partition: Partition, t: int) -> PolynomialZ:
-    [(companion, _, cliques)] = _quotients([(graph, partition)], t)
+def _quotient_charpoly(quotient: tuple) -> PolynomialZ:
+    """The exact char poly of a super graph from its ``_quotients`` entry."""
+    companion, _, cliques = quotient
     return char_poly_integer(companion) * PolynomialZ.from_roots(cliques)
+
+
+def _quotient_spectrum(quotient: tuple) -> Spectrum:
+    """The numeric spectrum of a super graph from its ``_quotients`` entry."""
+    _, symmetric, cliques = quotient
+    pairs = sorted([*jacobi_eigenvalues(symmetric).pairs, *((v, m) for v, m in cliques if m)])
+    values, mults = zip(*pairs)
+    return _grouped(values, mults, _GROUPING_FACTOR * max(1.0, float(np.linalg.norm(symmetric))))
 
 
 def super_adjacency_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the adjacency matrix of the super graph:
     char(N(0)) of the compressed graph's quotient matrix times (x + 1)^(n - k)."""
-    return _quotient_charpoly(graph, partition, 0)
+    return _quotient_charpoly(_quotients([(graph, partition)], 0)[0])
 
 
 def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the Laplacian of the super graph:
     char(-N(1)) of the compressed graph's quotient matrix times
     prod_i (x - N_i - n_i)^(n_i - 1)."""
-    return _quotient_charpoly(graph, partition, 1)
+    return _quotient_charpoly(_quotients([(graph, partition)], 1)[0])
 
 
 def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
@@ -262,10 +272,7 @@ def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> 
     grouping tolerance, 1e-8 * max(1, ||N||_F), merge into one eigenvalue.
     Independent of any catalogued closed form.
     """
-    [(_, symmetric, cliques)] = _quotients([(graph, partition)], _t(matrix))
-    pairs = sorted([*jacobi_eigenvalues(symmetric).pairs, *((v, m) for v, m in cliques if m)])
-    values, mults = zip(*pairs)
-    return _grouped(values, mults, _GROUPING_FACTOR * max(1.0, float(np.linalg.norm(symmetric))))
+    return _quotient_spectrum(_quotients([(graph, partition)], _t(matrix))[0])
 
 
 def star_join_laplacian_spectrum(sizes) -> Spectrum:

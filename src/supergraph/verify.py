@@ -1,15 +1,15 @@
 """Executable verification of the catalogued spectral and structural claims.
 
-Each claim is checked along up to three routes: the catalogued closed form,
-the quotient-matrix pipeline, and brute force on the explicit matrix. One
+Each claim is checked along three routes: the catalogued closed form, the
+quotient-matrix pipeline, and brute force on the explicit matrix. One
 ``Claim`` record per claim holds its parameter range, the group family it
 builds (``family_group``) and its published form. At a point that
 ``Claim.check`` has passed, its methods give the published form, the
 published spectrum, and the exact diff of that form against the quotient
 route's char poly.
-A ``SpectralPoint`` runs each route of one super graph at most once and
-yields the labelled checks between them; ``verify`` and ``spectrum
---compare`` judge the same checks. The verdict separates internal
+A ``SpectralPoint`` runs every route of one super graph once and yields the
+same three labelled checks at every point, which ``verify`` and ``spectrum
+--compare`` judge alike. The verdict separates internal
 inconsistencies ("Mismatch": the quotient route and brute force disagree,
 which would be a bug here) from divergences between our computations and a
 catalogued published formula ("Mismatch(paper-table)", reported with a diff
@@ -23,11 +23,12 @@ import random
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import spectra
 from .errors import (
     InvalidParameter,
     OutOfRange,
@@ -61,12 +62,9 @@ from .spectra import (
     _t,
     jacobi_eigenvalues,
     multiset_match,
-    quotient_spectrum,
     real_root_isolate,
     spectrum_from_integer_charpoly,
-    super_adjacency_charpoly,
     super_charpolys,
-    super_laplacian_charpoly,
 )
 
 MATCH = "Match"
@@ -84,7 +82,6 @@ class ClaimReport:
 
     claim: str
     params: dict
-    artifacts: dict = field(default_factory=dict)
     verdict: str = MATCH
     diff: str | None = None
     ms: int = 0
@@ -171,7 +168,6 @@ class Claim:
     twin: str | None = None  # in place of closed: the family whose super graph is claimed
     cubic: Callable | None = None  # (cubic factor, multiplicity of -1) of an adjacency claim
     brackets: Callable | None = None  # integer brackets of the cubic's roots
-    routes: tuple[str, ...] = ()  # explicit-matrix routes that run: "exact", "jacobi"
     sides: tuple[str, str] = ("computed", "claimed")  # names of a structure claim's forms
 
     @property
@@ -276,7 +272,7 @@ class Claim:
 CLAIMS = (
     Claim(
         "Thm4.1(i)", "4.1", "D", "odd_n", default=(3, 25), least=3, parity=1,
-        relations=("order", "conjugacy"), matrix="adjacency", routes=("jacobi",),
+        relations=("order", "conjugacy"), matrix="adjacency",
         cubic=lambda n: (
             _cubic(2 * n * n - 4 * n + 1, n * n - 5 * n + 3, -(2 * n - 3)), 2 * n - 3
         ),
@@ -284,7 +280,7 @@ CLAIMS = (
     ),
     Claim(
         "Thm4.1(ii)", "4.1", "Q", "odd_n", default=(3, 15), least=3, parity=1,
-        relations=("order",), matrix="adjacency", routes=("jacobi",),
+        relations=("order",), matrix="adjacency",
         cubic=lambda n: (
             _cubic(12 * n * n - 16 * n + 1, 4 * n * n - 12 * n + 3, -(4 * n - 3)), 4 * n - 3
         ),
@@ -296,7 +292,7 @@ CLAIMS = (
     ),
     Claim(
         "Thm4.1(iii)", "4.1", "PQ", "pq",
-        relations=("order", "conjugacy"), matrix="adjacency", routes=("jacobi",),
+        relations=("order", "conjugacy"), matrix="adjacency",
         cubic=lambda p, q: (
             _cubic(
                 2 * p * p * q - 3 * p * q - 2 * p * p + 2 * p + 1,
@@ -309,19 +305,19 @@ CLAIMS = (
     ),
     Claim(
         "Thm4.2(i)", "4.2", "D", "odd_n", default=(3, 25), least=3, parity=1,
-        relations=("order", "conjugacy"), matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("order", "conjugacy"), matrix="laplacian",
         closed=lambda n: Spectrum([(0, 1), (1, 1), (n, n - 2), (n + 1, n - 1), (2 * n, 1)]),
     ),
     Claim(
         "Thm4.2(ii)", "4.2", "Q", "odd_n", default=(3, 13), least=3, parity=1,
-        relations=("order",), matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("order",), matrix="laplacian",
         closed=lambda n: Spectrum(
             [(0, 1), (2, 1), (2 * n, 2 * n - 3), (2 * n + 2, 2 * n - 1), (4 * n, 2)]
         ),
     ),
     Claim(
         "Thm4.2(iii)", "4.2", "PQ", "pq",
-        relations=("order", "conjugacy"), matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("order", "conjugacy"), matrix="laplacian",
         closed=lambda p, q: Spectrum(
             [(0, 1), (1, 1), (p, p - 2), (p * q - p + 1, p * q - p - 1), (p * q, 1)]
         ),
@@ -331,14 +327,14 @@ CLAIMS = (
     # contradict them.
     Claim(
         "Sec4.2-Dc-adj", "4.2", "Dc", "m", default=(2, 6), least=2,
-        relations=("conjugacy",), matrix="adjacency", routes=("exact",),
+        relations=("conjugacy",), matrix="adjacency",
         closed=lambda m: PolynomialZ.from_roots([(-1, 4 * m - 4), (m - 1, 1)]) * _cubic(
             10 * m * m - 15 * m + 1, 2 * m * m - 10 * m + 3, -(3 * m - 3)
         ),
     ),
     Claim(
         "Sec4.2-Dc-lap", "4.2", "Dc", "m", default=(2, 6), least=2,
-        relations=("conjugacy",), matrix="laplacian", routes=("exact", "jacobi"),
+        relations=("conjugacy",), matrix="laplacian",
         closed=lambda m: Spectrum(
             [(0, 1), (2, 1), (m + 2, 2 * m - 2), (2 * m, 2 * m - 3), (4 * m, 2)]
         ),
@@ -433,16 +429,17 @@ class SpectralPoint:
     and ``graph`` the super graph over them. Each route runs when it is first
     read, and at most once: the explicit matrix, its exact char poly
     (``exact``) and LAPACK spectrum (``jacobi``), and the quotient route's
-    char poly (``quotient``) and spectrum.
+    one ``_quotients`` entry, read through ``spectra`` where a test may
+    rebind it, and its char poly (``quotient``) and spectrum.
     """
 
     def __init__(self, base: SimpleGraph, partition: Partition, graph: SimpleGraph, matrix: str):
-        self.base, self.partition, self.graph, self.matrix = base, partition, graph, matrix
-        self.adjacency = _t(matrix) == 0  # the one check of the matrix name
+        self.base, self.partition, self.graph = base, partition, graph
+        self.t = _t(matrix)  # the one check of the matrix name
 
     @cached_property
     def explicit(self):
-        return self.graph.adjacency_matrix() if self.adjacency else self.graph.laplacian_matrix()
+        return self.graph.laplacian_matrix() if self.t else self.graph.adjacency_matrix()
 
     @cached_property
     def exact(self) -> PolynomialZ:
@@ -453,25 +450,26 @@ class SpectralPoint:
         return jacobi_eigenvalues(self.explicit)
 
     @cached_property
+    def quotient_entry(self) -> tuple:
+        return spectra._quotients([(self.base, self.partition)], self.t)[0]
+
+    @cached_property
     def quotient(self) -> PolynomialZ:
-        charpoly = super_adjacency_charpoly if self.adjacency else super_laplacian_charpoly
-        return charpoly(self.base, self.partition)
+        return spectra._quotient_charpoly(self.quotient_entry)
 
     @cached_property
     def quotient_eigenvalues(self) -> Spectrum:
-        return quotient_spectrum(self.base, self.partition, self.matrix)
+        return spectra._quotient_spectrum(self.quotient_entry)
 
-    def checks(self, claim: Claim | None = None, params=None, routes=("exact", "jacobi")):
+    def checks(self, claim: Claim | None = None, params=None):
         """Each check as (label, problem), the problem None where the check
-        holds: the explicit routes in ``routes`` against the quotient route,
-        then the published form of ``claim`` at ``params`` against the
+        holds: the exact and the LAPACK explicit route against the quotient
+        route, then the published form of ``claim`` at ``params`` against the
         quotient route's char poly."""
-        if "exact" in routes:
-            agree = self.exact == self.quotient
-            yield "exact == quotient (char poly)", None if agree else _INTERNAL
-        if "jacobi" in routes:
-            agree = multiset_match(self.jacobi, self.quotient_eigenvalues, SPECTRAL_TOL)
-            yield f"jacobi ~ quotient spectrum ({SPECTRAL_TOL:g})", None if agree else _INTERNAL
+        agree = self.exact == self.quotient
+        yield "exact == quotient (char poly)", None if agree else _INTERNAL
+        agree = multiset_match(self.jacobi, self.quotient_eigenvalues, SPECTRAL_TOL)
+        yield f"jacobi ~ quotient spectrum ({SPECTRAL_TOL:g})", None if agree else _INTERNAL
         if claim is not None:
             yield _CLOSED_CHECK, claim.diff(params, self.quotient)
 
@@ -482,15 +480,11 @@ def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
     graph, base, part = _shared(*claim.supers(params)[0])
     point = SpectralPoint(base, part, graph, claim.matrix)
     report = ClaimReport(claim=claim.name, params=params)
-    for label, problem in point.checks(claim, params, claim.routes):
+    for label, problem in point.checks(claim, params):
         if problem is not None:
             report.verdict = PAPER_TABLE if label == _CLOSED_CHECK else MISMATCH
             report.diff = problem
             break
-    brute = point.jacobi if "jacobi" in claim.routes else point.exact
-    report.artifacts = {
-        "closed": str(claim.form(params)), "quotient": str(point.quotient), "brute": str(brute)
-    }
     report.ms = int((time.perf_counter() - start) * 1000)
     return report
 
@@ -511,7 +505,6 @@ def verify_structure(claim: str, params) -> ClaimReport:
     f2 = twin_canonical_form(entry.form(params))
     left, right = entry.sides
     report = ClaimReport(claim=claim, params=params)
-    report.artifacts = {left: f1.describe(), right: f2.describe()}
     if f1 != f2:
         report.verdict = PAPER_TABLE
         report.diff = f"{left} {f1.describe()} != {right} {f2.describe()}"
@@ -797,7 +790,6 @@ def verify_generic(seed: int, trials: int) -> list[ClaimReport]:
         if failed:
             report.diff = (f"{len(failed)}/{trials} counterexamples; "
                            f"first: trial {failed[0]}: {problem}")
-        report.artifacts = {"trials": str(trials)}
         report.ms = int((time.perf_counter() - start) * 1000)
         reports.append(report)
     return reports

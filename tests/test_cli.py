@@ -167,25 +167,29 @@ def test_spectrum_compare_skips_out_of_range_closed_form(in_tmp, capsys):
 
 
 def test_spectrum_compare_runs_each_route_once(in_tmp, monkeypatch):
-    from supergraph import verify
+    from supergraph import spectra, verify
 
-    calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0, "real_root_isolate": 0}
+    calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0, "real_root_isolate": 0,
+             "_quotients": 0}
     for name in calls:
-        def counted(*args, _fn=getattr(verify, name), _name=name):
+        module = spectra if name == "_quotients" else verify  # the module that binds the route
+
+        def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(verify, name, counted)  # the module that binds the routes
+        monkeypatch.setattr(module, name, counted)
     runs = [("laplacian", method) for method in ("exact", "jacobi", "quotient", "closed")]
     for matrix, method in runs + [("adjacency", "closed")]:  # a cubic: roots isolated once
-        calls.update(char_poly_integer=0, jacobi_eigenvalues=0, real_root_isolate=0)
+        calls.update(char_poly_integer=0, jacobi_eigenvalues=0, real_root_isolate=0, _quotients=0)
         assert main([
             "spectrum", "--group", "D:5", "--relation", "order", "--matrix",
             matrix, "--method", method, "--compare",
         ]) == 0
         isolated = int(matrix == "adjacency")
         assert calls == {
-            "char_poly_integer": 1, "jacobi_eigenvalues": 1, "real_root_isolate": isolated
+            "char_poly_integer": 1, "jacobi_eigenvalues": 1, "real_root_isolate": isolated,
+            "_quotients": 1,
         }, (matrix, method)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -176,7 +177,6 @@ def test_a_published_root_bracket_without_a_sign_change_is_a_paper_table_diff(mo
     report = verify_spectral(claim.name, [{"n": 5}])[0]
     assert report.verdict == PAPER_TABLE
     assert report.diff == "root bracket sign check failed on [(-2, -1), (3, 4), (10, 11)]"
-    assert report.artifacts["quotient"] == str(claim.form({"n": 5}))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,8 @@ def test_verify_generic_deterministic():
 
 def test_verify_generic_reports_at_seed_42():
     reports = verify_generic(42, 200)
-    assert [(r.claim, r.verdict, r.diff, r.artifacts) for r in reports] == [
-        (name, MATCH, None, {"trials": "200"})
+    assert [(r.claim, r.params, r.verdict, r.diff) for r in reports] == [
+        (name, {"seed": 42, "trials": 200}, MATCH, None)
         for name in ("Lemma1.2", "Prop3.2", "Thm3.3", "Thm3.4", "Thm3.5")
     ]
 
@@ -572,10 +572,6 @@ def test_run_suite_all_pins_the_catalogue():
 # One run builds each group and super graph once and shares it between the
 # claims that ask for it; nothing it built outlives it.
 
-def _reports(reports):
-    return [(*_strip_ms([r])[0], r.artifacts) for r in reports]
-
-
 def _counting_family_builders(monkeypatch):
     built = []
     for name in ("dihedral", "generalized_quaternion", "semidirect_pq"):
@@ -591,7 +587,7 @@ def test_a_run_shares_each_build_and_reports_what_each_task_reports_alone():
     shared = run_suite("all", seed=42)
     alone = [r for task in suite_tasks("all", seed=42) for r in verify.run_claim_task(task)]
     alone.sort(key=lambda r: (r.claim, sorted(r.params.items())))
-    assert _reports(shared) == _reports(alone)
+    assert _strip_ms(shared) == _strip_ms(alone)
     assert summarize(shared) == {"match": 88, "mismatch": 0, "paper_table": 12}
 
 
@@ -618,23 +614,6 @@ def test_a_failing_task_closes_the_runs_build_table(monkeypatch):
     assert verify._built is None
 
 
-def test_a_wrong_clique_factor_shows_as_an_exact_route_mismatch(monkeypatch):
-    # PolynomialZ.from_roots builds the quotient route's clique factors; the
-    # explicit matrix's exact char poly never calls it, so the two exact
-    # routes stay independent and a fault planted there cannot hide
-    from_roots = PolynomialZ.from_roots.__func__
-
-    def wrong(cls, roots):
-        low, *rest = from_roots(cls, roots).coeffs
-        return cls((low + 1, *rest))
-
-    monkeypatch.setattr(PolynomialZ, "from_roots", classmethod(wrong))
-    reports = run_suite("all", seed=42)
-    exact = [r for r in reports if r.verdict == MISMATCH and r.claim in verify._CATALOGUE
-             and verify._CATALOGUE[r.claim].routes[:1] == ("exact",)]
-    assert exact and all(r.diff == verify._INTERNAL for r in exact)
-
-
 def _laplacian_clique_plus_one(monkeypatch):
     quotients = spectra._quotients
 
@@ -654,6 +633,20 @@ def _adjacency_quotient_diagonal_plus_one(monkeypatch):
             return out
         return [(c + np.eye(len(c), dtype=np.int64), s + np.eye(len(s)), cliques)
                 for c, s, cliques in out]
+
+    monkeypatch.setattr(spectra, "_quotients", planted)
+
+
+def _adjacency_companion_diagonal_plus_one(monkeypatch):
+    # the int64 companion alone: the float symmetric quotient stays right,
+    # so only the exact routes can see it
+    quotients = spectra._quotients
+
+    def planted(cases, t):
+        out = quotients(cases, t)
+        if t:
+            return out
+        return [(c + np.eye(len(c), dtype=np.int64), s, cliques) for c, s, cliques in out]
 
     monkeypatch.setattr(spectra, "_quotients", planted)
 
@@ -689,6 +682,18 @@ def _exact_finish_coefficient_off(monkeypatch):
     monkeypatch.setattr(polynomials, "_split_char_poly", planted)
 
 
+def _clique_factor_low_coefficient_off(monkeypatch):
+    # PolynomialZ.from_roots builds the quotient route's clique factors; the
+    # explicit matrix's exact char poly never calls it
+    from_roots = PolynomialZ.from_roots.__func__
+
+    def planted(cls, roots):
+        low, *rest = from_roots(cls, roots).coeffs
+        return cls((low + 1, *rest))
+
+    monkeypatch.setattr(PolynomialZ, "from_roots", classmethod(planted))
+
+
 @pytest.fixture(scope="module")
 def seed_42_verdicts():
     return _verdicts(run_suite("all", seed=42))
@@ -703,8 +708,11 @@ def _verdicts(reports):
 # into Mismatch(paper-table) would blame the paper for the program.
 @pytest.mark.parametrize("plant", [_laplacian_clique_plus_one,
                                    _adjacency_quotient_diagonal_plus_one,
+                                   _adjacency_companion_diagonal_plus_one,
                                    _explicit_laplacian_corner_plus_one,
-                                   _lapack_top_eigenvalue_up])
+                                   _lapack_top_eigenvalue_up,
+                                   _exact_finish_coefficient_off,
+                                   _clique_factor_low_coefficient_off])
 def test_a_planted_fault_reads_mismatch(plant, monkeypatch, seed_42_verdicts):
     plant(monkeypatch)
     planted = _verdicts(run_suite("all", seed=42))
@@ -715,13 +723,24 @@ def test_a_planted_fault_reads_mismatch(plant, monkeypatch, seed_42_verdicts):
     assert not any(seed_42_verdicts[k] == MATCH and v == PAPER_TABLE for k, v in planted.items())
 
 
-def test_a_wrong_coefficient_of_the_exact_finish_reads_mismatch(monkeypatch, seed_42_verdicts):
-    # The quotient core of Thm4.1(ii) at n = 15 also takes the stage, and
-    # Thm4.1 runs no explicit exact route, so that one point reads
-    # Mismatch(paper-table): only Mismatch is asserted here.
-    _exact_finish_coefficient_off(monkeypatch)
-    planted = _verdicts(run_suite("all", seed=42))
-    assert any(seed_42_verdicts[k] == MATCH and v == MISMATCH for k, v in planted.items())
+@pytest.mark.parametrize("claim, params", [("Thm4.1(i)", {"n": 5}), ("Thm4.2(i)", {"n": 5}),
+                                           ("Sec4.2-Dc-adj", {"m": 3})])
+def test_verify_runs_every_route_once_at_every_point(claim, params, monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        def counted(*args, _fn=getattr(module, name)):
+            calls[name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(verify, "char_poly_integer")  # where verify binds the explicit routes
+    counting(verify, "jacobi_eigenvalues")
+    counting(spectra, "_quotients")
+    [report] = verify_spectral(claim, [params])
+    assert report.verdict in (MATCH, PAPER_TABLE)
+    assert calls == {"char_poly_integer": 1, "jacobi_eigenvalues": 1, "_quotients": 1}
 
 
 def test_run_suite_all_parallel_matches_serial_in_order():
@@ -738,7 +757,7 @@ def test_a_shuffled_task_order_gives_the_same_reports(monkeypatch):
         return order
 
     monkeypatch.setattr(verify, "suite_tasks", shuffled)
-    assert _reports(run_suite("all", seed=42)) == _reports(serial)
+    assert _strip_ms(run_suite("all", seed=42)) == _strip_ms(serial)
 
 
 def test_a_run_drops_each_build_after_the_last_task_that_reads_it(monkeypatch):
