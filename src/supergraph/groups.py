@@ -10,9 +10,11 @@ Validation is exact at every order: a table is accepted only if its entries
 are integers in 0..n-1, it is a Latin square with an identity, and it passes
 Light's associativity test on a generating set S (Clifford & Preston, *The
 Algebraic Theory of Semigroups* I, 1961), which costs O(n^2 |S|) and runs
-over blocks of rows, one gather per block and generator. A rejected
-table raises ``NotAGroup`` with a witness; for associativity it is a triple
-(x, s, y) with (x*s)*y != x*(s*y), whose middle element s is a generator.
+over blocks of rows, one gather per block and generator; the Latin-square
+pass runs only on a table that the identity or Light's test rejects. A
+rejected table raises ``NotAGroup`` with a witness; for associativity it is
+a triple (x, s, y) with (x*s)*y != x*(s*y), whose middle element s is a
+generator.
 """
 
 from __future__ import annotations
@@ -208,6 +210,20 @@ def _generating_set(table: np.ndarray, identity: int) -> list[int]:
 
 
 def _validate_table(table: np.ndarray) -> int:
+    """The identity of a group's table; else ``NotAGroup`` for the first of
+    these that fails: the Latin square, the identity, associativity.
+
+    A monoid whose every element has a right inverse is a group, and a
+    group's table is a Latin square, so a table with a two-sided identity
+    that every row holds and that passes Light's test is accepted without
+    the Latin-square pass, which runs only to name what a rejected table
+    breaks first.
+    """
+    identity = _find_identity(table)
+    if identity is not None and (table == identity).any(axis=1).all():
+        failure = _associativity_failure(table, identity)
+        if failure is None:
+            return identity
     n = table.shape[0]
     idx = np.arange(n)
     seen = np.zeros((n, n), dtype=bool)
@@ -220,13 +236,18 @@ def _validate_table(table: np.ndarray) -> int:
         raise NotAGroup(f"row {bad_rows[0]} is not a permutation", witness=int(bad_rows[0]))
     if bad_cols.size:
         raise NotAGroup(f"column {bad_cols[0]} is not a permutation", witness=int(bad_cols[0]))
-    identity = _find_identity(table)
     if identity is None:
         raise NotAGroup("table has no identity element")
-    # Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y contain
-    # the identity and are closed under products, so checking the generators
-    # suffices. A block of rows x at a time: (x*s)*y against x*(s*y) for every
-    # y, so the first hit in the first failing block is the least (x, y).
+    raise failure  # a Latin square with an identity: every row holds it
+
+
+def _associativity_failure(table: np.ndarray, identity: int) -> NotAGroup | None:
+    """Light's test: the elements a with (x*a)*y == x*(a*y) for all x, y
+    contain the identity and are closed under products, so checking the
+    generators suffices. A block of rows x at a time: (x*s)*y against
+    x*(s*y) for every y, so the first hit in the first failing block is the
+    least (x, y)."""
+    n = table.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
     for s in _generating_set(table, identity):
         s_row = table[s]
@@ -236,11 +257,11 @@ def _validate_table(table: np.ndarray) -> int:
             if differ.any():
                 x, y = np.argwhere(differ)[0].tolist()
                 x += lo
-                raise NotAGroup(
+                return NotAGroup(
                     f"not associative: ({x}*{s})*{y} != {x}*({s}*{y})",
                     witness=(x, s, y),
                 )
-    return identity
+    return None
 
 
 def from_cayley_table(table, labels=None, name="group") -> FiniteGroup:

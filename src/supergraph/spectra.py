@@ -4,14 +4,15 @@ Three independent routes are provided: LAPACK's symmetric eigensolver on the
 explicit matrix, exact integer characteristic polynomials of explicit
 matrices, and the quotient-matrix factorization that carries the spectrum of a
 join of cliques on a small matrix. One private function, ``_quotients``, is
-the quotient route: it builds the quotient matrix of each compressed graph
-and one clique eigenvalue per block. The exact char polys and the quotient
-spectrum share it: ``_quotient_charpoly`` and ``_quotient_spectrum`` read one
-of its entries, so a caller that needs both builds it once. ``_t`` is the one
-check of a matrix name, and ``super_charpolys`` runs the quotient cores of
-many super graphs in one exact kernel call. Root isolation and integer-root
-factorization serve the verifier; the star-join Laplacian closed form and the
-interlacing check serve the acceptance criteria.
+the quotient route: it builds the quotient matrix on the closed-twin classes
+of each compressed graph and one clique eigenvalue per class. The exact char
+polys and the quotient spectrum share it: ``_quotient_charpoly`` and
+``_quotient_spectrum`` read one of its entries, so a caller that needs both
+builds it once. ``_t`` is the one check of a matrix name, and
+``super_charpolys`` runs the quotient cores of many super graphs in one exact
+kernel call. Root isolation and integer-root factorization serve the
+verifier; the star-join Laplacian closed form and the interlacing check serve
+the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -176,25 +177,59 @@ def _t(matrix: str) -> int:
     return 0 if matrix == "adjacency" else 1
 
 
+def _closed_twin_classes(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-twin classes of a (T, k, k) stack of compressed graphs with
+    (T, k) block sizes: their cross adjacency, (T, k, k), and sizes, (T, k).
+
+    Blocks i and j share a class iff their rows of rho | I are equal, that is
+    iff they are adjacent with the same other neighbours, so the class's
+    cliques form one clique. Each graph's rows are packed to bytes and sorted,
+    so a class is a run of equal rows. Classes are numbered by their least
+    block, which stands for the class in rho; the empty blocks that pad a
+    stack are classes of their own, after the blocks of the partition, and
+    the slots past a graph's last class have size 0.
+    """
+    count, k, _ = rho.shape
+    closed = rho.copy()
+    closed.reshape(count, -1)[:, :: k + 1] = True
+    packed = np.packbits(closed, axis=2)
+    rows = packed.view(f"V{packed.shape[2]}").reshape(count, k)
+    order = rows.argsort(axis=1)
+    cases = np.arange(count)[:, None]
+    rows = rows[cases, order]
+    run = np.zeros((count, k), dtype=np.int64)  # of each sorted row
+    (rows[:, 1:] != rows[:, :-1]).cumsum(axis=1, out=run[:, 1:])
+    first = np.full((count, k), k - 1)
+    np.minimum.at(first, (cases, run), order)
+    sizes = np.zeros((count, k), dtype=np.int64)
+    np.add.at(sizes, (cases, run), n[cases, order])
+    by_first = first.argsort(axis=1, kind="stable")  # a class before the unused slots
+    first = first[cases, by_first]
+    return rho[cases[:, :, None], first[:, :, None], first[:, None, :]], sizes[cases, by_first]
+
+
 def _quotients(cases, t: int) -> list[tuple]:
     """The quotient route of each (graph, partition) case: the quotient
     matrix N(t) and the clique eigenvalues.
 
-    With n_i the size of block i, rho the compressed graph's adjacency (read
-    as the block cross adjacency, without building the graph's labels) and
-    N_i = sum_j rho_ij n_j, the quotient matrix N(t) has sqrt(n_i n_j) where
-    rho_ij is set and n_i - 1 - t * (n_i - 1 + N_i) on the diagonal. The
-    super graph's adjacency (t = 0) or Laplacian (t = 1) spectrum is the
-    eigenvalues of N(0), or of -N(1), and one clique eigenvalue per block,
+    The super graph is a join of cliques over the compressed graph, and so
+    over the closed-twin classes of the compressed graph, the coarsest such
+    join (``_closed_twin_classes``). With n_i the size of class i (the summed
+    sizes of its blocks), rho the adjacency of the classes (read from the
+    block cross adjacency, without building the compressed graph's labels)
+    and N_i = sum_j rho_ij n_j, the quotient matrix N(t) has sqrt(n_i n_j)
+    where rho_ij is set and n_i - 1 - t * (n_i - 1 + N_i) on the diagonal.
+    The super graph's adjacency (t = 0) or Laplacian (t = 1) spectrum is the
+    eigenvalues of N(0), or of -N(1), and one clique eigenvalue per class,
     -1 or N_i + n_i, with multiplicity n_i - 1 (Cardoso, de Freitas, Martins
     & Robbiano, *Discrete Math.* 313, 2013), for any template: a disconnected
     compressed graph makes N(t) block diagonal up to a permutation.
 
     Returns N(0) or -N(1) as an int64 companion matrix (n_j for sqrt(n_i n_j):
     similar by diag(sqrt(n_i)), so with the same char poly) and as a float
-    symmetric matrix, and the clique (eigenvalue, multiplicity) pairs. The
-    cases of one vertex count are one stack, padded with empty blocks, which
-    join nothing.
+    symmetric matrix, and the clique (eigenvalue, multiplicity) pairs, k x k
+    and k pairs for k closed-twin classes. The cases of one vertex count are
+    one stack, padded with empty blocks, which join nothing.
     """
     by_size: dict[int, list[int]] = {}
     for c, (graph, partition) in enumerate(cases):
@@ -207,16 +242,17 @@ def _quotients(cases, t: int) -> list[tuple]:
         k = max(p.block_count for p in parts)
         adjacency = [g.adjacency for g in graphs]
         stack = adjacency[0][None] if len(graphs) == 1 else np.array(adjacency)  # no copy of one
-        rho = _block_cross(stack, np.array([p.block_of for p in parts]), k)
-        n = np.array([p.sizes + (0,) * (k - p.block_count) for p in parts])
+        rho, n = _closed_twin_classes(
+            _block_cross(stack, np.array([p.block_of for p in parts]), k),
+            np.array([p.sizes + (0,) * (k - p.block_count) for p in parts]))
         neighbor_sums = (rho.astype(np.int64) @ n[:, :, None])[:, :, 0]
         diag = np.eye(k, dtype=np.int64) * (n - 1 - t * (n - 1 + neighbor_sums))[:, None, :]
         companion = sign * (np.where(rho, n[:, None, :], 0) + diag)
         symmetric = sign * (np.where(rho, np.sqrt(n[:, :, None] * n[:, None, :]), 0.0) + diag)
-        for i, (c, p) in enumerate(zip(members, parts)):
-            kc = p.block_count
+        classes = np.count_nonzero(n, axis=1).tolist()  # the classes of blocks come first
+        for i, (c, kc) in enumerate(zip(members, classes)):
             cliques = [(big_n + n_i if t else -1, n_i - 1)
-                       for n_i, big_n in zip(p.sizes, neighbor_sums[i].tolist())]
+                       for n_i, big_n in zip(n[i, :kc].tolist(), neighbor_sums[i, :kc].tolist())]
             quotients[c] = companion[i, :kc, :kc], symmetric[i, :kc, :kc], cliques
     return quotients
 
@@ -237,14 +273,16 @@ def _quotient_spectrum(quotient: tuple) -> Spectrum:
 
 def super_adjacency_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the adjacency matrix of the super graph:
-    char(N(0)) of the compressed graph's quotient matrix times (x + 1)^(n - k)."""
+    char(N(0)) of the quotient matrix on the k closed-twin classes of the
+    compressed graph times (x + 1)^(n - k)."""
     return _quotient_charpoly(_quotients([(graph, partition)], 0)[0])
 
 
 def super_laplacian_charpoly(graph: SimpleGraph, partition: Partition) -> PolynomialZ:
     """Exact characteristic polynomial of the Laplacian of the super graph:
-    char(-N(1)) of the compressed graph's quotient matrix times
-    prod_i (x - N_i - n_i)^(n_i - 1)."""
+    char(-N(1)) of the quotient matrix on the closed-twin classes of the
+    compressed graph times prod_i (x - N_i - n_i)^(n_i - 1), over the
+    classes i."""
     return _quotient_charpoly(_quotients([(graph, partition)], 1)[0])
 
 

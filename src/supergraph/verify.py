@@ -417,7 +417,9 @@ def _spectrum_diff(expected: Spectrum, computed: Spectrum) -> str:
 # ---------------------------------------------------------------------------
 # Claim verifiers
 
-_INTERNAL = "quotient pipeline disagrees with brute force"
+# The diff of each internal check names the explicit route that disagrees.
+_INTERNAL_EXACT = "exact char poly of the explicit matrix disagrees with the quotient route"
+_INTERNAL_LAPACK = "LAPACK spectrum of the explicit matrix disagrees with the quotient route"
 # The published-form check is exact; its label, like ``jacobi``, is historical.
 _CLOSED_CHECK = "jacobi ~ closed form (1e-08)"
 
@@ -467,9 +469,9 @@ class SpectralPoint:
         route, then the published form of ``claim`` at ``params`` against the
         quotient route's char poly."""
         agree = self.exact == self.quotient
-        yield "exact == quotient (char poly)", None if agree else _INTERNAL
+        yield "exact == quotient (char poly)", None if agree else _INTERNAL_EXACT
         agree = multiset_match(self.jacobi, self.quotient_eigenvalues, SPECTRAL_TOL)
-        yield f"jacobi ~ quotient spectrum ({SPECTRAL_TOL:g})", None if agree else _INTERNAL
+        yield f"jacobi ~ quotient spectrum ({SPECTRAL_TOL:g})", None if agree else _INTERNAL_LAPACK
         if claim is not None:
             yield _CLOSED_CHECK, claim.diff(params, self.quotient)
 

@@ -213,7 +213,7 @@ def test_spectrum_compare_judges_the_published_form_without_lapack(in_tmp, capsy
         "compare: jacobi ~ closed form (1e-08): agree",
     ]
     report = verify.verify_spectral("Thm4.2(i)", [{"n": 5}])[0]
-    assert (report.verdict, report.diff) == (verify.MISMATCH, verify._INTERNAL)
+    assert (report.verdict, report.diff) == (verify.MISMATCH, verify._INTERNAL_LAPACK)
 
 
 def test_spectrum_compare_judges_the_closed_form_as_verify_does(in_tmp, capsys, monkeypatch):

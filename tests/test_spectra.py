@@ -185,15 +185,33 @@ def test_quotient_matrix_single_block():
     assert symmetric.tolist() == [[3.0]]
 
 
+def _brute_closed_twin_classes(rho):
+    """The vertices of a template grouped by their rows of rho | I, each
+    class as its vertices in order, the classes ordered by least vertex."""
+    classes = {}
+    for i, row in enumerate((np.asarray(rho, dtype=bool) | np.eye(len(rho), dtype=bool))
+                            .tolist()):
+        classes.setdefault(tuple(row), []).append(i)
+    return list(classes.values())
+
+
 def test_quotient_reads_the_compressed_graphs_adjacency():
-    # the commuting graphs carry labels, which the quotient route never builds
+    # the commuting graphs carry labels, which the quotient route never
+    # builds; it reads the closed-twin classes of the compressed graph
+    merged = 0
     for group in (dihedral(9), generalized_quaternion(5)):
         graph = commuting_graph(group)
         for part in (order_partition(group), conjugacy_partition(group)):
             rho = compressed_graph(graph, part).adjacency
-            n = np.array(part.sizes)
-            companion, _, _ = _quotient(graph, part, 0)
+            classes = _brute_closed_twin_classes(rho)
+            merged += len(classes) < part.block_count
+            n = np.array([sum(part.sizes[b] for b in c) for c in classes])
+            first = [c[0] for c in classes]
+            rho = rho[np.ix_(first, first)]
+            companion, _, cliques = _quotient(graph, part, 0)
             assert companion.tolist() == (np.where(rho, n, 0) + np.diag(n - 1)).tolist()
+            assert cliques == [(-1, s - 1) for s in n.tolist()]
+    assert merged
     _, part = _join_of_cliques(star_graph(3), (1, 2, 3))
     larger, _ = _join_of_cliques(star_graph(3), (1, 2, 4))
     with pytest.raises(SizeMismatch, match="partition covers 6 points, graph has 7"):
@@ -207,14 +225,56 @@ def test_quotient_symmetric_and_companion_share_spectrum():
         template = _random_graph(rng, k, 0.5)
         sizes = [rng.randint(1, 4) for _ in range(k)]
         graph, part = _join_of_cliques(template, sizes)
+        classes = len(_brute_closed_twin_classes(template.adjacency))
         for t in (0, 1):
             companion, symmetric, _ = _quotient(graph, part, t)
             sym_eigs = jacobi_eigenvalues(symmetric).expand()
             poly = char_poly_integer(companion)
-            assert poly.degree == k and poly.is_monic()
+            assert poly.degree == classes and poly.is_monic()
             # the companion polynomial vanishes at the symmetric eigenvalues
             for eig in sym_eigs:
                 assert abs(poly(eig)) < 1e-6 * max(1.0, abs(eig)) ** k
+
+
+def _with_twin(adjacency, v, closed):
+    """The template with one more vertex whose neighbours are v's, and v too
+    if ``closed``: a closed or an open twin of v."""
+    k = len(adjacency)
+    out = np.zeros((k + 1, k + 1), dtype=bool)
+    out[:k, :k] = adjacency
+    out[k, :k] = out[:k, k] = adjacency[v]
+    out[k, v] = out[v, k] = closed
+    return out
+
+
+def test_quotient_merges_closed_twins_and_keeps_open_twins_apart():
+    rng = random.Random(2025)
+    cases = []
+    for _ in range(40):
+        adjacency = _random_graph(rng, rng.randint(1, 4), 0.5).adjacency
+        for _ in range(rng.randint(1, 3)):
+            adjacency = _with_twin(adjacency, rng.randrange(len(adjacency)), rng.random() < 0.5)
+        template = SimpleGraph.from_adjacency(adjacency)
+        graph, part = _join_of_cliques(template, [rng.randint(1, 3) for _ in range(template.n)])
+        classes = _brute_closed_twin_classes(adjacency)
+        for t in (0, 1):
+            companion, _, cliques = _quotient(graph, part, t)
+            assert len(companion) == len(cliques) == len(classes)
+            assert [m + 1 for _, m in cliques] == [sum(part.sizes[b] for b in c)
+                                                  for c in classes]
+        cases.append((graph, part))
+    # 299 blocks of one class, and the last block alone, its least block
+    # tied with the unused class slots
+    graph = generalized_join(SimpleGraph(2, []), [complete_graph(299), complete_graph(1)])
+    part = least_partition(300)
+    companion, _, cliques = _quotient(graph, part, 1)
+    assert companion.tolist() == [[0, 0], [0, 0]] and cliques == [(299, 298), (1, 0)]
+    cases.append((graph, part))
+    for matrix in ("adjacency", "laplacian"):
+        explicit = [getattr(super_graph(g, p), f"{matrix}_matrix")() for g, p in cases]
+        assert super_charpolys(cases, matrix) == [char_poly_integer(m) for m in explicit]
+        for (g, p), m in zip(cases, explicit):
+            assert multiset_match(quotient_spectrum(g, p, matrix), jacobi_eigenvalues(m), 1e-8)
 
 
 def test_unknown_matrix_name_rejected():

@@ -651,6 +651,22 @@ def _adjacency_companion_diagonal_plus_one(monkeypatch):
     monkeypatch.setattr(spectra, "_quotients", planted)
 
 
+def _non_twin_classes_merged(monkeypatch):
+    # the last closed-twin class of each compressed graph with two or more
+    # folded into the one before it, which is never its closed twin
+    classes = spectra._closed_twin_classes
+
+    def planted(rho, n):
+        rho, n = classes(rho, n)
+        for c, last in enumerate(np.count_nonzero(n, axis=1) - 1):
+            if last:
+                n[c, last - 1] += n[c, last]
+                n[c, last] = 0
+        return rho, n
+
+    monkeypatch.setattr(spectra, "_closed_twin_classes", planted)
+
+
 def _explicit_laplacian_corner_plus_one(monkeypatch):
     laplacian = SimpleGraph.laplacian_matrix
 
@@ -709,6 +725,7 @@ def _verdicts(reports):
 @pytest.mark.parametrize("plant", [_laplacian_clique_plus_one,
                                    _adjacency_quotient_diagonal_plus_one,
                                    _adjacency_companion_diagonal_plus_one,
+                                   _non_twin_classes_merged,
                                    _explicit_laplacian_corner_plus_one,
                                    _lapack_top_eigenvalue_up,
                                    _exact_finish_coefficient_off,
@@ -721,6 +738,16 @@ def test_a_planted_fault_reads_mismatch(plant, monkeypatch, seed_42_verdicts):
     assert changed
     assert set(changed.values()) == {MISMATCH}
     assert not any(seed_42_verdicts[k] == MATCH and v == PAPER_TABLE for k, v in planted.items())
+
+
+@pytest.mark.parametrize("plant, diff", [
+    (_adjacency_companion_diagonal_plus_one, verify._INTERNAL_EXACT),
+    (_lapack_top_eigenvalue_up, verify._INTERNAL_LAPACK),
+])
+def test_an_internal_mismatch_names_the_explicit_route(plant, diff, monkeypatch):
+    plant(monkeypatch)
+    [report] = verify_spectral("Thm4.1(i)", [{"n": 5}])
+    assert (report.verdict, report.diff) == (MISMATCH, diff)
 
 
 @pytest.mark.parametrize("claim, params", [("Thm4.1(i)", {"n": 5}), ("Thm4.2(i)", {"n": 5}),
