@@ -17,7 +17,7 @@ from .errors import FormatError, OutOfRange, SupergraphError, UnsupportedClosedF
 from .graphs import commuting_graph, is_connected, super_graph, twin_canonical_form
 from .groups import FiniteGroup, read_cayley_file
 from .partitions import Partition, relation_partition
-from .polynomials import PolynomialZ
+from .polynomials import PolynomialZ, _decimal
 from .spectra import Spectrum
 
 
@@ -115,7 +115,7 @@ def _spectrum_csv(spec: Spectrum) -> str:
 
 def _poly_csv(poly: PolynomialZ) -> str:
     lines = ["degree,coefficient"]
-    lines += [f"{d},{c}" for d, c in enumerate(poly.coeffs)]
+    lines += [f"{d},{_decimal(c)}" for d, c in enumerate(poly.coeffs)]
     return "\n".join(lines) + "\n"
 
 

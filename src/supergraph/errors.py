@@ -57,14 +57,6 @@ class NoConvergence(SupergraphError):
     """LAPACK's symmetric eigensolver failed to converge."""
 
 
-class NoSignChange(SupergraphError):
-    """A root bracket does not exhibit a sign change; ``interval`` is (lo, hi)."""
-
-    def __init__(self, message, interval=None):
-        super().__init__(message)
-        self.interval = interval
-
-
 class CanonicalAmbiguity(SupergraphError):
     """Canonical ordering search space is too large to resolve exhaustively."""
 

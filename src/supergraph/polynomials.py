@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -208,7 +209,7 @@ class PolynomialZ:
         return mult
 
     def to_json_dict(self) -> dict:
-        return {"coeffs": [str(c) for c in self._coeffs]}
+        return {"coeffs": [_decimal(c) for c in self._coeffs]}
 
     @classmethod
     def from_json_dict(cls, data) -> "PolynomialZ":
@@ -233,10 +234,10 @@ class PolynomialZ:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if i == 0:
-                body = str(mag)
+                body = _decimal(mag)
             else:
                 xpow = "x" if i == 1 else f"x^{i}"
-                body = xpow if mag == 1 else f"{mag}{xpow}"
+                body = xpow if mag == 1 else f"{_decimal(mag)}{xpow}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
@@ -246,6 +247,18 @@ class PolynomialZ:
 
     def __repr__(self) -> str:
         return f"PolynomialZ({self._coeffs!r})"
+
+
+def _decimal(c: int) -> str:
+    """``str(c)``, the decimal digits in which every writer of a polynomial
+    spells a coefficient. Past Python's int-to-str digit limit it raises
+    InvalidParameter; the limit is process-wide, so it is left as it is."""
+    try:
+        return str(c)
+    except ValueError:
+        raise InvalidParameter(
+            f"a coefficient of {c.bit_length()} bits has more decimal digits than Python's "
+            f"int-to-str limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 # Largest dimension accepted; it keeps the primes at 21 bits or more.

@@ -10,9 +10,9 @@ polys and the quotient spectrum share it: ``_quotient_charpoly`` and
 ``_quotient_spectrum`` read one of its entries, so a caller that needs both
 builds it once. ``_t`` is the one check of a matrix name, and
 ``super_charpolys`` runs the quotient cores of many super graphs in one exact
-kernel call. Root isolation and integer-root factorization serve the
-verifier; the star-join Laplacian closed form and the interlacing check serve
-the acceptance criteria.
+kernel call. Integer-root factorization serves the verifier; the star-join
+Laplacian closed form and the interlacing check serve the acceptance
+criteria.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     InvalidParameter,
     NoConvergence,
-    NoSignChange,
     NotSymmetric,
     SizeMismatch,
     instance,
@@ -39,7 +38,6 @@ from .partitions import Partition
 from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 
 _GROUPING_FACTOR = 1e-8
-_ROOT_TOL = 1e-10
 
 
 def _values_equal(a, b) -> bool:
@@ -181,31 +179,25 @@ def _closed_twin_classes(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np
     """The closed-twin classes of a (T, k, k) stack of compressed graphs with
     (T, k) block sizes: their cross adjacency, (T, k, k), and sizes, (T, k).
 
-    Blocks i and j share a class iff their rows of rho | I are equal, that is
-    iff they are adjacent with the same other neighbours, so the class's
-    cliques form one clique. Each graph's rows are packed to bytes and sorted,
-    so a class is a run of equal rows. Classes are numbered by their least
-    block, which stands for the class in rho; the empty blocks that pad a
-    stack are classes of their own, after the blocks of the partition, and
-    the slots past a graph's last class have size 0.
+    Blocks i and j share a class iff their rows a and b of rho | I are equal,
+    that is iff they are adjacent with the same other neighbours, so the
+    class's cliques form one clique; for 0/1 rows, a = b iff a.b = |a| = |b|.
+    Classes are numbered by their least block, which stands for the class in
+    rho; the empty blocks that pad a stack are classes of their own, after
+    the blocks of the partition. Only the first ``count_nonzero(sizes)``
+    slots of a graph are read: the slots after them have size 0.
     """
     count, k, _ = rho.shape
-    closed = rho.copy()
-    closed.reshape(count, -1)[:, :: k + 1] = True
-    packed = np.packbits(closed, axis=2)
-    rows = packed.view(f"V{packed.shape[2]}").reshape(count, k)
-    order = rows.argsort(axis=1)
+    closed = (rho | np.eye(k, dtype=bool)).astype(np.float32)
+    # Exact: the sums are at most k, below 2^24 (float32); float64 holds 2^53.
+    gram = closed @ closed.transpose(0, 2, 1)
+    norms = np.diagonal(gram, axis1=1, axis2=2)[:, :, None]
+    first = ((gram == norms) & (gram == norms.transpose(0, 2, 1))).argmax(axis=2)
     cases = np.arange(count)[:, None]
-    rows = rows[cases, order]
-    run = np.zeros((count, k), dtype=np.int64)  # of each sorted row
-    (rows[:, 1:] != rows[:, :-1]).cumsum(axis=1, out=run[:, 1:])
-    first = np.full((count, k), k - 1)
-    np.minimum.at(first, (cases, run), order)
     sizes = np.zeros((count, k), dtype=np.int64)
-    np.add.at(sizes, (cases, run), n[cases, order])
-    by_first = first.argsort(axis=1, kind="stable")  # a class before the unused slots
-    first = first[cases, by_first]
-    return rho[cases[:, :, None], first[:, :, None], first[:, None, :]], sizes[cases, by_first]
+    np.add.at(sizes, (cases, first), n)
+    order = (first != np.arange(k)).argsort(axis=1, kind="stable")  # the classes first
+    return rho[cases[:, :, None], order[:, :, None], order[:, None, :]], sizes[cases, order]
 
 
 def _quotients(cases, t: int) -> list[tuple]:
@@ -325,37 +317,6 @@ def star_join_laplacian_spectrum(sizes) -> Spectrum:
     pairs = [(0, 1), (n, 1), (n1, k - 2), (n, n1 - 1)]
     pairs.extend((n1 + s, s - 1) for s in sizes[1:])
     return Spectrum(pairs)
-
-
-def real_root_isolate(poly: PolynomialZ, brackets) -> list[float]:
-    """One real root per integer bracket by bisection to width 1e-10.
-
-    Each bracket must exhibit a strict sign change at its endpoints, checked
-    with exact integer evaluation.
-    """
-    instance(poly, PolynomialZ, "polynomial")
-    roots = []
-    for bracket in items(brackets, "brackets"):
-        lo, hi = (integer(end, "bracket end") for end in pair(bracket, "a bracket"))
-        if lo >= hi:
-            raise InvalidParameter(f"empty bracket ({lo}, {hi})")
-        flo, fhi = poly(lo), poly(hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-            raise NoSignChange(
-                f"no sign change on ({lo}, {hi}): p({lo})={flo}, p({hi})={fhi}",
-                interval=(lo, hi),
-            )
-        neg, pos = (float(lo), float(hi)) if flo < 0 else (float(hi), float(lo))
-        for _ in range(200):
-            if abs(pos - neg) <= _ROOT_TOL:
-                break
-            mid = (neg + pos) / 2.0
-            if poly(mid) < 0:
-                neg = mid
-            else:
-                pos = mid
-        roots.append((neg + pos) / 2.0)
-    return roots
 
 
 def multiset_match(s1: Spectrum, s2: Spectrum, tol: float) -> bool:

@@ -62,7 +62,6 @@ from .spectra import (
     _t,
     jacobi_eigenvalues,
     multiset_match,
-    real_root_isolate,
     spectrum_from_integer_charpoly,
     super_charpolys,
 )
@@ -167,7 +166,7 @@ class Claim:
     closed: Callable | None = None  # published polynomial or spectrum, or the claimed graph
     twin: str | None = None  # in place of closed: the family whose super graph is claimed
     cubic: Callable | None = None  # (cubic factor, multiplicity of -1) of an adjacency claim
-    brackets: Callable | None = None  # integer brackets of the cubic's roots
+    brackets: Callable | None = None  # published integer brackets of the cubic's roots
     sides: tuple[str, str] = ("computed", "claimed")  # names of a structure claim's forms
 
     @property
@@ -238,16 +237,17 @@ class Claim:
         return cubic * PolynomialZ.from_roots([(-1, exp)])
 
     def spectrum(self, params: dict) -> Spectrum:
-        """The published spectrum: the table, or the cubic's roots isolated in
-        their brackets together with the eigenvalue -1."""
+        """The published spectrum: the table, or the cubic's roots by
+        ``numpy.roots`` together with the eigenvalue -1. A cubic root that
+        numpy finds complex is no eigenvalue, and ``Spectrum`` raises
+        InvalidParameter on it; the brackets are judged by ``diff`` alone."""
         if self.cubic is None:
             form = self.closed(**params)
             if isinstance(form, Spectrum):
                 return form
             raise InvalidParameter(f"claim {self.name!r} publishes no spectrum")
         cubic, exp = self.cubic(**params)
-        roots = real_root_isolate(cubic, self.brackets(**params))
-        return Spectrum([(r, 1) for r in roots] + [(-1.0, exp)])
+        return Spectrum([(r, 1) for r in np.roots(cubic.coeffs[::-1])] + [(-1.0, exp)])
 
     def diff(self, params: dict, quotient: PolynomialZ) -> str | None:
         """How the published form contradicts the quotient route's exact char

@@ -167,12 +167,14 @@ def test_spectrum_compare_skips_out_of_range_closed_form(in_tmp, capsys):
 
 
 def test_spectrum_compare_runs_each_route_once(in_tmp, monkeypatch):
+    import numpy as np
+
     from supergraph import spectra, verify
 
-    calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0, "real_root_isolate": 0,
-             "_quotients": 0}
+    calls = {"char_poly_integer": 0, "jacobi_eigenvalues": 0, "roots": 0, "_quotients": 0}
+    modules = {"_quotients": spectra, "roots": np}  # the module that binds the route
     for name in calls:
-        module = spectra if name == "_quotients" else verify  # the module that binds the route
+        module = modules.get(name, verify)
 
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -180,17 +182,29 @@ def test_spectrum_compare_runs_each_route_once(in_tmp, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     runs = [("laplacian", method) for method in ("exact", "jacobi", "quotient", "closed")]
-    for matrix, method in runs + [("adjacency", "closed")]:  # a cubic: roots isolated once
-        calls.update(char_poly_integer=0, jacobi_eigenvalues=0, real_root_isolate=0, _quotients=0)
+    for matrix, method in runs + [("adjacency", "closed")]:  # a cubic: its roots found once
+        calls.update(char_poly_integer=0, jacobi_eigenvalues=0, roots=0, _quotients=0)
         assert main([
             "spectrum", "--group", "D:5", "--relation", "order", "--matrix",
             matrix, "--method", method, "--compare",
         ]) == 0
-        isolated = int(matrix == "adjacency")
         assert calls == {
-            "char_poly_integer": 1, "jacobi_eigenvalues": 1, "real_root_isolate": isolated,
+            "char_poly_integer": 1, "jacobi_eigenvalues": 1, "roots": int(matrix == "adjacency"),
             "_quotients": 1,
         }, (matrix, method)
+
+
+def test_spectrum_closed_refuses_a_cubic_that_is_not_real_rooted(in_tmp, capsys, monkeypatch):
+    from supergraph import PolynomialZ, verify
+
+    monkeypatch.setattr(verify, "_cubic", lambda c0, c1, c2: PolynomialZ((1, 1, 0, 1)))
+    assert main([
+        "spectrum", "--group", "D:5", "--relation", "order", "--method", "closed",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigenvalue") and "is not a real number" in err
+    assert "Traceback" not in err
+    assert not list(in_tmp.iterdir())  # no file written
 
 
 def test_spectrum_compare_judges_the_published_form_without_lapack(in_tmp, capsys,
@@ -293,6 +307,19 @@ def test_spectrum_closed_unsupported(in_tmp, capsys):
     ])
     assert code == 1
     assert "no closed form" in capsys.readouterr().err
+
+
+def test_spectrum_refuses_a_char_poly_beyond_the_int_to_str_limit(in_tmp, capsys):
+    # the D_1600 conjugacy Laplacian has a coefficient of 14,613 bits, more
+    # than 4,300 decimal digits; D_1400's largest has fewer
+    assert main([
+        "spectrum", "--group", "D:800", "--relation", "conjugacy", "--matrix", "laplacian",
+        "--method", "quotient",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"limit of {sys.get_int_max_str_digits()} " in err
+    assert "Traceback" not in err
+    assert not list(in_tmp.iterdir())  # no partial file
 
 
 def test_spectrum_multiplicities_sum_to_vertex_count(in_tmp):

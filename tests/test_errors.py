@@ -125,14 +125,12 @@ def test_strings_are_not_read_as_containers(call):
     lambda: Spectrum([(1, 1.7)]),
     lambda: Spectrum([(1, "2")]),
     lambda: sg.star_join_laplacian_spectrum([2.5, 3]),
-    lambda: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [(1.5, 2)]),
     lambda: sg.complete_graph(3).induced_subgraph([0.5, 1]),
     lambda: sg.dihedral(3).element_order(2.5),
     lambda: sg.dihedral(3).power(1, 2.5),
 ], ids=["partition-size-3.7", "partition-element-0.5", "partition-element-2.9",
         "partition-size-str", "spectrum-multiplicity-1.7", "spectrum-multiplicity-str",
-        "star-join-size-2.5", "bracket-end-1.5", "induced-vertex-0.5", "element-order-2.5",
-        "power-exponent-2.5"])
+        "star-join-size-2.5", "induced-vertex-0.5", "element-order-2.5", "power-exponent-2.5"])
 def test_non_integral_arguments_are_not_truncated(call):
     with pytest.raises(InvalidParameter, match="is not an integer"):
         call()
@@ -242,7 +240,7 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: SimpleGraph(2, labels=5), InvalidParameter),
     (lambda: sg.from_cayley_table([[0]], labels=5), InvalidParameter),
     (lambda: PolynomialZ.from_roots([(1,)]), InvalidParameter),
-    (lambda: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [(1,)]), InvalidParameter),
+    (lambda: Spectrum([(1,)]), InvalidParameter),
     (lambda: Spectrum([("3", 1)]), InvalidParameter),
     (lambda: Spectrum([(np.complex128(3), 1)]), InvalidParameter),
     (lambda: Spectrum([(np.array(3 + 0j), 1)]), InvalidParameter),
@@ -278,7 +276,6 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: sg.multiset_match(Spectrum([(1, 1)]), 5, 0.1), InvalidParameter),
     (lambda: sg.grouped_match(5, Spectrum([(1, 1)]), 0.1), InvalidParameter),
     (lambda: sg.grouped_match(Spectrum([(1, 1)]), 5, 0.1), InvalidParameter),
-    (lambda: sg.real_root_isolate(5, [(1, 2)]), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -502,7 +499,6 @@ SLOTS = [
     ("any", lambda x: sg.direct_product(sg.cyclic(2), x)),
     ("any", lambda x: sg.generalized_join(sg.complete_graph(2), [sg.complete_graph(1), x])),
     ("int", lambda x: sg.star_join_laplacian_spectrum([2, x])),
-    ("int", lambda x: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [(x, 2)])),
     ("opt", lambda x: sg.spectrum_from_integer_charpoly(PolynomialZ((-1, 1)), bound=x)),
     ("int", lambda x: sg.closed_form("Thm4.2(i)", n=x)),
     ("int", lambda x: sg.verify_spectral("Thm4.2(iii)", [{"p": 7, "q": x}])),
@@ -536,8 +532,6 @@ SLOTS = [
     ("any", lambda x: sg.char_poly_integers(x)),
     ("any", lambda x: sg.char_poly_integer([x])),
     ("any", lambda x: sg.star_join_laplacian_spectrum(x)),
-    ("any", lambda x: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), x)),
-    ("any", lambda x: sg.real_root_isolate(PolynomialZ((-2, 0, 1)), [x])),
     ("any", lambda x: sg.interlacing_check(x, [])),
     ("any", lambda x: sg.run_suite("4.3", n_range=x)),
     ("any", lambda x: sg.run_suite("4.5", pq_pairs=x)),

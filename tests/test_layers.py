@@ -18,8 +18,8 @@ def test_layer_script_writes_a_bench_file_at_order_50(tmp_path):
     bench = json.loads(path.read_text())
     assert set(bench) == {"env", "end_to_end", "layers", "cap_s", "runs"}
     assert set(bench["env"]) == {"python", "numpy", "platform", "git_rev"}
-    assert list(bench["end_to_end"]) == ["verify_all_s"]
-    assert bench["end_to_end"]["verify_all_s"] > 0
+    assert list(bench["end_to_end"]) == ["verify_all_s", "run_suite_s", "import_s"]
+    assert all(seconds > 0 for seconds in bench["end_to_end"].values())
     assert list(bench["layers"]) == ["50"] and list(bench["layers"]["50"]) == LAYERS
     assert all(ms is not None and ms > 0 for ms in bench["layers"]["50"].values())
     assert bench["cap_s"] >= 5 and bench["runs"] == 1

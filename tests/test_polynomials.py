@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -147,6 +148,19 @@ def test_json_round_trip_big_coefficients():
     p = PolynomialZ((10 ** 40, -(3 ** 50), 1))
     assert PolynomialZ.from_json_dict(p.to_json_dict()) == p
     assert p.to_json_dict()["coeffs"][0] == str(10 ** 40)
+
+
+@pytest.mark.parametrize("coeffs", [(10 ** 4999,), (3, 10 ** 4999, 1), (-(10 ** 4999), 1)],
+                         ids=["constant", "middle", "negative"])
+def test_coefficients_beyond_the_int_to_str_limit_raise_a_typed_error(coeffs):
+    # 5,000 digits, past Python's default limit of 4,300 on int-to-str
+    # conversion, which every writer meets and none changes
+    from supergraph.cli import _poly_csv
+
+    p = PolynomialZ(coeffs)
+    for write in (str, PolynomialZ.to_json_dict, _poly_csv):
+        with pytest.raises(InvalidParameter, match=f"limit of {sys.get_int_max_str_digits()} "):
+            write(p)
 
 
 def test_char_poly_k3():

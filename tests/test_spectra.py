@@ -8,7 +8,6 @@ import pytest
 from supergraph import (
     InvalidParameter,
     NoConvergence,
-    NoSignChange,
     NotSymmetric,
     Partition,
     PolynomialZ,
@@ -31,7 +30,6 @@ from supergraph import (
     multiset_match,
     order_partition,
     quotient_spectrum,
-    real_root_isolate,
     spectrum_from_integer_charpoly,
     star_graph,
     star_join_laplacian_spectrum,
@@ -41,11 +39,6 @@ from supergraph import (
     super_laplacian_charpoly,
 )
 from supergraph.spectra import _quotients
-
-# frozen by bisection (independent of the quotient pipeline); the trace
-# identity alpha+beta+gamma = 3 pins them down
-D6_CUBIC_ROOTS = (-1.6016791319, 1.3398768866, 3.2618022453)
-
 
 def _random_graph(rng, n, p=0.4):
     return SimpleGraph(
@@ -410,24 +403,7 @@ def test_star_join_laplacian_multiplicities_sum():
 
 
 # ---------------------------------------------------------------------------
-# Root isolation, matching, interlacing
-
-def test_real_root_isolate_cubic():
-    cubic = PolynomialZ((7, -3, -3, 1))
-    roots = real_root_isolate(cubic, [(-2, -1), (1, 2), (3, 4)])
-    for got, frozen in zip(roots, D6_CUBIC_ROOTS):
-        assert abs(got - frozen) < 1e-9
-    assert abs(sum(roots) - 3) < 1e-9  # trace identity: sum = 2n - 3
-
-
-def test_real_root_isolate_linear():
-    assert real_root_isolate(PolynomialZ((-5, 1)), [(4, 6)]) == pytest.approx([5.0])
-
-
-def test_real_root_isolate_no_sign_change():
-    with pytest.raises(NoSignChange):
-        real_root_isolate(PolynomialZ((1, 0, 1)), [(0, 1)])
-
+# Matching, interlacing
 
 def test_multiset_match():
     a = Spectrum([(-1, 3), (3, 1)])

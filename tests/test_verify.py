@@ -97,15 +97,32 @@ def test_claim_cubic_sign_checks_at_endpoints():
             assert (cubic(lo) > 0) != (cubic(hi) > 0)
 
 
+# frozen by bisection (independent of the quotient pipeline); the trace
+# identity alpha+beta+gamma = 3 pins them down
+D6_CUBIC_ROOTS = (-1.6016791319, 1.3398768866, 3.2618022453)
+
+
 def test_claim_spectrum_is_the_table_or_the_bracketed_cubic_roots():
     assert verify._claim("Thm4.2(i)").spectrum({"n": 5}) == closed_form("Thm4.2(i)", n=5)
-    quaternion = verify._claim("Thm4.1(ii)")
-    got = quaternion.spectrum({"n": 3})
-    cubic, exp = quaternion.cubic(n=3)
-    assert got.pairs[1] == (-1.0, exp) and got.total_multiplicity == exp + 3
-    roots = [v for v, _ in got.pairs if v != -1.0]
-    assert all(lo < r < hi for r, (lo, hi) in zip(roots, quaternion.brackets(n=3)))
-    assert all(abs(cubic(r)) < 1e-4 for r in roots)
+    for name in ("Thm4.1(i)", "Thm4.1(ii)", "Thm4.1(iii)"):
+        claim = verify._claim(name)
+        for params in claim.points(None, verify.DEFAULT_PQ_PAIRS):
+            got = claim.spectrum(params)
+            exp = claim.cubic(**params)[1]
+            assert got.pairs[1] == (-1.0, exp) and got.total_multiplicity == exp + 3
+            roots = [v for v, _ in got.pairs if v != -1.0]
+            brackets = claim.brackets(**params)
+            assert all(lo < r < hi for r, (lo, hi) in zip(roots, brackets)), (name, params)
+    d6 = verify._claim("Thm4.1(i)").spectrum({"n": 3})
+    assert [v for v, _ in d6.pairs if v != -1.0] == pytest.approx(D6_CUBIC_ROOTS, abs=1e-9)
+
+
+def test_a_published_cubic_that_is_not_real_rooted_has_no_spectrum(monkeypatch):
+    # x^3 + x + 1 has one real root and two complex ones: no eigenvalues of
+    # a symmetric matrix, so the spectrum is refused, not rounded to reals
+    monkeypatch.setattr(verify, "_cubic", lambda c0, c1, c2: PolynomialZ((1, 1, 0, 1)))
+    with pytest.raises(InvalidParameter, match="is not a real number"):
+        verify._claim("Thm4.1(i)").spectrum({"n": 5})
 
 
 def test_claim_spectrum_of_a_published_polynomial_is_an_error():

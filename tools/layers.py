@@ -11,13 +11,18 @@ machine. The file is written to ``--out`` (default: the root of this
 script's checkout) as
 
     {"env": {"python", "numpy", "platform", "git_rev"},
-     "end_to_end": {"verify_all_s": ...},
+     "end_to_end": {"verify_all_s": ..., "run_suite_s": ..., "import_s": ...},
      "layers": {order: {layer: ms}},
      "cap_s": ..., "runs": ...}
 
 ``verify_all_s`` is the median wall time of ``--runs`` runs of
 ``supergraph verify --suite all --jobs 1`` (``python -m supergraph.cli``, a
-new interpreter each, so import time is included). At each group order the
+new interpreter each, so interpreter start-up and import time are included).
+The two parts of it that the program decides are timed apart:
+``run_suite_s`` is the median wall time of ``--runs`` in-process
+``run_suite("all", seed=42)`` calls after one untimed warm-up call, and
+``import_s`` the median time of ``import supergraph`` (numpy included) in
+``--runs`` new interpreters, timed inside each. At each group order the
 layers are timed on the dihedral group of that order, its conjugacy super
 graph and that graph's Laplacian:
 
@@ -132,6 +137,29 @@ def verify_all_s(root: Path, runs: int) -> float:
     return statistics.median(walls)
 
 
+def run_suite_s(sg, runs: int) -> float:
+    """Median wall seconds of ``runs`` in-process ``run_suite("all", seed=42)``
+    calls after one untimed warm-up call."""
+    walls = []
+    for _ in range(runs + 1):
+        start = time.perf_counter()
+        sg.run_suite("all", seed=42)
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls[1:])
+
+
+def import_s(root: Path, runs: int) -> float:
+    """Median seconds of ``import supergraph`` from ``root``, each in a new
+    interpreter and timed inside it."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import time; start = time.perf_counter(); import supergraph; "
+            "print(time.perf_counter() - start)")
+    return statistics.median(
+        float(subprocess.run([sys.executable, "-c", code], env=env, cwd=root, check=True,
+                             capture_output=True, text=True).stdout)
+        for _ in range(runs))
+
+
 def git_rev(root: Path) -> str | None:
     """The checkout's commit, with "-dirty" when tracked files differ from it."""
     try:
@@ -163,7 +191,9 @@ def main(argv=None) -> int:
     bench = {
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "platform": platform.platform(), "git_rev": git_rev(root)},
-        "end_to_end": {"verify_all_s": verify_all_s(root, args.runs)},
+        "end_to_end": {"verify_all_s": verify_all_s(root, args.runs),
+                       "run_suite_s": run_suite_s(sg, args.runs),
+                       "import_s": import_s(root, args.runs)},
         "layers": {str(order): layers(sg, order, args.runs, CAP_S) for order in args.orders},
         "cap_s": CAP_S,
         "runs": args.runs,
