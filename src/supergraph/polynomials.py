@@ -5,20 +5,20 @@ order. Characteristic polynomials are computed many matrices per call, by
 Hessenberg reduction and the Hessenberg recurrence (Cohen, *A Course in
 Computational Algebraic Number Theory*, Alg. 2.2.9) in numpy int64. The
 matrices of one dimension share one coefficient bound, 2 (1 + S)^n with
-S = ceil(sqrt(ceil(||M||_F^2 / n))), a proven bound on every coefficient by
-Maclaurin's and Schur's inequalities (see ``char_poly_integers``), and one
-list of word-size primes whose product covers it. Where that takes two
-primes or more, each matrix is first reduced over the integers by
-unimodular similarity transforms, as long as every pivot divides the
-entries below it and no entry can wrap int64; super graphs' matrices get
-there in one pass, and the char poly of each diagonal block of the form is
-found over the integers. The other matrices are computed multi-modularly
-(Dumas, Pernet & Wan, "Efficient computation of the characteristic
-polynomial", ISSAC 2005): each (matrix, prime) pair is one layer of a
-(P, n, n) stack of residues, run in the fewest equal chunks of at most 2^18
-int64 entries (2 MiB), and each matrix's coefficients are rebuilt by
-Chinese remaindering. Integer numpy arrays are read as arrays. The result
-is exact at any size.
+S = ceil(sqrt(ceil(||M||_F^2 / n))), proven by Maclaurin's and Schur's
+inequalities (see ``char_poly_integers``), and one list of word-size primes
+whose product covers it. The reduction runs one step in both rings: the
+least-magnitude nonzero entry below the diagonal is the pivot, then one
+blocked similarity. Where the bound takes two primes or more, each matrix
+is first reduced over the integers, as long as every pivot divides the
+entries below it and no entry can wrap int64; most super graphs' matrices
+get there, and each diagonal block of the form is finished over Z. The
+other matrices are computed mod p (Dumas, Pernet & Wan, "Efficient
+computation of the characteristic polynomial", ISSAC 2005): each (matrix,
+prime) pair is one layer of a (P, n, n) stack of residues, run in the
+fewest equal chunks of at most 2^18 int64 entries (2 MiB), and each
+matrix's coefficients are rebuilt by Chinese remaindering. Integer numpy
+arrays are read as arrays. The result is exact at any size.
 """
 
 from __future__ import annotations
@@ -424,34 +424,55 @@ def _hessenberg_over_z(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.clip(stack, -limit - 1, limit + 1).astype(np.int64, copy=False)  # a copy
     ok = np.ones(count, dtype=bool)
     _stop(h, ok, np.abs(h).max(axis=(1, 2)) > limit)
-    every = np.arange(count)
     for j in range(n - 2):
-        below = h[:, j + 1:, j]
-        if not np.count_nonzero(below):
+        pivot = _swap_pivot(h, j)
+        if pivot is None:
             continue
-        # |entry| - 1 as uint64 puts the zeros last
-        offset = (np.abs(below) - 1).view(np.uint64).argmin(axis=1)
-        pivot = below[every, offset]
-        quotients, remainders = np.divmod(below, (pivot + (pivot == 0))[:, None])
+        quotients, remainders = np.divmod(h[:, j + 2:, j], (pivot + (pivot == 0))[:, None])
         if np.count_nonzero(remainders):
             _stop(h, ok, remainders.any(axis=1))
-            quotients[~ok] = 0
-        if np.count_nonzero(offset):
-            swap = np.flatnonzero(offset)
-            a, b = j + 1, j + 1 + offset[swap]
-            h[swap, a], h[swap, b] = h[swap, b], h[swap, a]
-            h[swap, :, a], h[swap, :, b] = h[swap, :, b], h[swap, :, a]
-            quotients[swap, offset[swap]] = quotients[swap, 0]
-        u = quotients[:, 1:]
-        pivot_row = h[:, j + 1, None, j:]
-        step = max(1, _STACK_ENTRIES // 8 // (count * (n - j)))
-        for lo in range(0, n - j - 2, step):
-            h[:, j + 2 + lo:j + 2 + lo + step, j:] -= u[:, lo:lo + step, None] * pivot_row
-        h[:, :, j + 1] += np.matmul(h[:, :, j + 2:], u[:, :, None])[:, :, 0]
+        _similarity_step(h, j, quotients)
         changed = h[:, :, j + 1:]
         if max(changed.max(), -changed.min()) > limit:  # no temporary of the stack's size
             _stop(h, ok, np.abs(changed).max(axis=(1, 2)) > limit)
     return h, ok
+
+
+def _swap_pivot(h: np.ndarray, j: int) -> np.ndarray | None:
+    """Swap each layer's least-magnitude nonzero entry below the diagonal of
+    column j into row j + 1, by a similarity that swaps two rows and the same
+    two columns; return the pivots h[:, j + 1, j] (zero in a layer without
+    one), or None if no layer has one."""
+    below = h[:, j + 1:, j]
+    if not np.count_nonzero(below):
+        return None
+    # |entry| - 1 as uint64 puts the zeros last
+    offset = (np.abs(below) - 1).view(np.uint64).argmin(axis=1)
+    if np.count_nonzero(offset):
+        swap = np.flatnonzero(offset)
+        a, b = j + 1, j + 1 + offset[swap]
+        h[swap, a], h[swap, b] = h[swap, b], h[swap, a]
+        h[swap, :, a], h[swap, :, b] = h[swap, :, b], h[swap, :, a]
+    return h[:, j + 1, j]
+
+
+def _similarity_step(h: np.ndarray, j: int, u: np.ndarray, primes=None) -> None:
+    """R_i -= u_i R_(j+1) for i > j + 1, in blocks of rows whose products take
+    at most an eighth of ``_STACK_ENTRIES`` entries, then the inverse column
+    operation C_(j+1) += sum_i u_i C_i; mod each layer's prime if ``primes``
+    is given. With u_i = h_ij / h_(j+1,j) it clears column j below row j + 1."""
+    count, n, _ = h.shape
+    pivot_row = h[:, j + 1, None, j:]
+    step = max(1, _STACK_ENTRIES // 8 // (count * (n - j)))
+    for lo in range(0, n - j - 2, step):
+        block = h[:, j + 2 + lo:j + 2 + lo + step, j:]
+        block -= u[:, lo:lo + step, None] * pivot_row
+        if primes is not None:
+            block %= primes[:, None, None]
+    column = h[:, :, j + 1]
+    column += np.matmul(h[:, :, j + 2:], u[:, :, None])[:, :, 0]
+    if primes is not None:
+        column %= primes[:, None]
 
 
 def _stop(h: np.ndarray, ok: np.ndarray, stop: np.ndarray) -> None:
@@ -559,42 +580,18 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     forms. Every step runs on all layers at once.
     """
     count, n, _ = h.shape
-    plist = primes.tolist()
     mods = primes[:, None]
-    mods3 = primes[:, None, None]
-    # Reduce to upper Hessenberg form by similarity: column j is cleared
-    # below row j + 1 by row operations R_i -= u_i R_{j+1}, and the inverse
-    # column operation C_{j+1} += sum_i u_i C_i keeps the characteristic
-    # polynomial. Each layer takes its first nonzero entry as pivot; a layer
-    # with none gets u = 0, which leaves it unchanged. The row operations run
-    # on blocks of rows, so that their products take at most an eighth of
-    # ``_STACK_ENTRIES`` entries. linked[j] says whether h[j+1, j] is nonzero
-    # in some layer: it is once column j has a nonzero entry below the
-    # diagonal at its step, and no later step touches it.
-    linked = []
+    # Reduce to upper Hessenberg form by the similarity steps of
+    # ``_hessenberg_over_z`` mod p, where every nonzero pivot is invertible;
+    # a layer with none gets u = 0, which leaves it unchanged.
     for j in range(n - 2):
-        below = h[:, j + 1:, j]
-        linked.append(bool(np.count_nonzero(below)))
-        if not linked[j]:
+        pivot = _swap_pivot(h, j)
+        if pivot is None:
             continue
-        offset = (below != 0).argmax(axis=1)
-        if any(offset.tolist()):
-            swap = offset.nonzero()[0]
-            a, b = j + 1, j + 1 + offset[swap]
-            h[swap, a], h[swap, b] = h[swap, b], h[swap, a]
-            h[swap, :, a], h[swap, :, b] = h[swap, :, b], h[swap, :, a]
-        inverses = [pow(v, -1, p) if v else 0 for v, p in zip(h[:, j + 1, j].tolist(), plist)]
+        inverses = [pow(v, -1, p) if v else 0 for v, p in zip(pivot.tolist(), primes.tolist())]
         u = h[:, j + 2:, j] * np.array(inverses)[:, None]
         u %= mods
-        pivot_row = h[:, j + 1, None, j:]
-        step = max(1, _STACK_ENTRIES // 8 // (count * (n - j)))
-        for lo in range(0, n - j - 2, step):
-            block = h[:, j + 2 + lo:j + 2 + lo + step, j:]
-            block -= u[:, lo:lo + step, None] * pivot_row
-            block %= mods3
-        column = h[:, :, j + 1]
-        column += np.matmul(h[:, :, j + 2:], u[:, :, None])[:, :, 0]
-        column %= mods
+        _similarity_step(h, j, u, primes)
 
     # Hessenberg recurrence on the leading m x m blocks:
     # p_m = x p_{m-1} - sum_{start<i<=m} h[i-1, m-1] c_i p_{i-1},
@@ -602,12 +599,11 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     # The products are carried through subdiagonal entries that are zero in
     # some layers only, where they vanish for that layer. Where h[m-1, m-2]
     # is zero in every layer the form splits: start moves up to m - 1 and
-    # p_m = (x - h[m-1, m-1]) p_{m-1}; linked holds those positions, and
-    # polys holds p_start, p_{start+1}, ... of the current block only, in
-    # its rows 0, 1, ... Before a row is reduced its entries are below
-    # (n + 1) (p - 1)^2 < 2^63 in absolute value.
-    if n > 1:  # the last column op may change h[n-1, n-2]
-        linked.append(bool(np.count_nonzero(h[:, n - 1, n - 2])))
+    # p_m = (x - h[m-1, m-1]) p_{m-1}; the cuts are read from the form, as
+    # no step after step j touches h[j+1, j]. polys holds p_start, ... of the
+    # current block only, in its rows 0, 1, ... Before a row is reduced its
+    # entries are below (n + 1) (p - 1)^2 < 2^63 in absolute value.
+    linked = h.diagonal(-1, 1, 2).any(axis=0).tolist()
     cuts = [0, *(i + 1 for i, link in enumerate(linked) if not link), n]
     longest = max(b - a for a, b in zip(cuts, cuts[1:]))
     polys = np.zeros((count, longest + 1, n + 1), dtype=np.int64)

@@ -35,6 +35,8 @@ def test_parse_group_spec():
         parse_group_spec("D3")
     with pytest.raises(FormatError):
         parse_group_spec("PQ:7")
+    with pytest.raises(FormatError, match="D needs exactly one parameter"):
+        parse_group_spec("D:3,4")
 
 
 def test_graph_command_json(in_tmp, capsys):
@@ -322,6 +324,27 @@ def test_spectrum_refuses_a_char_poly_beyond_the_int_to_str_limit(in_tmp, capsys
     assert not list(in_tmp.iterdir())  # no partial file
 
 
+def test_spectrum_exact_csv_lists_every_coefficient(in_tmp, capsys):
+    assert main(["spectrum", "--group", "D:3", "--relation", "order", "--method", "exact",
+                 "--out", "csv", "--output", "p.csv"]) == 0
+    # x^6 - 9x^4 - 10x^3 + 9x^2 + 18x + 7, the D_6 order adjacency
+    assert (in_tmp / "p.csv").read_text() == (
+        "degree,coefficient\n0,7\n1,18\n2,9\n3,-10\n4,-9\n5,0\n6,1\n")
+
+
+def test_spectrum_jacobi_csv_writes_floats_to_12_digits(in_tmp, capsys):
+    # the D_6 order adjacency: -1 thrice and the three irrational roots of a cubic
+    args = ["spectrum", "--group", "D:3", "--relation", "order", "--method", "jacobi"]
+    assert main(args + ["--out", "csv", "--output", "s.csv"]) == 0
+    assert main(args + ["--output", "s.json"]) == 0
+    pairs = [(e["value"], e["multiplicity"])
+             for e in json.loads((in_tmp / "s.json").read_text())["eigenvalues"]]
+    lines = (in_tmp / "s.csv").read_text().splitlines()
+    assert lines[0] == "value,multiplicity"
+    assert lines[1:] == [f"{v:.12g},{m}" for v, m in pairs]
+    assert lines[1:] == ["-1.60167913188,1", "-1,3", "1.33987688662,1", "3.26180224526,1"]
+
+
 def test_spectrum_multiplicities_sum_to_vertex_count(in_tmp):
     for group, order in (("D:4", 8), ("Q:3", 12), ("PQ:5,2", 10)):
         assert main([
@@ -370,6 +393,45 @@ def test_verify_cli_rejects_reversed_range(in_tmp, capsys):
         assert f'range "{args[-1]}"' in err
 
 
+def test_verify_cli_rejects_malformed_ranges_and_pairs(in_tmp, capsys):
+    for args, message in ((["--suite", "4.3", "--n", "5"], 'range "5": expected LO..HI'),
+                          (["--suite", "4.3", "--n", "a..b"],
+                           'range "a..b": bounds must be integers'),
+                          (["--suite", "4.1", "--pq", "7"], 'pq pair "7": expected P,Q'),
+                          (["--suite", "4.1", "--pq", "7,x"],
+                           'pq pair "7,x": values must be integers')):
+        assert main(["verify", *args, "--jobs", "1", "--report", "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", args
+    assert list(in_tmp.iterdir()) == []
+
+
+def test_verify_cli_reads_pq_pairs(in_tmp, capsys):
+    assert main(["verify", "--suite", "4.1", "--family", "PQ", "--pq", "7,3", "--pq", "5,2",
+                 "--jobs", "1", "--report", "r.json"]) == 0
+    data = json.loads((in_tmp / "r.json").read_text())
+    assert [(e["claim"], e["params"], e["verdict"]) for e in data["reports"]] == [
+        ("Thm4.1(iii)", {"p": 5, "q": 2}, "Match"), ("Thm4.1(iii)", {"p": 7, "q": 3}, "Match")]
+
+
+def test_verify_cli_exits_2_on_an_internal_mismatch(in_tmp, capsys, monkeypatch):
+    # every Laplacian clique root of the quotient route moved by one: the
+    # explicit exact char poly disagrees with it at every Thm 4.2(i) point
+    from supergraph import spectra
+
+    quotients = spectra._quotients
+
+    def planted(cases, t):
+        return [(c, s, [(v + t, m) for v, m in cliques]) for c, s, cliques in quotients(cases, t)]
+
+    monkeypatch.setattr(spectra, "_quotients", planted)
+    assert main(["verify", "--suite", "4.2", "--family", "D", "--odd-n", "3..5", "--jobs", "1",
+                 "--report", "r.json"]) == 2
+    data = json.loads((in_tmp / "r.json").read_text())
+    assert data["summary"] == {"match": 0, "mismatch": 2, "paper_table": 0}
+    assert "Mismatch" in capsys.readouterr().out
+
+
 def test_verify_cli_deterministic_modulo_ms(in_tmp):
     args = ["verify", "--suite", "generic", "--trials", "25", "--seed", "42", "--jobs", "1"]
     assert main(args + ["--report", "r1.json"]) == 0
@@ -398,6 +460,8 @@ def test_usage_error_exit_code():
 def test_group_error_reported(in_tmp, capsys):
     assert main(["graph", "--group", "D:2"]) == 1
     assert "error" in capsys.readouterr().err
+    assert main(["graph", "--group", "D:3,4"]) == 1
+    assert capsys.readouterr().err == 'error: group spec "D:3,4": D needs exactly one parameter\n'
 
 
 def test_oversized_group_is_an_error_and_writes_no_file(in_tmp, capsys):

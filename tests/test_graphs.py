@@ -307,6 +307,41 @@ def test_twin_form_invariant_under_relabeling():
         assert twin_canonical_form(join) == twin_canonical_form(shuffled)
 
 
+def test_twin_form_refines_colors_past_size_and_degree():
+    # The 12-vertex path has no closed twins. Size and degree leave its ten
+    # inner vertices one color, 2! 10! = 7,257,600 orderings, past the 8!
+    # bound; the refining rounds split them by distance from an end into six
+    # pairs, 2^6 orderings.
+    nx = pytest.importorskip("networkx")
+    from supergraph import graphs
+
+    path = _path_graph(12)
+    colors = graphs._refine_colors(path.adjacency, [1] * 12)
+    assert sorted(colors) == sorted(list(range(6)) * 2)
+    assert all(colors[v] == colors[11 - v] for v in range(12))
+    form = twin_canonical_form(path)
+    assert form.sizes == (1,) * 12 and len(form.edges) == 11
+
+    def networkx_graph(g):
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges())
+        return ref
+
+    rng = random.Random(41)
+    for _ in range(10):
+        perm = list(range(12))
+        rng.shuffle(perm)
+        shuffled = path.induced_subgraph(perm)
+        assert nx.vf2pp_is_isomorphic(networkx_graph(path), networkx_graph(shuffled))
+        assert twin_canonical_form(shuffled) == form
+    # an 8-vertex path beside a 4-cycle: the same degree sequence, not isomorphic
+    other = SimpleGraph(12, [(v, v + 1) for v in range(7)] + [(8, 9), (9, 10), (10, 11), (8, 11)])
+    assert sorted(other.adjacency.sum(axis=1)) == sorted(path.adjacency.sum(axis=1))
+    assert not nx.vf2pp_is_isomorphic(networkx_graph(path), networkx_graph(other))
+    assert twin_canonical_form(other) != form
+
+
 def test_json_round_trip_and_dot():
     g = SimpleGraph(3, [(0, 2), (0, 1)], labels=["e", "a", "b"])
     assert g.to_json_dict() == {

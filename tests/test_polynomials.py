@@ -491,6 +491,13 @@ def test_stack_pivot_zero_mod_one_prime(monkeypatch):
         (0, primes[1], 1, rng.randint(1, big), rng.randint(1, big)),
         # whole column zero mod primes[1] only: that layer gets u = 0
         (0, primes[1], 2 * primes[1], 3 * primes[1], 0),
+        # the first nonzero entry below the diagonal is the least residue mod
+        # primes[2] only: the other layers take row 2's 3 as their pivot,
+        # where the reference takes row 1
+        (0, primes[2] + 1, 3, 0, primes[1]),
+        # the least residues are 2, 1 and 3, in rows 2, 3 and 4 of the three
+        # layers in turn: row 1's 7 is never the pivot
+        (0, 7, primes[0] + 2, primes[1] + 1, primes[2] + 3),
     ):
         m = [[v] + [rng.randint(-big, big) for _ in range(n - 1)] for v in first_column]
         _assert_stack_matches_reference(m, primes)
@@ -498,6 +505,28 @@ def test_stack_pivot_zero_mod_one_prime(monkeypatch):
         result = char_poly_integer(m)
         assert len(stacks) == 1 and len(stacks[0]) > 2 and primes[1] in stacks[0]
         assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
+
+
+def test_stack_last_column_op_links_some_layers_only(monkeypatch):
+    # h[n-1, n-2] is zero in the input and changed by the last column
+    # operation only where u = h[n-1, n-3] / h[n-2, n-3] is nonzero: in every
+    # layer but the primes[1] one, whose form alone splits there. The pivot 3
+    # divides no prime, so the stage over the integers stops.
+    n = 6
+    primes = list(itertools.islice(_primes(_prime_bits(n)), 3))
+    rng = random.Random(31)
+    m = [[rng.randint(-9, 9) if j >= i else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n - 1):
+        m[i][i - 1] = rng.randint(1, 9)
+    m[n - 2][n - 3], m[n - 1][n - 3], m[n - 1][n - 1] = 3, primes[1], 5
+    _assert_stack_matches_reference(m, primes)
+    forms = np.array([[[v % p for v in row] for row in m] for p in primes], dtype=np.int64)
+    _char_poly_mod(forms, np.array(primes, dtype=np.int64))
+    assert [bool(v) for v in forms[:, n - 1, n - 2]] == [True, False, True]
+    stacks = _recording_stacks(monkeypatch)
+    result = char_poly_integer(m)
+    assert len(stacks) == 1 and primes[1] in stacks[0]
+    assert result == _per_prime_char_poly(m) == _faddeev_leverrier_char_poly(m)
 
 
 def test_stack_subdiagonal_zero_mod_one_prime(monkeypatch):

@@ -42,7 +42,7 @@ threads spin after each call and take CPU time from the layers timed after
 them on a small host. Each layer first makes one untimed warm-up call, so
 that its figure does not depend on what the layers timed before it in the
 same process left in the caches and the allocator; its figure is then the
-median wall time of ``--runs`` calls (default 5), in ms. A call still
+median wall time of ``--runs`` calls (default 15), in ms. A call still
 running after ``CAP_S`` seconds, the warm-up included, is stopped by a timer
 signal and its layer recorded as null, as is a layer whose input a stopped
 layer did not make; the cap is written to the file. The timer needs a POSIX
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory to write to")
     parser.add_argument("--orders", type=int, nargs="+", default=list(ORDERS))
-    parser.add_argument("--runs", type=int, default=5,
+    parser.add_argument("--runs", type=int, default=15,
                         help="timed calls per layer, and verify runs")
     args = parser.parse_args(argv)
     root = args.root.resolve()
