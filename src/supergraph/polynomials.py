@@ -177,9 +177,10 @@ class PolynomialZ:
         return result
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; exact for int and Fraction arguments. A
-        numpy integer is evaluated in floats, where numpy's int64 would wrap."""
-        acc = 0.0 if isinstance(value, np.integer) else 0
+        """Evaluate by Horner's rule; exact for int and Fraction arguments, and
+        for numpy integers, which are read as Python ints so as not to wrap."""
+        value = int(value) if isinstance(value, np.integer) else value
+        acc = 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
         return acc

@@ -40,17 +40,13 @@ from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 _GROUPING_FACTOR = 1e-8
 
 
-def _values_equal(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) == float(b)
-    return a == b  # ints compare exactly
-
-
 class Spectrum:
     """Multiset of eigenvalues as (value, multiplicity) pairs, sorted ascending.
 
-    Values are ints (exact) or floats (numeric), read by ``errors.real``;
-    equal values are merged on construction.
+    Values are ints (exact) or floats (numeric), read by ``errors.real``.
+    They compare by Python's exact ``==``, which never rounds an int to a
+    float: equal values merge on construction, and two spectra are equal,
+    and hash equal, when their pairs are.
     """
 
     __slots__ = ("_pairs",)
@@ -64,7 +60,7 @@ class Spectrum:
         for value, mult in sorted(entries, key=lambda e: e[0]):
             if mult == 0:
                 continue
-            if merged and _values_equal(merged[-1][0], value):
+            if merged and merged[-1][0] == value:
                 merged[-1][1] += mult
             else:
                 merged.append([value, mult])
@@ -94,15 +90,10 @@ class Spectrum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        if len(self._pairs) != len(other._pairs):
-            return False
-        return all(
-            m1 == m2 and _values_equal(v1, v2)
-            for (v1, m1), (v2, m2) in zip(self._pairs, other._pairs)
-        )
+        return self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(tuple((float(v), m) for v, m in self._pairs))
+        return hash(self._pairs)
 
     def __str__(self) -> str:
         def fmt(v):
@@ -362,23 +353,17 @@ def interlacing_check(eigs_full, eigs_sub, slack: float = 1e-9) -> bool:
 def spectrum_from_integer_charpoly(poly: PolynomialZ, bound: int | None = None) -> Spectrum | None:
     """Factor a monic characteristic polynomial into integer roots if possible.
 
-    Candidate roots are scanned in [-bound, bound]; the default of twice the
-    degree covers adjacency (|eig| <= n-1) and Laplacian (eig <= 2(n-1))
-    matrices of simple graphs. Returns None when the polynomial does not split
-    into integer roots within the bound.
+    Each candidate root in [-bound, bound] is scanned with
+    ``PolynomialZ.root_multiplicity``; the default bound of twice the degree
+    covers adjacency (|eig| <= n-1) and Laplacian (eig <= 2(n-1)) matrices of
+    simple graphs. Returns None when the multiplicities found do not sum to
+    the degree, that is when the polynomial does not split into integer roots
+    within the bound.
     """
     if not instance(poly, PolynomialZ, "polynomial").is_monic():
         return None
     bound = 2 * max(poly.degree, 0) if bound is None else integer(bound, "root bound")
-    pairs = []
-    p = poly
-    for root in range(-bound, bound + 1):
-        while p.degree > 0:
-            q, rem = p.deflate(root)
-            if rem != 0:
-                break
-            pairs.append((root, 1))
-            p = q
-    if p.degree > 0:
+    pairs = [(root, poly.root_multiplicity(root)) for root in range(-bound, bound + 1)]
+    if sum(m for _, m in pairs) != poly.degree:
         return None
     return Spectrum(pairs)

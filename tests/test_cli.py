@@ -110,6 +110,12 @@ def test_graph_command_failure_writes_no_file(in_tmp, capsys):
     assert sorted(p.name for p in in_tmp.iterdir()) == ["d8d6.txt"]
 
 
+def test_graph_command_rejects_an_unknown_relation(in_tmp, capsys):
+    assert main(["graph", "--group", "D:3", "--relation", "bogus"]) == 1
+    assert capsys.readouterr().err.strip() == 'error: unknown relation "bogus"'
+    assert list(in_tmp.iterdir()) == []
+
+
 def test_spectrum_closed_laplacian_csv(in_tmp, capsys):
     assert main([
         "spectrum", "--group", "D:3", "--relation", "order", "--matrix",

@@ -56,6 +56,11 @@ def test_basic_constructions():
         complete_graph(0)
 
 
+def test_equal_graphs_hash_equal():
+    g, h = SimpleGraph(3, [(0, 1)]), SimpleGraph(3, [(1, 0)])
+    assert g == h and hash(g) == hash(h)
+
+
 def test_from_adjacency_validation():
     with pytest.raises(InvalidParameter):
         SimpleGraph.from_adjacency([[0, 1], [0, 0]])
@@ -292,6 +297,18 @@ def test_twin_form_distinguishes_different_joins():
     a = generalized_join(star_graph(3), [complete_graph(s) for s in (1, 2, 3)])
     b = generalized_join(star_graph(3), [complete_graph(s) for s in (2, 2, 2)])
     assert twin_canonical_form(a) != twin_canonical_form(b)
+
+
+def test_twin_form_of_a_join_that_is_not_a_star():
+    cycle = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    form = twin_canonical_form(cycle)
+    assert form.sizes == (1, 1, 1, 1)
+    assert form.describe() == "Join(edges=[(0, 2), (0, 3), (1, 2), (1, 3)])[K_1, K_1, K_1, K_1]"
+
+
+def test_twin_form_needs_a_vertex():
+    with pytest.raises(InvalidParameter, match="at least one vertex"):
+        twin_canonical_form(SimpleGraph(0))
 
 
 def test_twin_form_invariant_under_relabeling():

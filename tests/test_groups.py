@@ -724,3 +724,10 @@ def test_row_without_identity_raises():
     with pytest.raises(NotAGroup, match="row 1 holds no identity") as exc:
         FiniteGroup([[0, 1], [1, 1]], validate=False)
     assert exc.value.witness == 1
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_latin_square_without_identity_raises(validate):
+    # every row and column is a permutation, yet no row is the identity row
+    with pytest.raises(NotAGroup, match="table has no identity element"):
+        FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]], validate=validate)

@@ -25,6 +25,25 @@ def test_layer_script_writes_a_bench_file_at_order_50(tmp_path):
     assert bench["cap_s"] >= 5 and bench["runs"] == 1
 
 
+def test_layer_script_measures_a_second_checkout_in_alternate_rounds(tmp_path):
+    root = SCRIPT.parents[1]
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--label", "pair", "--orders", "50", "--runs", "1",
+         "--against", str(root), "--out", str(tmp_path)],
+        check=True, capture_output=True, text=True)
+    paths = [tmp_path / "BENCH_pair.json", tmp_path / "BENCH_pair-against.json"]
+    assert run.stdout.split() == [str(path) for path in paths]
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    benches = [json.loads(path.read_text()) for path in paths]
+    assert benches[0]["env"] == benches[1]["env"]  # one checkout, measured twice
+    for bench in benches:
+        assert list(bench["end_to_end"]) == ["verify_all_s", "run_suite_s", "import_s"]
+        assert all(seconds > 0 for seconds in bench["end_to_end"].values())
+        assert list(bench["layers"]) == ["50"] and list(bench["layers"]["50"]) == LAYERS
+        assert all(ms is not None and ms > 0 for ms in bench["layers"]["50"].values())
+        assert bench["runs"] == 1
+
+
 def test_the_committed_bench_files_have_every_layer_at_every_order():
     paths = sorted(SCRIPT.parents[1].glob("BENCH_*.json"))
     assert paths

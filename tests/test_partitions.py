@@ -16,6 +16,7 @@ from supergraph import (
     refines,
     semidirect_pq,
 )
+from supergraph.partitions import relation_partition
 
 
 def test_normalization_and_lookup():
@@ -24,6 +25,17 @@ def test_normalization_and_lookup():
     assert p.block_of == (0, 1, 2, 1, 2)
     assert p.sizes == (1, 2, 2)
     assert p.block_containing(4) == (2, 4)
+
+
+def test_equal_partitions_hash_equal():
+    p, q = Partition(4, [[0, 1], [2, 3]]), Partition(4, [[3, 2], [1, 0]])
+    assert p == q and hash(p) == hash(q)
+
+
+def test_relation_partition_rejects_an_unknown_relation():
+    assert relation_partition(dihedral(3), "none") == least_partition(6)
+    with pytest.raises(InvalidParameter, match='unknown relation "bogus"'):
+        relation_partition(dihedral(3), "bogus")
 
 
 def test_validation_errors():

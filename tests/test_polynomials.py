@@ -56,6 +56,21 @@ def test_evaluation():
     assert abs(p(1.0) - 2.0) < 1e-12
 
 
+def test_evaluation_reads_numpy_integers_as_python_ints():
+    # numpy's int64 would wrap and float64 would round; Python ints do neither
+    value = PolynomialZ((1, 1))(np.int64(2**60))
+    assert type(value) is int and value == 2**60 + 1
+    cube = PolynomialZ((0, 0, 0, 1))(np.int64(2**40))
+    assert type(cube) is int and cube == 2**120
+    assert [PolynomialZ((1, 1))(v) for v in (np.int32(7), np.uint8(255))] == [8, 256]
+    assert all(type(PolynomialZ((1, 1))(v)) is int for v in (np.int32(7), np.uint8(255)))
+
+
+def test_equal_polynomials_hash_equal():
+    p, q = PolynomialZ((1, 2, 0)), PolynomialZ.from_roots([(-1, 1)]) * 2 - PolynomialZ.one()
+    assert p == q and hash(p) == hash(q)
+
+
 def test_from_roots_and_multiplicity():
     p = PolynomialZ.from_roots([(0, 1), (4, 1), (1, 2)])
     assert p.coeffs == tuple(
@@ -74,6 +89,10 @@ def test_from_roots_and_multiplicity():
     assert PolynomialZ.from_roots([]) == PolynomialZ.from_roots([(7, 0)]) == PolynomialZ.one()
     with pytest.raises(InvalidParameter):
         PolynomialZ.from_roots([(2, 1), (1, -1)])
+
+
+def test_deflating_the_zero_polynomial():
+    assert PolynomialZ.zero().deflate(3) == (PolynomialZ.zero(), 0)
 
 
 def _from_roots_reference(roots):

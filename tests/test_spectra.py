@@ -77,6 +77,20 @@ def test_spectrum_json_round_trip():
     assert all(type(m) is int for m in mults)
 
 
+def test_spectrum_compares_an_int_and_a_float_exactly():
+    # 2^60 + 1 rounds to the float 2^60, but Python's == does not round
+    s = Spectrum([(2**60 + 1, 1), (2.0**60, 1)])
+    assert s.pairs == ((2.0**60, 1), (2**60 + 1, 1))
+    assert s != Spectrum([(2.0**60, 2)])
+    assert Spectrum([(2**60, 1), (2.0**60, 1)]).pairs == ((2**60, 2),)
+
+
+def test_spectrum_equal_int_and_float_values_hash_equal():
+    assert Spectrum([(3, 1)]) == Spectrum([(3.0, 1)])
+    assert hash(Spectrum([(3, 1)])) == hash(Spectrum([(3.0, 1)]))
+    assert len({Spectrum([(3, 1), (-1, 2)]), Spectrum([(-1.0, 2), (3.0, 1)])}) == 1
+
+
 # ---------------------------------------------------------------------------
 # Jacobi
 
@@ -436,6 +450,11 @@ def test_interlacing_examples():
     assert not interlacing_check([0, 1], [5])
 
 
+def test_interlacing_needs_no_more_sub_eigenvalues_than_full_ones():
+    with pytest.raises(InvalidParameter, match="more eigenvalues"):
+        interlacing_check([0, 1], [0, 1, 2])
+
+
 def test_spectrum_from_integer_charpoly():
     poly = PolynomialZ.from_roots([(0, 1), (4, 2), (9, 1)])
     # default bound is 2*degree = 8, so the root at 9 is out of reach
@@ -443,6 +462,12 @@ def test_spectrum_from_integer_charpoly():
     s = spectrum_from_integer_charpoly(poly, bound=9)
     assert s.pairs == ((0, 1), (4, 2), (9, 1))
     assert spectrum_from_integer_charpoly(PolynomialZ((-2, 0, 1))) is None  # x^2 - 2
+
+
+def test_spectrum_from_integer_charpoly_needs_a_monic_polynomial():
+    assert spectrum_from_integer_charpoly(PolynomialZ((-2, 2))) is None  # 2(x - 1)
+    assert spectrum_from_integer_charpoly(PolynomialZ.zero()) is None
+    assert spectrum_from_integer_charpoly(PolynomialZ.one()) == Spectrum([])
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,15 @@ def test_closed_form_out_of_range():
         closed_form("Sec4.2-Dc-lap", m=1)
 
 
+def test_unknown_family_claim_and_task_kind_raise():
+    with pytest.raises(InvalidParameter, match="no group family 'X'"):
+        verify.family_group("X", 3)
+    with pytest.raises(InvalidParameter, match="unknown spectral claim 'nope'"):
+        closed_form("nope")
+    with pytest.raises(InvalidParameter, match="unknown task kind 'bogus'"):
+        verify.run_claim_task(("bogus", "x", {}))
+
+
 def test_claim_brackets_quaternion_switchover():
     quaternion = verify._claim("Thm4.1(ii)")
     assert quaternion.brackets(n=13)[2] == (27, 28)
