@@ -285,6 +285,18 @@ def _reach(adj: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return reached
 
 
+def _connected(adj: np.ndarray, counts=None) -> np.ndarray:
+    """(T,) whether the first counts[t] vertices of graph t (all when None)
+    are connected. The vertices past a count pad the stack: isolated and
+    seeded, they are reached however the rest is joined."""
+    if counts is None:
+        seeds = np.zeros(adj.shape[:2], dtype=bool)
+    else:
+        seeds = np.arange(adj.shape[-1]) >= counts[:, None]
+    seeds[:, 0] = True
+    return _reach(adj, seeds).all(axis=1)
+
+
 def _contained(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """(T,) whether every edge of sub[t] is an edge of sup[t]."""
     return ~(sub & ~sup).any(axis=(1, 2))
@@ -350,9 +362,7 @@ def connected_components(graph: SimpleGraph) -> list[list[int]]:
 def is_connected(graph: SimpleGraph) -> bool:
     if instance(graph, SimpleGraph, "graph").n < 1:
         raise InvalidParameter("connectivity needs at least one vertex")
-    seeds = np.zeros((1, graph.n), dtype=bool)
-    seeds[0, 0] = True
-    return bool(_reach(graph.adjacency[None], seeds).all())
+    return bool(_connected(graph.adjacency[None])[0])
 
 
 def is_spanning_subgraph(g1: SimpleGraph, g2: SimpleGraph) -> bool:

@@ -13,7 +13,9 @@ same three labelled checks at every point, which ``verify`` and ``spectrum
 inconsistencies ("Mismatch": the quotient route and brute force disagree,
 which would be a bug here) from divergences between our computations and a
 catalogued published formula ("Mismatch(paper-table)", reported with a diff
-and never thrown).
+and never thrown). Verdicts are named in one place, ``_report``, from the
+first failing check of a task: a spectral point, a structure claim's
+published-form check or a generic property.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .graphs import (
     SimpleGraph,
     _block_cross,
     _clear_diagonal,
+    _connected,
     _contained,
     _join,
     _lift,
@@ -249,24 +252,30 @@ class Claim:
         cubic, exp = self.cubic(**params)
         return Spectrum([(r, 1) for r in np.roots(cubic.coeffs[::-1])] + [(-1.0, exp)])
 
-    def diff(self, params: dict, quotient: PolynomialZ) -> str | None:
-        """How the published form contradicts the quotient route's exact char
-        poly, or a cubic's published root brackets the cubic; None when both
-        hold. A table that differs is told apart eigenvalue by eigenvalue
-        where the computed char poly splits over Z."""
+    def diff(self, params: dict, computed) -> str | None:
+        """How the published form contradicts ``computed``, or a cubic's
+        published root brackets the cubic; None when both hold. ``computed``
+        is the quotient route's exact char poly, or a structure claim's built
+        super graph, compared by twin form. A table that differs is told apart
+        eigenvalue by eigenvalue where the computed char poly splits over Z."""
         form = self.form(params)
+        if self.kind == "structure":
+            built, claimed = twin_canonical_form(computed), twin_canonical_form(form)
+            left, right = self.sides
+            return None if built == claimed else (
+                f"{left} {built.describe()} != {right} {claimed.describe()}")
         published = PolynomialZ.from_roots(form.pairs) if isinstance(form, Spectrum) else form
-        if published == quotient:
+        if published == computed:
             if self.brackets is None:
                 return None
             cubic, brackets = self.cubic(**params)[0], self.brackets(**params)
             if all(cubic(lo) * cubic(hi) < 0 for lo, hi in brackets):
                 return None
             return f"root bracket sign check failed on {brackets}"
-        computed = spectrum_from_integer_charpoly(quotient) if isinstance(form, Spectrum) else None
-        if computed is not None:
-            return _spectrum_diff(form, computed)
-        return f"published poly {published} != computed {quotient}"
+        split = spectrum_from_integer_charpoly(computed) if isinstance(form, Spectrum) else None
+        if split is not None:
+            return _spectrum_diff(form, split)
+        return f"published poly {published} != computed {computed}"
 
 
 CLAIMS = (
@@ -420,7 +429,8 @@ def _spectrum_diff(expected: Spectrum, computed: Spectrum) -> str:
 # The diff of each internal check names the explicit route that disagrees.
 _INTERNAL_EXACT = "exact char poly of the explicit matrix disagrees with the quotient route"
 _INTERNAL_LAPACK = "LAPACK spectrum of the explicit matrix disagrees with the quotient route"
-# The published-form check is exact; its label, like ``jacobi``, is historical.
+# The published-form check, of a spectral or a structure claim, is exact; its
+# label, like ``jacobi``, is historical.
 _CLOSED_CHECK = "jacobi ~ closed form (1e-08)"
 
 
@@ -476,42 +486,44 @@ class SpectralPoint:
             yield _CLOSED_CHECK, claim.diff(params, self.quotient)
 
 
-def _verify_spectral_point(claim: Claim, params: dict) -> ClaimReport:
+def _report(claim: str, params: dict, checks) -> ClaimReport:
+    """The one place a verdict is named. ``checks`` yields (label, problem),
+    the problem None where the check holds; it runs, timed, up to its first
+    failing check: Match when none fails, Mismatch(paper-table) with the
+    diff when that is the published-form check, Mismatch when another."""
     start = time.perf_counter()
-    params = claim.check(params)
-    graph, base, part = _shared(*claim.supers(params)[0])
-    point = SpectralPoint(base, part, graph, claim.matrix)
-    report = ClaimReport(claim=claim.name, params=params)
-    for label, problem in point.checks(claim, params):
+    verdict, diff = MATCH, None
+    for label, problem in checks:
         if problem is not None:
-            report.verdict = PAPER_TABLE if label == _CLOSED_CHECK else MISMATCH
-            report.diff = problem
+            verdict, diff = PAPER_TABLE if label == _CLOSED_CHECK else MISMATCH, problem
             break
-    report.ms = int((time.perf_counter() - start) * 1000)
-    return report
+    return ClaimReport(claim, params, verdict, diff, int((time.perf_counter() - start) * 1000))
+
+
+def _verify_point(claim: Claim, params) -> ClaimReport:
+    """Check a spectral or structure claim at one parameter point: a spectral
+    point's three checks, or a structure claim's published-form check."""
+    params = claim.check(params)
+
+    def checks():
+        graph, base, part = _shared(*claim.supers(params)[0])
+        if claim.kind == "structure":
+            yield _CLOSED_CHECK, claim.diff(params, graph)
+        else:
+            yield from SpectralPoint(base, part, graph, claim.matrix).checks(claim, params)
+
+    return _report(claim.name, params, checks())
 
 
 def verify_spectral(claim: str, param_list) -> list[ClaimReport]:
     """Check a spectral claim over several parameter points."""
     entry = _claim(claim, "spectral")
-    return [_verify_spectral_point(entry, p) for p in param_list]
+    return [_verify_point(entry, p) for p in items(param_list, "parameter points")]
 
 
 def verify_structure(claim: str, params) -> ClaimReport:
     """Build both sides of a structural claim and compare canonical forms."""
-    entry = _claim(claim, "structure")
-    start = time.perf_counter()
-    params = entry.check(params)
-    built, _, _ = _shared(*entry.supers(params)[0])
-    f1 = twin_canonical_form(built)
-    f2 = twin_canonical_form(entry.form(params))
-    left, right = entry.sides
-    report = ClaimReport(claim=claim, params=params)
-    if f1 != f2:
-        report.verdict = PAPER_TABLE
-        report.diff = f"{left} {f1.describe()} != {right} {f2.describe()}"
-    report.ms = int((time.perf_counter() - start) * 1000)
-    return report
+    return _verify_point(_claim(claim, "structure"), params)
 
 
 # ---------------------------------------------------------------------------
@@ -586,28 +598,17 @@ def _stacks(draws):
                np.array([draws[t][2] for t in trials]))
 
 
-def _connected(adj: np.ndarray, counts=None) -> np.ndarray:
-    """(T,) whether the first counts[t] vertices of graph t (all when None)
-    are connected. The vertices past a count pad the stack: isolated and
-    seeded, they are reached however the rest is joined."""
-    if counts is None:
-        seeds = np.zeros(adj.shape[:2], dtype=bool)
-    else:
-        seeds = np.arange(adj.shape[-1]) >= counts[:, None]
-    seeds[:, 0] = True
-    return _reach(adj, seeds).all(axis=1)
-
-
-def _record(failed: dict, trials, mask, check: int) -> None:
-    """Note ``check`` for each trial where ``mask`` holds, unless an earlier check failed."""
+def _record(failed: dict, trials, mask, problem) -> None:
+    """Note ``problem``, a callable of the trial that returns its text, for
+    each trial where ``mask`` holds, unless an earlier check failed."""
     for i in np.flatnonzero(mask).tolist():
-        failed.setdefault(trials[i], check)
+        failed.setdefault(trials[i], problem)
 
 
-def _outcome(failed: dict, message) -> tuple[list[int], str | None]:
-    """The failing trials in order and the first one's problem, message(trial, check)."""
+def _outcome(failed: dict) -> tuple[list[int], str | None]:
+    """The failing trials in order and the first one's problem, the only one built."""
     order = sorted(failed)
-    return order, message(order[0], failed[order[0]]) if order else None
+    return order, failed[order[0]](order[0]) if order else None
 
 
 def _sample_graph_partition(rngs) -> list[tuple]:
@@ -656,50 +657,39 @@ def _sample_thm35(rngs) -> list[tuple]:
 
 
 def _check_thm33(draws) -> tuple[list[int], str | None]:
-    failed: dict[int, int] = {}
+    failed: dict = {}
     for n, trials, adj, block_of in _stacks(draws):
         cross = _block_cross(adj, block_of, block_of.max() + 1)
         sup = _lift(cross, block_of)
         order = np.argsort(block_of, axis=1, kind="stable")  # the vertices block by block
         owner = np.take_along_axis(block_of, order, axis=1)
         join = _join(cross, owner, _clear_diagonal(owner[:, :, None] == owner[:, None, :]))
-        _record(failed, trials, (_pairs(sup, order) != join).any(axis=(1, 2)), 0)
-        _record(failed, trials, ~_contained(adj, sup), 1)
-
-    def message(t, check):
-        n, _, labels = draws[t]
-        if check == 0:
-            return f"edge sets differ for n={n}, partition={_partition(labels).blocks}"
-        return f"original graph not spanning subgraph of super graph for n={n}"
-
-    return _outcome(failed, message)
+        _record(failed, trials, (_pairs(sup, order) != join).any(axis=(1, 2)), lambda t: (
+            f"edge sets differ for n={draws[t][0]}, partition={_partition(draws[t][2]).blocks}"))
+        _record(failed, trials, ~_contained(adj, sup), lambda t: (
+            f"original graph not spanning subgraph of super graph for n={draws[t][0]}"))
+    return _outcome(failed)
 
 
 def _check_prop32(draws) -> tuple[list[int], str | None]:
-    failed: dict[int, int] = {}
+    failed: dict = {}
     for n, trials, adj, coarse in _stacks(draws):
         fine = np.array([draws[t][3] for t in trials])
         least = np.broadcast_to(np.arange(n), coarse.shape)
-        _record(failed, trials, ~_refines(fine, coarse), 0)
+        _record(failed, trials, ~_refines(fine, coarse),
+                lambda t: "refinement sampler produced a non-refinement")
         contained = _contained(_super_graphs(adj, fine, fine.max() + 1),
                                _super_graphs(adj, coarse, coarse.max() + 1))
-        _record(failed, trials, ~contained, 1)
-        _record(failed, trials, (_super_graphs(adj, least, n) != adj).any(axis=(1, 2)), 2)
-
-    def message(t, check):
-        n, _, coarse, fine = draws[t]
-        if check == 0:
-            return "refinement sampler produced a non-refinement"
-        if check == 1:
-            return (f"containment fails for n={n}, fine={_partition(fine).blocks}, "
-                    f"coarse={_partition(coarse).blocks}")
-        return "super graph over the identity relation is not the graph itself"
-
-    return _outcome(failed, message)
+        _record(failed, trials, ~contained, lambda t: (
+            f"containment fails for n={draws[t][0]}, fine={_partition(draws[t][3]).blocks}, "
+            f"coarse={_partition(draws[t][2]).blocks}"))
+        _record(failed, trials, (_super_graphs(adj, least, n) != adj).any(axis=(1, 2)),
+                lambda t: "super graph over the identity relation is not the graph itself")
+    return _outcome(failed)
 
 
 def _check_thm34(draws) -> tuple[list[int], str | None]:
-    failed: dict[int, int] = {}
+    failed: dict = {}
     for n, trials, adj, block_of in _stacks(draws):
         counts = block_of.max(axis=1) + 1
         cross = _block_cross(adj, block_of, counts.max())
@@ -710,19 +700,15 @@ def _check_thm34(draws) -> tuple[list[int], str | None]:
         inside = adj & (block_of[:, :, None] == block_of[:, None, :])
         firsts = np.diff(np.maximum.accumulate(block_of, axis=1), axis=1, prepend=-1) > 0
         blocks = _reach(inside, firsts).all(axis=1)
-        _record(failed, trials, graph & ~compressed, 0)
-        _record(failed, trials, compressed & blocks & ~graph, 1)
-
-    def message(t, check):
-        if check == 0:
-            return f"graph connected but compressed graph disconnected (n={draws[t][0]})"
-        return f"compressed+blocks connected but graph disconnected (n={draws[t][0]})"
-
-    return _outcome(failed, message)
+        _record(failed, trials, graph & ~compressed, lambda t: (
+            f"graph connected but compressed graph disconnected (n={draws[t][0]})"))
+        _record(failed, trials, compressed & blocks & ~graph, lambda t: (
+            f"compressed+blocks connected but graph disconnected (n={draws[t][0]})"))
+    return _outcome(failed)
 
 
 def _check_lemma12(draws) -> tuple[list[int], str | None]:
-    failed: dict[int, int] = {}
+    failed: dict = {}
     sizes = [sum(size for size, _ in parts) for _, _, parts in draws]
     for size, trials in _by_size(range(len(draws)), sizes):
         counts = np.array([draws[t][0] for t in trials])
@@ -736,8 +722,9 @@ def _check_lemma12(draws) -> tuple[list[int], str | None]:
             inner.append([(i + a, j + a) for a, (_, part) in zip(starts, draws[t][2])
                           for i, j in part])
         join = _join(template, owner, _stack(size, inner))
-        _record(failed, trials, _connected(template, counts) != _connected(join), 0)
-    return _outcome(failed, lambda t, _: f"connectivity equivalence fails for k={draws[t][0]}")
+        _record(failed, trials, _connected(template, counts) != _connected(join),
+                lambda t: f"connectivity equivalence fails for k={draws[t][0]}")
+    return _outcome(failed)
 
 
 def _check_thm35(draws) -> tuple[list[int], str | None]:
@@ -755,14 +742,13 @@ def _check_thm35(draws) -> tuple[list[int], str | None]:
     adjacency = super_charpolys(cases, "adjacency")
     laplacian = super_charpolys(cases, "laplacian")
     explicit = char_poly_integers(explicit)
-    failed: dict[int, str] = {}
-    for t, ((g, part), adj, lap) in enumerate(zip(cases, adjacency, laplacian)):
-        where = f"(n={g.n}, partition={part.blocks})"
-        if adj != explicit[t]:
-            failed[t] = f"adjacency char poly mismatch {where}"
-        elif lap != explicit[len(draws) + t]:
-            failed[t] = f"Laplacian char poly mismatch {where}"
-    return _outcome(failed, lambda t, problem: problem)
+    failed: dict = {}
+    for matrix, quotient, brute in (("adjacency", adjacency, explicit[:len(draws)]),
+                                    ("Laplacian", laplacian, explicit[len(draws):])):
+        _record(failed, range(len(draws)), [a != b for a, b in zip(quotient, brute)],
+                lambda t, matrix=matrix: f"{matrix} char poly mismatch "
+                f"(n={cases[t][0].n}, partition={cases[t][1].blocks})")
+    return _outcome(failed)
 
 
 # Each property: a sampler that takes one seeded rng per trial and returns
@@ -779,22 +765,18 @@ _GENERIC_CHECKS = {
 
 def verify_generic(seed: int, trials: int) -> list[ClaimReport]:
     """Run the seeded randomized property suites; one report per property."""
-    trials = integer(trials, "trials", least=1)
-    reports = []
-    for name in sorted(_GENERIC_CHECKS):
-        start = time.perf_counter()
-        report = ClaimReport(claim=name, params={"seed": seed, "trials": trials})
+    seed, trials = integer(seed, "seed"), integer(trials, "trials", least=1)
+
+    def checks(name):
         # string seeds hash via sha512, stable across runs and processes
         rngs = [random.Random(f"{seed}:{name}:{t}") for t in range(trials)]
         sample, check = _GENERIC_CHECKS[name]
         failed, problem = check(sample(rngs))
-        report.verdict = MATCH if not failed else MISMATCH
-        if failed:
-            report.diff = (f"{len(failed)}/{trials} counterexamples; "
-                           f"first: trial {failed[0]}: {problem}")
-        report.ms = int((time.perf_counter() - start) * 1000)
-        reports.append(report)
-    return reports
+        yield name, None if not failed else (
+            f"{len(failed)}/{trials} counterexamples; first: trial {failed[0]}: {problem}")
+
+    return [_report(name, {"seed": seed, "trials": trials}, checks(name))
+            for name in sorted(_GENERIC_CHECKS)]
 
 
 # ---------------------------------------------------------------------------
@@ -813,10 +795,13 @@ def suite_tasks(
 ) -> list[tuple]:
     """Build the (kind, claim, params) task list for a verification suite.
 
-    ``family`` keeps the claims tagged with it. Without it, suite 4.2 leaves
-    out the Dc claims, which ``all`` and ``family="Dc"`` select. The generic
-    suite carries no family tag and runs under any family.
+    ``family`` keeps the claims tagged with it; a tag that no claim carries
+    raises InvalidParameter. Without it, suite 4.2 leaves out the Dc claims,
+    which ``all`` and ``family="Dc"`` select. The generic suite carries no
+    family tag and runs under any family.
     """
+    if family not in (None, *(claim.family for claim in CLAIMS)):
+        raise InvalidParameter(f"no claim carries the family tag {family!r}")
     bounds = {"odd_n": odd_n, "n": n_range, "m": m_range}
     pq_pairs = items(() if pq_pairs is None else pq_pairs, "pq pairs") or DEFAULT_PQ_PAIRS
     tasks: list[tuple] = []
@@ -829,7 +814,7 @@ def suite_tasks(
             points = claim.points(bounds.get(claim.axis), pq_pairs)
             tasks += [(claim.kind, claim.name, p) for p in points]
     if suite in ("generic", "all"):
-        tasks.append(("generic", "generic", {"seed": seed, "trials": trials}))
+        tasks.append(("generic", "generic", {"seed": integer(seed, "seed"), "trials": trials}))
     if not tasks:
         raise InvalidParameter(f"suite {suite!r} selected no claims")
     return tasks
@@ -838,13 +823,11 @@ def suite_tasks(
 def run_claim_task(task: tuple) -> list[ClaimReport]:
     """Execute one task; module-level so worker processes can import it."""
     kind, claim, params = task
-    if kind == "spectral":
-        return verify_spectral(claim, [params])
-    if kind == "structure":
-        return [verify_structure(claim, params)]
     if kind == "generic":
         return verify_generic(params["seed"], params["trials"])
-    raise InvalidParameter(f"unknown task kind {kind!r}")
+    if kind not in ("spectral", "structure"):
+        raise InvalidParameter(f"unknown task kind {kind!r}")
+    return [_verify_point(_claim(claim, kind), params)]
 
 
 def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:

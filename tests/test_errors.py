@@ -128,9 +128,11 @@ def test_strings_are_not_read_as_containers(call):
     lambda: sg.complete_graph(3).induced_subgraph([0.5, 1]),
     lambda: sg.dihedral(3).element_order(2.5),
     lambda: sg.dihedral(3).power(1, 2.5),
+    lambda: sg.verify_generic(1.5, 1),
 ], ids=["partition-size-3.7", "partition-element-0.5", "partition-element-2.9",
         "partition-size-str", "spectrum-multiplicity-1.7", "spectrum-multiplicity-str",
-        "star-join-size-2.5", "induced-vertex-0.5", "element-order-2.5", "power-exponent-2.5"])
+        "star-join-size-2.5", "induced-vertex-0.5", "element-order-2.5", "power-exponent-2.5",
+        "generic-seed-1.5"])
 def test_non_integral_arguments_are_not_truncated(call):
     with pytest.raises(InvalidParameter, match="is not an integer"):
         call()
@@ -276,6 +278,8 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: sg.multiset_match(Spectrum([(1, 1)]), 5, 0.1), InvalidParameter),
     (lambda: sg.grouped_match(5, Spectrum([(1, 1)]), 0.1), InvalidParameter),
     (lambda: sg.grouped_match(Spectrum([(1, 1)]), 5, 0.1), InvalidParameter),
+    (lambda: sg.verify_spectral("Thm4.1(i)", 5), InvalidParameter),
+    (lambda: sg.verify_spectral("Thm4.1(i)", None), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):
@@ -504,6 +508,7 @@ SLOTS = [
     ("int", lambda x: sg.verify_spectral("Thm4.2(iii)", [{"p": 7, "q": x}])),
     ("int", lambda x: sg.verify_structure("Thm4.3", {"n": x})),
     ("int", lambda x: sg.verify_generic(1, x)),
+    ("int", lambda x: sg.verify_generic(x, 1)),
     ("int", lambda x: sg.run_suite("4.3", n_range=(x, 3))),
     ("int", lambda x: sg.run_suite("4.5", pq_pairs=[(7, x)])),
     ("int", lambda x: sg.run_suite("4.5", pq_pairs=[(7, 3)], jobs=x)),

@@ -536,6 +536,57 @@ def test_a_defect_planted_in_a_graph_kernel_fails_the_generic_suite(
     ]
     assert [(r.claim, r.verdict, r.diff) for r in verify_generic(42, 200)] == expected
 
+
+def _problem(text, built):
+    """A problem callable of the trial that notes each trial it is built for."""
+    def problem(t):
+        built.append((text, t))
+        return f"{text} at trial {t}"
+    return problem
+
+
+def test_record_keeps_the_earlier_check_and_outcome_builds_the_first_problem():
+    built = []
+    failed = {}
+    trials = [9, 4, 7]
+    verify._record(failed, trials, np.array([True, False, True]), _problem("first", built))
+    verify._record(failed, trials, [True, True, False], _problem("second", built))
+    assert sorted(failed) == [4, 7, 9] and not built
+    # trials come back sorted, and only trial 4's problem, that of the later check, is built
+    assert verify._outcome(failed) == ([4, 7, 9], "second at trial 4")
+    assert built == [("second", 4)]
+
+    built.clear()
+    failed = {}
+    verify._record(failed, trials, [False, True, False], _problem("first", built))
+    verify._record(failed, trials, [False, True, True], _problem("second", built))
+    # trial 4 failed both checks: the earlier check's problem is kept
+    assert verify._outcome(failed) == ([4, 7], "first at trial 4")
+    assert built == [("first", 4)]
+    assert verify._outcome({}) == ([], None)
+
+
+def test_generic_seed_is_read_by_the_integer_rule():
+    expected = _strip_ms(verify_generic(1, 5))
+    for seed in (1.0, np.int64(1), True):
+        reports = verify_generic(seed, 5)
+        assert _strip_ms(reports) == expected
+        assert all(type(r.params["seed"]) is int for r in reports)
+    tasks = suite_tasks("generic", seed=np.int64(1), trials=5)
+    assert tasks == [("generic", "generic", {"seed": 1, "trials": 5})]
+    assert type(tasks[0][2]["seed"]) is int
+    for seed in ("abc", 1.5, [1], None):
+        with pytest.raises(InvalidParameter, match="^seed .* is not an integer$"):
+            verify_generic(seed, 5)
+        with pytest.raises(InvalidParameter, match="^seed .* is not an integer$"):
+            suite_tasks("all", seed=seed)
+
+
+def test_generic_seed_draws_as_its_integer(monkeypatch):
+    calls = _recording_super_charpolys(monkeypatch)
+    verify_generic(1.0, 5)  # drawn from "1:Thm3.5:t", not "1.0:Thm3.5:t"
+    assert calls[0] == ("adjacency", _thm35_draws(1, 5))
+
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -579,6 +630,28 @@ def test_report_json_shape():
     data = report.to_json_dict()
     assert set(data) == {"claim", "params", "verdict", "diff", "ms"}
     json.dumps(data)  # serializable
+
+
+def test_suite_refuses_a_family_tag_no_claim_carries():
+    for family in ("Z", "d", "cayley", ""):
+        with pytest.raises(InvalidParameter, match=f"family tag {family!r}"):
+            suite_tasks("all", family=family)
+    with pytest.raises(InvalidParameter, match="family tag 'Z'"):
+        run_suite("generic", family="Z")
+    for family in ("D", "Q", "PQ", "Dc"):
+        assert {claim for _, claim, _ in suite_tasks("all", family=family)} > {"generic"}
+
+
+# Of (claim, sorted params, verdict, diff) of every report of
+# run_suite("all", seed=42), one repr per line.
+CATALOGUE_SEED_42_SHA256 = "2b1b930bdaad2d44c03feccb8fcde43bcc760af1f07377301729bffa79904a14"
+
+
+def test_seed_42_catalogue_report_is_pinned():
+    reports = run_suite("all", seed=42)
+    assert summarize(reports) == {"match": 88, "mismatch": 0, "paper_table": 12}
+    records = [(r.claim, sorted(r.params.items()), r.verdict, r.diff) for r in reports]
+    assert _digest(records) == CATALOGUE_SEED_42_SHA256
 
 
 def test_run_suite_all_pins_the_catalogue():
