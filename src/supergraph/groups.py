@@ -2,19 +2,20 @@
 
 Element identity is a plain index 0..order-1; each family constructor fixes a
 canonical element enumeration so vertex numbering is reproducible everywhere.
-Family tables come from their presentations by numpy index arithmetic, D_2n
-and Q_4n from one dicyclic builder (b^2 = e against b^2 = a^n); inverses,
+Family tables come from their presentations by row copies: D_2n and Q_4n
+from one dicyclic builder (b^2 = e against b^2 = a^n) that gathers rows of
+one circulant view, Z_p x| Z_q from one p x p block per power of a; inverses,
 element orders, conjugacy classes and the center are gathers on the table.
 
 Validation is exact at every order: a table is accepted only if its entries
 are integers in 0..n-1, it is a Latin square with an identity, and it passes
 Light's associativity test on a generating set S (Clifford & Preston, *The
 Algebraic Theory of Semigroups* I, 1961), which costs O(n^2 |S|) and runs
-over blocks of rows, one gather per block and generator; the Latin-square
-pass runs only on a table that the identity or Light's test rejects. A
-rejected table raises ``NotAGroup`` with a witness; for associativity it is
-a triple (x, s, y) with (x*s)*y != x*(s*y), whose middle element s is a
-generator.
+over blocks of rows of a uint8 or uint16 copy of the table, one gather per
+block and generator; the Latin-square pass runs only on a table that the
+identity or Light's test rejects. A rejected table raises ``NotAGroup`` with
+a witness; for associativity it is a triple (x, s, y) with
+(x*s)*y != x*(s*y), whose middle element s is a generator.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .partitions import Partition
 MAX_ORDER = 1 << 13
 
 # Table entries per block of rows in Light's associativity test: blocks of
-# max(1, _BLOCK_ENTRIES // n) rows keep its temporaries at a few hundred kB.
+# max(1, _BLOCK_ENTRIES // n) rows of its uint8 or uint16 copy keep each of
+# its temporaries at about 2^16 entries, at most 128 kB.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -177,9 +179,9 @@ def _index_table(table) -> np.ndarray:
 
 
 def _find_identity(table: np.ndarray):
-    n = table.shape[0]
-    idx = np.arange(n)
-    for e in range(n):
+    """The two-sided identity, or None; only rows e with e*0 = 0 can be it."""
+    idx = np.arange(table.shape[0])
+    for e in np.flatnonzero(table[:, 0] == 0).tolist():
         if np.array_equal(table[e, :], idx) and np.array_equal(table[:, e], idx):
             return e
     return None
@@ -246,14 +248,16 @@ def _associativity_failure(table: np.ndarray, identity: int) -> NotAGroup | None
     contain the identity and are closed under products, so checking the
     generators suffices. A block of rows x at a time: (x*s)*y against
     x*(s*y) for every y, so the first hit in the first failing block is the
-    least (x, y)."""
+    least (x, y). The gathers read a copy in the narrowest unsigned dtype
+    that holds 0..n-1."""
     n = table.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
+    narrow = table.astype(np.min_scalar_type(n - 1))
     for s in _generating_set(table, identity):
-        s_row = table[s]
+        s_row = narrow[s]
         for lo in range(0, n, rows):
-            block = table[lo:lo + rows]
-            differ = table[block[:, s]] != block[:, s_row]
+            block = narrow[lo:lo + rows]
+            differ = narrow[block[:, s]] != block[:, s_row]
             if differ.any():
                 x, y = np.argwhere(differ)[0].tolist()
                 x += lo
@@ -298,13 +302,16 @@ def _dicyclic(m: int, s: int, prefix: str) -> FiniteGroup:
     b^f1 a^i1 * b^f2 a^i2 = b^(f1 xor f2) a^((-1)^f2 i1 + i2 + s f1 f2).
     """
     _check_order(2 * m)
-    f, i = np.divmod(np.arange(2 * m), m)
-    table = np.outer(i, 1 - 2 * f)  # updated in place: one n x n array
-    table += i
-    table[m:, m:] += s  # f1 = f2 = 1
-    table %= m
-    table[:m, m:] += m  # f1 xor f2 = 1
-    table[m:, :m] += m
+    # Row k of the circulant is a^k, a^(k+1), ..., a^(k+m-1): a strided view
+    # of 0..m-1 written twice. Each m x m block of the table is a row gather.
+    i = np.arange(m)
+    base = np.concatenate([i, i])
+    shifts = np.ndarray((m, m), dtype=base.dtype, buffer=base, strides=2 * base.strides)
+    table = np.empty((2 * m, 2 * m), dtype=np.int64)
+    table[:m, :m] = shifts
+    table[:m, m:] = shifts[-i] + m  # f1 xor f2 = 1
+    table[m:, :m] = shifts + m
+    table[m:, m:] = shifts[(s - i) % m]  # f1 = f2 = 1
     labels = ["e"] + [_pow_label("a", k) for k in range(1, m)]
     labels += ["b" + _pow_label("a", k) for k in range(m)]
     return FiniteGroup(table, labels=labels, name=f"{prefix}{2 * m}")
@@ -387,10 +394,14 @@ def semidirect_pq(p: int, q: int) -> FiniteGroup:
     m = next(c for c in range(2, p) if pow(c, q, p) == 1)
     labels = ["e" if i == j == 0 else _pow_label("b", i) + _pow_label("a", j)
               for j in range(q) for i in range(p)]
-    # b^i1 a^j1 * b^i2 a^j2 = b^(i1 + i2 m^j1) a^(j1 + j2)
-    j, i = np.divmod(np.arange(p * q), p)
-    twist = np.array([pow(m, k, p) for k in range(q)])[j]
-    table = (j[:, None] + j) % q * p + (i[:, None] + twist[:, None] * i) % p
+    # b^i1 a^j1 * b^i2 a^j2 = b^(i1 + i2 m^j1) a^(j1 + j2): one p x p block
+    # per j1, copied to column block j2 at offset ((j1 + j2) mod q) p.
+    i, j = np.arange(p), np.arange(q)
+    table = np.empty((q, p, q, p), dtype=np.int64)
+    for j1 in range(q):
+        block = (i[:, None] + i * pow(m, j1, p)) % p
+        table[j1] = block[:, None, :] + ((j1 + j) % q * p)[:, None]
+    table = table.reshape(p * q, p * q)
     return FiniteGroup(table, labels=labels, name=f"Z{p}xZ{q}")
 
 

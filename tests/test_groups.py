@@ -28,7 +28,13 @@ from supergraph import (
     twin_canonical_form,
     write_cayley_file,
 )
-from supergraph.groups import MAX_ORDER, FiniteGroup, _generating_set, _validate_table
+from supergraph.groups import (
+    MAX_ORDER,
+    FiniteGroup,
+    _find_identity,
+    _generating_set,
+    _validate_table,
+)
 from supergraph.verify import DEFAULT_PQ_PAIRS
 
 
@@ -211,6 +217,44 @@ def test_witness_past_the_first_row_block():
     assert str(exc.value) == "not associative: (199*1)*100 != 199*(1*100)"
     assert exc.value.witness == (199, 1, 100)
     assert _validate_table(dihedral(200).table) == 0
+
+
+@pytest.mark.parametrize("n", [256, 258], ids=["uint8", "uint16"])
+def test_light_test_at_the_edges_of_the_narrow_copy(n):
+    # Light's test gathers from a copy in uint8 up to order 256 and uint16
+    # above; entry n - 1 must survive the copy. Rows 127 and 127 + n/2,
+    # columns 1 and 1 + n/2 form an intercalate of Z_n; at n = 258 its second
+    # row is past the first block of 254 rows and holds entries above 255.
+    table = cyclic(n).table.copy()
+    assert _validate_table(table) == 0
+    rows, cols = [127, 127, 127 + n // 2, 127 + n // 2], [1, 1 + n // 2] * 2
+    table[rows, cols] = table[rows, cols[::-1]]
+    witness = _row_by_row_witness(table, 0)
+    assert witness is not None and _is_true_witness(table, witness)
+    with pytest.raises(NotAGroup) as exc:
+        _validate_table(table)
+    assert exc.value.witness == witness
+
+
+def test_identity_found_in_the_last_row():
+    perm = np.roll(np.arange(12), 1)  # element g renamed g - 1 mod 12, so e = 11
+    table = _relabel(dihedral(6).table, perm)
+    assert _find_identity(table) == 11
+    assert _validate_table(table) == 11
+    assert from_cayley_table(table).identity == 11
+
+
+@pytest.mark.parametrize(
+    "table, identity",
+    [
+        # rows 0, 1 and 3 fix 0; only 3 is a two-sided identity
+        ([[0, 0, 0, 0], [0, 1, 1, 1], [2, 2, 2, 2], [0, 1, 2, 3]], 3),
+        # rows 0 and 2 are left identities, and no column is the identity column
+        ([[0, 1, 2], [0, 0, 0], [0, 1, 2]], None),
+    ],
+)
+def test_identity_search_among_rows_that_fix_zero(table, identity):
+    assert _find_identity(np.array(table)) == identity
 
 
 def test_group_needing_many_generators():
@@ -674,6 +718,17 @@ def test_family_tables_match_reference_rules():
     for g, size, mul in _family_cases():
         reference = np.array([[mul(x, y) for y in range(size)] for x in range(size)])
         assert g.table.dtype == np.int64, g.name
+        assert np.array_equal(g.table, reference), g.name
+
+
+def test_family_tables_at_the_workload_orders_match_reference_rules():
+    # The benchmark workloads' family groups, up to order 400; kept out of
+    # _family_cases, whose pure-Python oracles would crawl at these orders.
+    cases = [(dihedral(n), 2 * n, functools.partial(_dihedral_mul, n)) for n in (49, 100, 200)]
+    cases += [(generalized_quaternion(n), 4 * n, functools.partial(_quaternion_mul, n))
+              for n in (17, 100)]
+    for g, size, mul in cases:
+        reference = np.array([[mul(x, y) for y in range(size)] for x in range(size)])
         assert np.array_equal(g.table, reference), g.name
 
 
