@@ -184,6 +184,13 @@ def test_generalized_join_edgeless_is_disjoint_union():
     assert len(connected_components(join)) == 2
 
 
+def test_generalized_join_concatenates_the_parts_labels():
+    parts = [complete_graph(1, labels=["a"]), complete_graph(2, labels=["b", "c"])]
+    assert generalized_join(complete_graph(2), parts).labels == ("a", "b", "c")
+    parts[1] = complete_graph(2)  # one unlabelled part: the join has no labels
+    assert generalized_join(complete_graph(2), parts).labels is None
+
+
 def test_generalized_join_arity():
     with pytest.raises(ArityMismatch):
         generalized_join(star_graph(3), [complete_graph(1)])
@@ -377,6 +384,10 @@ def test_json_round_trip_and_dot():
         "  0 -- 2;\n"
         "}\n"
     )
+
+
+def test_dot_of_an_unlabelled_graph():
+    assert SimpleGraph(3, [(0, 2)]).to_dot("H") == "graph H {\n  0;\n  1;\n  2;\n  0 -- 2;\n}\n"
 
 
 def test_dot_escapes_labels():

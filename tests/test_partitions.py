@@ -32,6 +32,13 @@ def test_equal_partitions_hash_equal():
     assert p == q and hash(p) == hash(q)
 
 
+def test_unequal_partitions_of_one_ground_size():
+    p = Partition(4, [[0, 1], [2, 3]])
+    for other in (Partition(4, [[0, 2], [1, 3]]), least_partition(4), greatest_partition(4)):
+        assert p != other and not p == other
+    assert p != Partition(5, [[0, 1], [2, 3], [4]])
+
+
 def test_relation_partition_rejects_an_unknown_relation():
     assert relation_partition(dihedral(3), "none") == least_partition(6)
     with pytest.raises(InvalidParameter, match='unknown relation "bogus"'):

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -11,10 +14,10 @@ import pytest
 from supergraph import (
     InvalidParameter,
     OutOfRange,
-    Partition,
     PolynomialZ,
     SimpleGraph,
     Spectrum,
+    SupergraphError,
     commuting_graph,
     complete_graph,
     compressed_graph,
@@ -319,84 +322,108 @@ def test_verify_generic_reports_at_seed_42():
     ]
 
 
-# The one-trial samplers the generic suite was first written with, kept as
-# the reference for its batched samplers. Each trial draws from its own rng.
+# A one-trial reference of the generic suite's draws. A property draws each
+# kind of value from its own stream of 32-bit words, w words a trial, and
+# trial t reads words [t * w, (t + 1) * w): here one trial at a time, one
+# word at a time, on the real vertices only.
 
-def _reference_graph(rng, n, p=0.4):
-    return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+def _words(seed, name, kind, t, width):
+    data = random.Random(f"{seed}:{name}:{kind}").randbytes(4 * width * (t + 1))
+    return [int.from_bytes(data[i:i + 4], "little") for i in range(4 * width * t, len(data), 4)]
 
 
-def _reference_partition(rng, n):
-    k = rng.randint(1, n)
-    assignment = [rng.randrange(k) for _ in range(n)]
+def _uniform(word, bound):
+    """A uniform draw in 0..bound-1."""
+    return word * bound >> 32
+
+
+def _reference_edges(words, n, p, size):
+    """G(n, p): one word per pair i < j of ``size`` vertices, row by row."""
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    return tuple((i, j) for (i, j), w in zip(pairs, words) if j < n and w < int(p * 2**32))
+
+
+def _reference_blocks(labels):
+    """The blocks of a labelling, in order of first appearance."""
     blocks = {}
-    for v, b in enumerate(assignment):
-        blocks.setdefault(b, []).append(v)
-    return Partition(n, blocks.values())
+    for v, label in enumerate(labels):
+        blocks.setdefault(label, []).append(v)
+    return tuple(map(tuple, blocks.values()))
 
 
-def _reference_refinement(rng, coarse):
-    blocks = []
-    for block in coarse.blocks:
-        parts = rng.randint(1, len(block))
-        sub = {}
-        for v in block:
-            sub.setdefault(rng.randrange(parts), []).append(v)
-        blocks.extend(sub.values())
-    return Partition(coarse.ground_size, blocks)
+def _reference_trial(seed, name, t):
+    """(n, edges, blocks) of trial t of a property; Prop 3.2 records the
+    coarse and the fine blocks, and Lemma 1.2 (k, template edges, parts)."""
+    def words(kind, width):
+        return _words(seed, name, kind, t, width)
+
+    if name == "Lemma1.2":
+        k = 2 + _uniform(words("size", 1)[0], 4)
+        template = _reference_edges(words("template", 15), k, 0.5, 6)
+        parts = words("parts", 35)
+        sizes = [1 + _uniform(parts[i], 4) for i in range(k)]
+        return k, template, tuple((s, _reference_edges(parts[5 + 6 * i:], s, 0.4, 4))
+                                  for i, s in enumerate(sizes))
+    n = 2 + _uniform(words("size", 1)[0], 8)
+    if name == "Thm3.5":  # the first connected graph of rounds 0, 1, ...
+        rounds = (_reference_edges(words(f"round{r}", 36), n, 0.4, 9) for r in itertools.count())
+        edges = next(e for e in rounds if is_connected(SimpleGraph(n, e)))
+    else:
+        edges = _reference_edges(words("graph", 36), n, 0.4, 9)
+    k = 1 + _uniform(words("blocks", 1)[0], n)
+    blocks = _reference_blocks([_uniform(w, k) for w in words("labels", 9)[:n]])
+    if name != "Prop3.2":
+        return n, edges, blocks
+    refinement = words("refinement", 18)
+    parts = [1 + _uniform(refinement[b], len(block)) for b, block in enumerate(blocks)]
+    block_of = {v: b for b, block in enumerate(blocks) for v in block}
+    fine = [(block_of[v], _uniform(refinement[9 + v], parts[block_of[v]])) for v in range(n)]
+    return n, edges, (blocks, _reference_blocks(fine))
+
+
+GENERIC_NAMES = ("Lemma1.2", "Prop3.2", "Thm3.3", "Thm3.4", "Thm3.5")
 
 
 def _reference_records(seed, trials):
-    """(property, trial, n, edges, blocks) of every trial, drawn one trial at a
-    time; Lemma 1.2 records its template size, edges and parts instead."""
-    for name in ("Lemma1.2", "Prop3.2", "Thm3.3", "Thm3.4", "Thm3.5"):
+    """(property, trial, ...) of every trial, padded as the suite pads them:
+    9 vertices past the real ones isolated, each a block of its own, and
+    Lemma 1.2's parts past k empty."""
+    for name in GENERIC_NAMES:
         for t in range(trials):
-            rng = random.Random(f"{seed}:{name}:{t}")
+            n, edges, blocks = _reference_trial(seed, name, t)
             if name == "Lemma1.2":
-                k = rng.randint(2, 5)
-                template = _reference_graph(rng, k, 0.5)
-                parts = [_reference_graph(rng, rng.randint(1, 4)) for _ in range(k)]
-                yield (name, t, k, tuple(template.edges()),
-                       tuple((p.n, tuple(p.edges())) for p in parts))
+                yield (name, t, n, edges, blocks + ((0, ()),) * (5 - n))
                 continue
-            n = rng.randint(2, 9)
-            g = _reference_graph(rng, n)
-            while name == "Thm3.5" and not is_connected(g):
-                g = _reference_graph(rng, n)
-            part = _reference_partition(rng, n)
-            blocks = part.blocks
-            if name == "Prop3.2":
-                blocks = (part.blocks, _reference_refinement(rng, part).blocks)
-            yield (name, t, n, tuple(g.edges()), blocks)
-
-
-def _label_blocks(labels):
-    return tuple(tuple(v for v, b in enumerate(labels) if b == label)
-                 for label in range(max(labels) + 1))
+            pads = tuple((v,) for v in range(n, 9))
+            blocks = (blocks[0] + pads, blocks[1] + pads) if name == "Prop3.2" else blocks + pads
+            yield (name, t, n, edges, blocks)
 
 
 def _suite_records(seed, trials):
     """The same records from the suite's own samplers."""
-    for name, (sample, _) in sorted(verify._GENERIC_CHECKS.items()):
-        draws = sample([random.Random(f"{seed}:{name}:{t}") for t in range(trials)])
-        for t, draw in enumerate(draws):
+    def edges(adj):
+        return tuple(SimpleGraph._of(adj).edges())
+
+    for name in GENERIC_NAMES:
+        sample, _ = verify._GENERIC_CHECKS[name]
+        draws = sample(verify._stream(seed, name, trials))
+        for t in range(trials):
             if name == "Lemma1.2":
-                k, template, parts = draw
-                yield (name, t, k, tuple(template), tuple((s, tuple(e)) for s, e in parts))
-            elif name == "Prop3.2":
-                n, edges, coarse, fine = draw
-                yield (name, t, n, tuple(edges), (_label_blocks(coarse), _label_blocks(fine)))
+                k, template, sizes, parts = (d[t] for d in draws)
+                yield (name, t, int(k), edges(template),
+                       tuple((int(s), edges(p)) for s, p in zip(sizes, parts)))
             else:
-                n, edges, labels = draw
-                yield (name, t, n, tuple(edges), _label_blocks(labels))
+                n, adj, *labels = (d[t] for d in draws)
+                blocks = tuple(_reference_blocks(row.tolist()) for row in labels)
+                yield (name, t, int(n), edges(adj), blocks if name == "Prop3.2" else blocks[0])
 
 
 def _digest(records):
     return hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
 
 
-# Of the records of verify_generic(42, 200), drawn by the one-trial samplers.
-GENERIC_DRAWS_SHA256 = "e4b5884d5593a934577f21f3463b9cc7a1a8797c263b03c8b5c47afafef375bd"
+# Of the records of verify_generic(42, 200), drawn by the one-trial reference.
+GENERIC_DRAWS_SHA256 = "7817080a8a3a0368091196eb6968b1a88a128fb8ce40ba97b369db8eba183114"
 
 
 def test_generic_draws_are_pinned():
@@ -404,10 +431,23 @@ def test_generic_draws_are_pinned():
     assert _digest(_suite_records(42, 200)) == GENERIC_DRAWS_SHA256
 
 
+def test_generic_draws_of_a_trial_do_not_depend_on_the_trial_count():
+    records = list(_suite_records(42, 200))
+    few = list(_suite_records(42, 40))
+    assert few == [r for r in records if r[1] < 40] and len(few) == 5 * 40
+
+
 def _thm35_draws(seed, trials):
-    """The (n, partition blocks) of each Thm 3.5 trial, drawn one trial at a
-    time from the trial's own rng."""
-    return [(r[2], r[4]) for r in _reference_records(seed, trials) if r[0] == "Thm3.5"]
+    """The (n, partition blocks) of each Thm 3.5 trial, by the one-trial
+    reference."""
+    return [_reference_trial(seed, "Thm3.5", t)[::2] for t in range(trials)]
+
+
+def test_thm35_sampler_exhaustion_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(verify, "_connected", lambda adj, counts=None: np.zeros(len(adj), bool))
+    message = "^Thm3.5 sampler drew no connected graph for trial 0 in 10000 rounds$"
+    with pytest.raises(SupergraphError, match=message):
+        verify_generic(42, 2)
 
 
 def _recording_super_charpolys(monkeypatch, wrong_at=()):
@@ -461,20 +501,20 @@ def test_thm35_reports_a_laplacian_mismatch(monkeypatch):
 
 # A defect planted in one graph kernel reaches the public functions and the
 # generic suite alike. Each failing property's (count, first trial, problem)
-# in verify_generic(42, 200) is that of the one-trial suite with the same
-# defect planted in the public function it called.
+# in verify_generic(42, 200) is that of a one-trial suite on the reference
+# draws above, which checks each trial by the public functions with the same
+# defect planted.
 PLANTED_DEFECTS = [
     (
         "lift drops same-block edges", "_lift",
         lambda cross, block_of: graphs._clear_diagonal(graphs._pairs(cross, block_of)),
         lambda: super_graph(SimpleGraph(2), greatest_partition(2)).edge_count == 1,
         {
-            "Prop3.2": (67, 7, "containment fails for n=6, fine=((0,), (1,), (2, 4), (3,), "
-                        "(5,)), coarse=((0, 2, 3, 4), (1,), (5,))"),
-            "Thm3.3": (191, 0, "edge sets differ for n=7, "
-                       "partition=((0, 1), (2, 3, 5, 6), (4,))"),
-            "Thm3.5": (185, 0, "adjacency char poly mismatch "
-                        "(n=8, partition=((0,), (1, 3, 6), (2, 4), (5,), (7,)))"),
+            "Prop3.2": (79, 1, "containment fails for n=7, fine=((0, 4), (1,), (2,), (3,), "
+                        "(5,), (6,)), coarse=((0, 4, 6), (1,), (2,), (3,), (5,))"),
+            "Thm3.3": (188, 0, "edge sets differ for n=7, partition=((0, 1, 2, 3, 4, 5, 6),)"),
+            "Thm3.5": (195, 0, "adjacency char poly mismatch "
+                        "(n=8, partition=((0, 1, 2, 3, 4, 5, 6, 7),))"),
         },
     ),
     (
@@ -482,8 +522,7 @@ PLANTED_DEFECTS = [
         lambda template, owner, inner: graphs._pairs(template, owner),
         lambda: generalized_join(complete_graph(1), [complete_graph(2)]).edge_count == 1,
         {
-            "Thm3.3": (191, 0, "edge sets differ for n=7, "
-                       "partition=((0, 1), (2, 3, 5, 6), (4,))"),
+            "Thm3.3": (188, 0, "edge sets differ for n=7, partition=((0, 1, 2, 3, 4, 5, 6),)"),
         },
     ),
     (
@@ -491,8 +530,8 @@ PLANTED_DEFECTS = [
         lambda adj, seeds: seeds | (adj & seeds[:, :, None]).any(axis=1),
         lambda: is_connected(SimpleGraph(3, [(0, 2), (1, 2)])),
         {
-            "Lemma1.2": (27, 5, "connectivity equivalence fails for k=2"),
-            "Thm3.4": (3, 42, "compressed+blocks connected but graph disconnected (n=5)"),
+            "Lemma1.2": (27, 3, "connectivity equivalence fails for k=5"),
+            "Thm3.4": (2, 27, "compressed+blocks connected but graph disconnected (n=5)"),
         },
     ),
     (
@@ -500,10 +539,9 @@ PLANTED_DEFECTS = [
         lambda sub, sup, real=graphs._contained: real(sup, sub),
         lambda: is_spanning_subgraph(SimpleGraph(2), complete_graph(2)),
         {
-            "Prop3.2": (80, 5, "containment fails for n=9, fine=((0,), (1,), (2,), (3,), "
-                        "(4, 7), (5,), (6,), (8,)), coarse=((0,), (1, 4, 7), (2,), (3, 8), "
-                        "(5,), (6,))"),
-            "Thm3.3": (183, 0, "original graph not spanning subgraph of super graph for n=7"),
+            "Prop3.2": (69, 1, "containment fails for n=7, fine=((0, 4), (1,), (2,), (3,), "
+                        "(5,), (6,)), coarse=((0, 4, 6), (1,), (2,), (3,), (5,))"),
+            "Thm3.3": (180, 0, "original graph not spanning subgraph of super graph for n=7"),
         },
     ),
     (
@@ -511,10 +549,10 @@ PLANTED_DEFECTS = [
         lambda adj, block_of, k, real=graphs._block_cross: np.triu(real(adj, block_of, k), 1),
         lambda: compressed_graph(complete_graph(2), least_partition(2)) == complete_graph(2),
         {
-            "Prop3.2": (181, 0, "super graph over the identity relation is not the graph "
+            "Prop3.2": (184, 0, "super graph over the identity relation is not the graph "
                         "itself"),
-            "Thm3.3": (136, 0, "original graph not spanning subgraph of super graph for n=7"),
-            "Thm3.4": (14, 8, "graph connected but compressed graph disconnected (n=9)"),
+            "Thm3.3": (137, 1, "original graph not spanning subgraph of super graph for n=7"),
+            "Thm3.4": (5, 3, "graph connected but compressed graph disconnected (n=6)"),
         },
     ),
 ]
@@ -548,21 +586,20 @@ def _problem(text, built):
 def test_record_keeps_the_earlier_check_and_outcome_builds_the_first_problem():
     built = []
     failed = {}
-    trials = [9, 4, 7]
-    verify._record(failed, trials, np.array([True, False, True]), _problem("first", built))
-    verify._record(failed, trials, [True, True, False], _problem("second", built))
-    assert sorted(failed) == [4, 7, 9] and not built
-    # trials come back sorted, and only trial 4's problem, that of the later check, is built
-    assert verify._outcome(failed) == ([4, 7, 9], "second at trial 4")
-    assert built == [("second", 4)]
+    verify._record(failed, np.array([False, False, True, True]), _problem("first", built))
+    verify._record(failed, [False, True, True, False], _problem("second", built))
+    assert sorted(failed) == [1, 2, 3] and not built
+    # trials come back sorted, and only trial 1's problem, that of the later check, is built
+    assert verify._outcome(failed) == ([1, 2, 3], "second at trial 1")
+    assert built == [("second", 1)]
 
     built.clear()
     failed = {}
-    verify._record(failed, trials, [False, True, False], _problem("first", built))
-    verify._record(failed, trials, [False, True, True], _problem("second", built))
-    # trial 4 failed both checks: the earlier check's problem is kept
-    assert verify._outcome(failed) == ([4, 7], "first at trial 4")
-    assert built == [("first", 4)]
+    verify._record(failed, [False, True, False], _problem("first", built))
+    verify._record(failed, [False, True, True], _problem("second", built))
+    # trial 1 failed both checks: the earlier check's problem is kept
+    assert verify._outcome(failed) == ([1, 2], "first at trial 1")
+    assert built == [("first", 1)]
     assert verify._outcome({}) == ([], None)
 
 
@@ -584,7 +621,7 @@ def test_generic_seed_is_read_by_the_integer_rule():
 
 def test_generic_seed_draws_as_its_integer(monkeypatch):
     calls = _recording_super_charpolys(monkeypatch)
-    verify_generic(1.0, 5)  # drawn from "1:Thm3.5:t", not "1.0:Thm3.5:t"
+    verify_generic(1.0, 5)  # drawn from the streams "1:Thm3.5:...", not "1.0:Thm3.5:..."
     assert calls[0] == ("adjacency", _thm35_draws(1, 5))
 
 # ---------------------------------------------------------------------------
@@ -604,6 +641,26 @@ def test_run_suite_parallel_matches_serial():
     serial = run_suite("4.3", n_range=(3, 8), jobs=1)
     parallel = run_suite("4.3", n_range=(3, 8), jobs=2)
     assert _strip_ms(serial) == _strip_ms(parallel)
+
+
+def test_worker_pool_leaves_the_environment_as_it_was(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    run_suite("4.5", pq_pairs=[(3, 2), (5, 2)], jobs=2)
+    assert dict(os.environ) == before
+
+
+def test_a_run_leaves_numpy_random_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from supergraph.verify import run_suite; run_suite('all', trials=5); "
+         "print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_suite_42_default_excludes_dc_family():
