@@ -224,32 +224,39 @@ def _clear_diagonal(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _cells(labels: np.ndarray, k: int) -> np.ndarray:
+    """(T, n, n) map: entry (t, x, y) is the flat index of cell
+    (t, labels[t, x], labels[t, y]) of a (T, k, k) array, for labels below k.
+    int32, and int64 only when T * k * k reaches 2**31."""
+    count = len(labels)
+    dtype = np.int32 if count * k * k < 2**31 else np.int64
+    labels = labels.astype(dtype, copy=False)
+    rows = (np.arange(count, dtype=dtype)[:, None] * k + labels) * k
+    return rows[:, :, None] + labels[:, None, :]
+
+
 def _pairs(stack: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(T, n, n) stack: entry (t, x, y) is stack[t, labels[t, x], labels[t, y]]."""
-    count, k = len(stack), stack.shape[-1]
-    rows = (np.arange(count)[:, None] * k + labels) * k
-    return stack.reshape(-1)[rows[:, :, None] + labels[:, None, :]]
+    """(T, n, n) stack: entry (t, x, y) is stack[t, labels[t, x], labels[t, y]],
+    by ``np.take`` through the cell map, which reads int32 indices faster than
+    indexing does."""
+    return np.take(stack.reshape(-1), _cells(labels, stack.shape[-1]))
 
 
 def _block_cross(adj: np.ndarray, block_of: np.ndarray, k: int) -> np.ndarray:
     """(T, k, k) stack: blocks i != j adjacent iff some edge joins them, with
-    block labels below k. One scatter of the edges found by ``np.flatnonzero``."""
-    count, n = block_of.shape
-    labels = block_of.reshape(-1)
-    trial = np.arange(count).repeat(n)  # of each row of the stacked rows
-    row, col = np.divmod(np.flatnonzero(adj), n)  # row is t * n + i
-    cells = ((trial * k + labels) * k)[row] + labels[(trial * n)[row] + col]
+    block labels below k. One scatter of the cells of the edges, through
+    intp indices, which numpy scatters faster than int32 ones."""
+    count = len(block_of)
     cross = np.zeros(count * k * k, dtype=bool)
-    cross[cells] = True
+    cross[_cells(block_of, k)[adj].astype(np.intp)] = True
     return _clear_diagonal(cross.reshape(count, k, k))
 
 
 def _lift(cross: np.ndarray, block_of: np.ndarray) -> np.ndarray:
     """(T, n, n) stack of super graphs: x ~ y iff x != y and their blocks are
-    equal or adjacent in ``cross``."""
-    adj = _pairs(cross, block_of)
-    adj |= block_of[:, :, None] == block_of[:, None, :]
-    return _clear_diagonal(adj)
+    equal or adjacent in ``cross``, read through ``cross`` with its diagonal set."""
+    closed = cross | np.eye(cross.shape[-1], dtype=bool)
+    return _clear_diagonal(_pairs(closed, block_of))
 
 
 def _super_graphs(adj: np.ndarray, block_of: np.ndarray, k: int) -> np.ndarray:

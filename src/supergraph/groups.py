@@ -192,7 +192,9 @@ def _generating_set(table: np.ndarray, identity: int) -> list[int]:
     reached set under products, starting from the identity.
 
     Squaring the reached set doubles the word length per step, so closing
-    takes O(log n) steps rather than one per power of a generator.
+    takes O(log n) steps rather than one per power of a generator. Each step
+    gathers the reached rows and then their reached columns, so a table in a
+    narrow dtype is read narrow.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -205,7 +207,7 @@ def _generating_set(table: np.ndarray, identity: int) -> list[int]:
         grown = True
         while grown:
             elements = np.flatnonzero(reached)
-            reached[table[np.ix_(elements, elements)]] = True
+            reached[table[elements][:, elements]] = True
             size = np.count_nonzero(reached)
             grown = elements.size < size < n
     return gens
@@ -253,7 +255,7 @@ def _associativity_failure(table: np.ndarray, identity: int) -> NotAGroup | None
     n = table.shape[0]
     rows = max(1, _BLOCK_ENTRIES // n)
     narrow = table.astype(np.min_scalar_type(n - 1))
-    for s in _generating_set(table, identity):
+    for s in _generating_set(narrow, identity):
         s_row = narrow[s]
         for lo in range(0, n, rows):
             block = narrow[lo:lo + rows]

@@ -542,12 +542,14 @@ def verify_structure(claim: str, params) -> ClaimReport:
 # message.
 
 def _stream(seed: int, name: str, trials: int) -> Callable:
-    """draw(kind, width): a (trials, width) array of the words of the stream
-    of ``name`` and ``kind``, row t holding words [t * width, (t + 1) * width).
+    """draw(kind, width, rows=trials): a (rows, width) array of the words of
+    the stream of ``name`` and ``kind``, row t holding words
+    [t * width, (t + 1) * width). The bytes of fewer whole words are a prefix
+    of the same stream, so fewer rows are the first rows of all of them.
     String seeds hash via sha512, stable across runs and processes."""
-    def draw(kind: str, width: int) -> np.ndarray:
-        data = random.Random(f"{seed}:{name}:{kind}").randbytes(4 * trials * width)
-        return np.frombuffer(data, dtype="<u4").astype(np.uint64).reshape(trials, width)
+    def draw(kind: str, width: int, rows: int = trials) -> np.ndarray:
+        data = random.Random(f"{seed}:{name}:{kind}").randbytes(4 * rows * width)
+        return np.frombuffer(data, dtype="<u4").astype(np.uint64).reshape(rows, width)
     return draw
 
 
@@ -634,12 +636,12 @@ def _sample_lemma12(draw) -> tuple:
 def _sample_thm35(draw) -> tuple:
     """A connected graph per trial: round r draws a graph for every trial
     still waiting, from the stream of round r, and a trial keeps its first
-    connected one."""
+    connected one. A round draws the rows up to the last trial waiting."""
     n = 2 + _below(draw("size", 1)[:, 0], 8)
     adj = np.zeros((len(n), 9, 9), dtype=bool)
     waiting = np.arange(len(n))
     for r in range(10000):
-        drawn = _graphs(draw(f"round{r}", 36)[waiting], n[waiting], 0.4, 9)
+        drawn = _graphs(draw(f"round{r}", 36, waiting[-1] + 1)[waiting], n[waiting], 0.4, 9)
         connected = _connected(drawn, n[waiting])
         adj[waiting[connected]] = drawn[connected]
         waiting = waiting[~connected]

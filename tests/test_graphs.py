@@ -28,6 +28,7 @@ from supergraph import (
     super_graph,
     twin_canonical_form,
 )
+from supergraph import graphs
 
 
 def _random_graph(rng, n, p=0.4):
@@ -207,6 +208,64 @@ def test_join_of_cliques_equals_super_graph_blockwise():
         )
         perm = [v for block in p.blocks for v in block]
         assert sup.induced_subgraph(perm) == join
+
+
+def _random_stacks(rng, count):
+    """Stacks as the array kernels read them, with their per-trial lists:
+    T graphs on n vertices, labels below k (some values left unused when k
+    is past the largest drawn), k = 1 among them, and an arbitrary (T, k, k)
+    boolean stack and (T, n, n) inner stack for the gathers."""
+    for _ in range(count):
+        t, n = rng.randint(1, 30), rng.randint(1, 20)
+        k = rng.choice([1, rng.randint(1, n), rng.randint(1, n) + rng.randint(0, 5)])
+        labels = [[rng.randrange(k) for _ in range(n)] for _ in range(t)]
+        adj = [_random_graph(rng, n, rng.random()).adjacency.tolist() for _ in range(t)]
+        square = [[[rng.random() < 0.5 for _ in range(k)] for _ in range(k)] for _ in range(t)]
+        inner = [[[rng.random() < 0.3 for _ in range(n)] for _ in range(n)] for _ in range(t)]
+        yield k, labels, adj, square, inner
+
+
+def test_array_kernels_match_their_per_trial_definitions():
+    rng = random.Random(31)
+    seen = set()
+    for k, labels, adj, square, inner in _random_stacks(rng, 60):
+        t_range, n_range = range(len(labels)), range(len(labels[0]))
+        seen.add("k = 1" if k == 1 else "unused" if any(len(set(row)) < k for row in labels)
+                 else "all used")
+        block_of = np.array(labels)
+        cross = [[[i != j and any(adj[t][x][y] and labels[t][x] == i and labels[t][y] == j
+                                  for x in n_range for y in n_range)
+                   for j in range(k)] for i in range(k)] for t in t_range]
+        pairs = [[[square[t][labels[t][x]][labels[t][y]] for y in n_range] for x in n_range]
+                 for t in t_range]
+        lifted = [[[x != y and (labels[t][x] == labels[t][y] or square[t][labels[t][x]][labels[t][y]])
+                    for y in n_range] for x in n_range] for t in t_range]
+        sup = [[[x != y and (labels[t][x] == labels[t][y] or any(
+                    adj[t][u][v] for u in n_range if labels[t][u] == labels[t][x]
+                    for v in n_range if labels[t][v] == labels[t][y]))
+                 for y in n_range] for x in n_range] for t in t_range]
+        joined = [[[square[t][labels[t][x]][labels[t][y]] or inner[t][x][y] for y in n_range]
+                   for x in n_range] for t in t_range]
+        assert graphs._block_cross(np.array(adj), block_of, k).tolist() == cross
+        assert graphs._pairs(np.array(square), block_of).tolist() == pairs
+        assert graphs._lift(np.array(square), block_of).tolist() == lifted
+        assert graphs._super_graphs(np.array(adj), block_of, k).tolist() == sup
+        assert graphs._join(np.array(square), block_of, np.array(inner)).tolist() == joined
+    assert seen == {"k = 1", "unused", "all used"}
+
+
+@pytest.mark.parametrize("count, k, dtype", [
+    (1, 46340, np.int32),  # 46340**2 < 2**31
+    (1, 46341, np.int64),  # 46341**2 > 2**31
+    (2, 32767, np.int32),
+    (2, 32768, np.int64),  # 2 * 32768**2 == 2**31
+])
+def test_cell_map_widens_to_int64_when_the_cells_reach_2_31(count, k, dtype):
+    labels = np.array([[0, k - 1, k - 1], [k - 1, 0, 1]])[:count]
+    cells = graphs._cells(labels, k)
+    assert cells.dtype == dtype
+    assert cells.tolist() == [[[(t * k + a) * k + b for b in row] for a in row]
+                              for t, row in enumerate(labels.tolist())]
 
 
 def test_connectivity():

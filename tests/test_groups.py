@@ -269,6 +269,29 @@ def test_group_needing_many_generators():
     assert _is_true_witness(bad, exc.value.witness)
 
 
+def _d20xd10(seed):
+    """D20 x D10 relabelled as the benchmark writes it for a seed."""
+    product = direct_product(dihedral(10), dihedral(5))
+    return FiniteGroup(_relabel(product.table, np.random.default_rng(seed).permutation(200)))
+
+
+@pytest.mark.parametrize("group, generators", [
+    (lambda: dihedral(128), [1, 128]),  # order 256: a uint8 copy
+    (lambda: dihedral(129), [1, 129]),  # order 258: a uint16 copy
+    (lambda: dihedral(200), [1, 200]),
+    (lambda: generalized_quaternion(100), [1, 200]),
+    (lambda: semidirect_pq(127, 3), [1, 127]),
+    (lambda: _d20xd10(1), [0, 1, 2, 4]),
+    (lambda: _d20xd10(2), [0, 1, 2, 3]),
+    (lambda: _d20xd10(7), [1, 2, 3]),
+], ids=["D:128", "D:129", "D:200", "Q:100", "PQ:127,3", "D20xD10@1", "D20xD10@2", "D20xD10@7"])
+def test_generating_set_is_the_same_over_the_narrow_copy(group, generators):
+    g = group()
+    narrow = g.table.astype(np.min_scalar_type(g.order - 1))
+    assert _generating_set(g.table, g.identity) == generators
+    assert _generating_set(narrow, g.identity) == generators
+
+
 @pytest.mark.parametrize(
     "table",
     [
