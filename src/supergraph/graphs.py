@@ -2,7 +2,8 @@
 generalized join, plus a canonical form for joins of cliques. The super
 graph, the compressed graph, the join, connectivity and containment each run
 one array kernel over a stack of graphs, which the public functions call on
-a stack of one."""
+a stack of one; the twin form and ``spectra``'s quotient route share one
+more, ``_closed_twin_classes``."""
 
 from __future__ import annotations
 
@@ -309,6 +310,34 @@ def _contained(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return ~(sub & ~sup).any(axis=(1, 2))
 
 
+def _closed_twin_classes(adj: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-twin classes of a (T, k, k) stack with (T, k) vertex
+    weights: their adjacency, (T, K, K), and summed weights, (T, K), for K
+    the most classes of nonzero weight in any graph of the stack.
+
+    Vertices share a class iff their rows of adj | I are equal, that is iff
+    they are adjacent with the same other neighbours, so a join of cliques
+    over a graph is one over its classes. Each row, as bytes after its
+    trial's index, maps to the first row equal to it. A class is numbered by
+    its least vertex, which stands for it in adj; each graph's classes of
+    nonzero weight come first, and the slots after them have weight 0."""
+    count, k, _ = adj.shape
+    keyed = np.empty((count, k, 4 + k), dtype=np.uint8)  # trial index, then row of adj | I
+    keyed[:, :, :4] = np.arange(count, dtype="<u4").view(np.uint8).reshape(count, 1, 4)
+    keyed[:, :, 4:] = adj
+    keyed.reshape(count, -1)[:, 4::k + 5] = 1
+    first: dict[bytes, int] = {}
+    rows = keyed.reshape(count * k, -1).view(f"V{4 + k}").ravel().tolist()
+    least = [first.setdefault(row, r) for r, row in enumerate(rows)]
+    sizes = np.zeros(count * k, dtype=np.int64)
+    np.add.at(sizes, least, weights.reshape(-1))
+    sizes = sizes.reshape(count, k)
+    kept = sizes != 0
+    order = (~kept).argsort(axis=1, kind="stable")[:, :kept.sum(axis=1).max(initial=0)]
+    cases = np.arange(count)[:, None]
+    return adj[cases[:, :, None], order[:, :, None], order[:, None, :]], sizes[cases, order]
+
+
 def super_graph(graph: SimpleGraph, partition: Partition) -> SimpleGraph:
     """Relation-lifted graph: x ~ y iff x != y and either x, y share a block or
     some pair of elements of their blocks is adjacent in the original graph."""
@@ -410,15 +439,6 @@ class TwinForm:
         return f"Join(edges={list(self.edges)})[{inner}]"
 
 
-def _twin_classes(graph: SimpleGraph) -> list[list[int]]:
-    closed = graph.adjacency.copy()
-    np.fill_diagonal(closed, True)
-    groups: dict[bytes, list[int]] = {}
-    for v in range(graph.n):
-        groups.setdefault(closed[v].tobytes(), []).append(v)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
 def twin_canonical_form(graph: SimpleGraph) -> TwinForm:
     """Canonicalize the quotient of a graph by its closed-twin classes.
 
@@ -431,11 +451,9 @@ def twin_canonical_form(graph: SimpleGraph) -> TwinForm:
     instance(graph, SimpleGraph, "graph")
     if graph.n < 1:
         raise InvalidParameter("canonical form needs at least one vertex")
-    classes = _twin_classes(graph)
-    k = len(classes)
-    sizes = [len(c) for c in classes]
-    reps = [c[0] for c in classes]
-    q = graph.adjacency[np.ix_(reps, reps)]
+    q, sizes = _closed_twin_classes(graph.adjacency[None], np.ones((1, graph.n), dtype=np.int64))
+    q, sizes = q[0], sizes[0].tolist()
+    k = len(sizes)
 
     colors = _refine_colors(q, sizes)
     order = _canonical_order(q, colors)

@@ -33,7 +33,7 @@ from .errors import (
     pair,
     real,
 )
-from .graphs import SimpleGraph, _block_cross, _check_partition
+from .graphs import SimpleGraph, _block_cross, _check_partition, _closed_twin_classes
 from .partitions import Partition
 from .polynomials import PolynomialZ, char_poly_integer, char_poly_integers
 
@@ -166,31 +166,6 @@ def _t(matrix: str) -> int:
     return 0 if matrix == "adjacency" else 1
 
 
-def _closed_twin_classes(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-twin classes of a (T, k, k) stack of compressed graphs with
-    (T, k) block sizes: their cross adjacency, (T, k, k), and sizes, (T, k).
-
-    Blocks i and j share a class iff their rows a and b of rho | I are equal,
-    that is iff they are adjacent with the same other neighbours, so the
-    class's cliques form one clique; for 0/1 rows, a = b iff a.b = |a| = |b|.
-    Classes are numbered by their least block, which stands for the class in
-    rho; the empty blocks that pad a stack are classes of their own, after
-    the blocks of the partition. Only the first ``count_nonzero(sizes)``
-    slots of a graph are read: the slots after them have size 0.
-    """
-    count, k, _ = rho.shape
-    closed = (rho | np.eye(k, dtype=bool)).astype(np.float32)
-    # Exact: the sums are at most k, below 2^24 (float32); float64 holds 2^53.
-    gram = closed @ closed.transpose(0, 2, 1)
-    norms = np.diagonal(gram, axis1=1, axis2=2)[:, :, None]
-    first = ((gram == norms) & (gram == norms.transpose(0, 2, 1))).argmax(axis=2)
-    cases = np.arange(count)[:, None]
-    sizes = np.zeros((count, k), dtype=np.int64)
-    np.add.at(sizes, (cases, first), n)
-    order = (first != np.arange(k)).argsort(axis=1, kind="stable")  # the classes first
-    return rho[cases[:, :, None], order[:, :, None], order[:, None, :]], sizes[cases, order]
-
-
 def _quotients(cases, t: int) -> list[tuple]:
     """The quotient route of each (graph, partition) case: the quotient
     matrix N(t) and the clique eigenvalues.
@@ -229,7 +204,7 @@ def _quotients(cases, t: int) -> list[tuple]:
             _block_cross(stack, np.array([p.block_of for p in parts]), k),
             np.array([p.sizes + (0,) * (k - p.block_count) for p in parts]))
         neighbor_sums = (rho.astype(np.int64) @ n[:, :, None])[:, :, 0]
-        diag = np.eye(k, dtype=np.int64) * (n - 1 - t * (n - 1 + neighbor_sums))[:, None, :]
+        diag = np.eye(n.shape[1], dtype=np.int64) * (n - 1 - t * (n - 1 + neighbor_sums))[:, None]
         companion = sign * (np.where(rho, n[:, None, :], 0) + diag)
         symmetric = sign * (np.where(rho, np.sqrt(n[:, :, None] * n[:, None, :]), 0.0) + diag)
         classes = np.count_nonzero(n, axis=1).tolist()  # the classes of blocks come first

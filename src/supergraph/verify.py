@@ -558,11 +558,14 @@ def _below(words: np.ndarray, bound) -> np.ndarray:
     return ((words * np.asarray(bound, dtype=np.uint64)) >> np.uint64(32)).astype(np.intp)
 
 
+_UPPER = {size: np.triu_indices(size, 1) for size in (4, 6, 9)}  # pairs i < j of _graphs' sizes
+
+
 def _graphs(words: np.ndarray, counts: np.ndarray, p: float, size: int) -> np.ndarray:
     """(T, size, size) stack of G(counts[t], p) graphs padded with isolated
     vertices: the word of pair i < j, row by row, makes an edge when it is
     below p * 2**32 and j < counts[t]."""
-    i, j = np.triu_indices(size, 1)
+    i, j = _UPPER[size]
     adj = np.zeros((len(words), size, size), dtype=bool)
     adj[:, i, j] = (words < int(p * 2**32)) & (j < counts[:, None])
     return adj | adj.transpose(0, 2, 1)
@@ -828,7 +831,7 @@ def run_suite(suite: str, *, jobs: int = 1, **kwargs) -> list[ClaimReport]:
     """
     global _reads, _built
     tasks = suite_tasks(suite, **kwargs)
-    jobs = min(integer(jobs, "jobs"), len(tasks))
+    jobs = min(integer(jobs, "jobs", least=1), len(tasks))
     if jobs > 1:
         import multiprocessing  # loaded for a pool only
         from concurrent.futures import ProcessPoolExecutor

@@ -280,6 +280,8 @@ def test_indices_outside_range_are_not_wrapped(call):
     (lambda: sg.grouped_match(Spectrum([(1, 1)]), 5, 0.1), InvalidParameter),
     (lambda: sg.verify_spectral("Thm4.1(i)", 5), InvalidParameter),
     (lambda: sg.verify_spectral("Thm4.1(i)", None), InvalidParameter),
+    (lambda: sg.run_suite("4.5", jobs=0), InvalidParameter),
+    (lambda: sg.run_suite("4.5", jobs=-5), InvalidParameter),
 ])
 def test_malformed_calls_raise_typed_errors(call, error):
     with pytest.raises(error):

@@ -268,6 +268,59 @@ def test_cell_map_widens_to_int64_when_the_cells_reach_2_31(count, k, dtype):
                               for t, row in enumerate(labels.tolist())]
 
 
+def _brute_closed_twin_classes(rho):
+    """The vertices of a template grouped by their rows of rho | I, each
+    class as its vertices in order, the classes ordered by least vertex."""
+    classes = {}
+    for i, row in enumerate((np.asarray(rho, dtype=bool) | np.eye(len(rho), dtype=bool))
+                            .tolist()):
+        classes.setdefault(tuple(row), []).append(i)
+    return list(classes.values())
+
+
+def _with_twin(adjacency, v, closed):
+    """The template with one more vertex whose neighbours are v's, and v too
+    if ``closed``: a closed or an open twin of v."""
+    k = len(adjacency)
+    out = np.zeros((k + 1, k + 1), dtype=bool)
+    out[:k, :k] = adjacency
+    out[k, :k] = out[:k, k] = adjacency[v]
+    out[k, v] = out[v, k] = closed
+    return out
+
+
+def test_closed_twin_kernel_matches_its_per_trial_definition():
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(60):
+        count, k = rng.randint(1, 30), rng.choice([1, rng.randint(1, 20)])
+        stack, weights = np.zeros((count, k, k), dtype=bool), np.zeros((count, k), dtype=np.int64)
+        expected = []
+        for t in range(count):
+            real = rng.randint(1, k)  # the rest are isolated pad slots of weight 0
+            adjacency = _random_graph(rng, rng.randint(1, real), rng.random()).adjacency
+            while len(adjacency) < real:
+                closed = rng.random() < 0.5
+                seen.add("closed twin" if closed else "open twin")
+                adjacency = _with_twin(adjacency, rng.randrange(len(adjacency)), closed)
+            stack[t, :real, :real] = adjacency
+            weights[t, :real] = [rng.randint(1, 4) for _ in range(real)]
+            seen.add("padded" if real < k else "full")
+            classes = [c for c in _brute_closed_twin_classes(stack[t])
+                       if sum(weights[t, c]) > 0]
+            expected.append(([[bool(stack[t, c[0], d[0]]) for d in classes] for c in classes],
+                             [int(sum(weights[t, c])) for c in classes]))
+        adj, sizes = graphs._closed_twin_classes(stack, weights)
+        width = max(len(s) for _, s in expected)
+        assert adj.shape == (count, width, width) and sizes.shape == (count, width)
+        for t, (rho, n) in enumerate(expected):
+            assert adj[t, :len(n), :len(n)].tolist() == rho
+            assert sizes[t].tolist() == n + [0] * (width - len(n))
+        seen.update({"T = 1"} if count == 1 else set())
+        seen.update({"k = 1"} if k == 1 else set())
+    assert seen == {"closed twin", "open twin", "padded", "full", "T = 1", "k = 1"}
+
+
 def test_connectivity():
     assert is_connected(complete_graph(1))
     assert not is_connected(SimpleGraph(2))

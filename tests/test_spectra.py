@@ -39,6 +39,7 @@ from supergraph import (
     super_laplacian_charpoly,
 )
 from supergraph.spectra import _quotients
+from test_graphs import _brute_closed_twin_classes, _with_twin
 
 def _random_graph(rng, n, p=0.4):
     return SimpleGraph(
@@ -192,16 +193,6 @@ def test_quotient_matrix_single_block():
     assert symmetric.tolist() == [[3.0]]
 
 
-def _brute_closed_twin_classes(rho):
-    """The vertices of a template grouped by their rows of rho | I, each
-    class as its vertices in order, the classes ordered by least vertex."""
-    classes = {}
-    for i, row in enumerate((np.asarray(rho, dtype=bool) | np.eye(len(rho), dtype=bool))
-                            .tolist()):
-        classes.setdefault(tuple(row), []).append(i)
-    return list(classes.values())
-
-
 def test_quotient_reads_the_compressed_graphs_adjacency():
     # the commuting graphs carry labels, which the quotient route never
     # builds; it reads the closed-twin classes of the compressed graph
@@ -241,17 +232,6 @@ def test_quotient_symmetric_and_companion_share_spectrum():
             # the companion polynomial vanishes at the symmetric eigenvalues
             for eig in sym_eigs:
                 assert abs(poly(eig)) < 1e-6 * max(1.0, abs(eig)) ** k
-
-
-def _with_twin(adjacency, v, closed):
-    """The template with one more vertex whose neighbours are v's, and v too
-    if ``closed``: a closed or an open twin of v."""
-    k = len(adjacency)
-    out = np.zeros((k + 1, k + 1), dtype=bool)
-    out[:k, :k] = adjacency
-    out[k, :k] = out[:k, k] = adjacency[v]
-    out[k, v] = out[v, k] = closed
-    return out
 
 
 def test_quotient_merges_closed_twins_and_keeps_open_twins_apart():
