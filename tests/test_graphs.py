@@ -316,8 +316,7 @@ def test_closed_twin_kernel_matches_its_per_trial_definition():
         for t, (rho, n) in enumerate(expected):
             assert adj[t, :len(n), :len(n)].tolist() == rho
             assert sizes[t].tolist() == n + [0] * (width - len(n))
-        seen.update({"T = 1"} if count == 1 else set())
-        seen.update({"k = 1"} if k == 1 else set())
+        seen.update(case for case, drawn in (("T = 1", count == 1), ("k = 1", k == 1)) if drawn)
     assert seen == {"closed twin", "open twin", "padded", "full", "T = 1", "k = 1"}
 
 
