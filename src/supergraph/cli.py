@@ -2,11 +2,15 @@
 
 Exit codes: 0 success, 1 usage or I/O error, 2 verification/tolerance failure
 (paper-table mismatches only fail the run under --strict).
+
+The argument parser is built on the first ``main()`` call and reused by the
+later calls in the same process; importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -244,8 +248,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="supergraph", description=__doc__)
+    """The parser, built on the first call and returned by every later one. It
+    holds no handlers: ``main`` picks one by ``args.command`` when it runs."""
+    # --help prints the module docstring up to its last paragraph.
+    parser = _Parser(prog="supergraph", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     group_help = "D:n | Q:n | PQ:p,q | cayley:path"
@@ -255,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--relation", default="none", help=relation_help)
     g.add_argument("--out", choices=("json", "dot"), default="json")
     g.add_argument("--output", help="output path (default: derived)")
-    g.set_defaults(func=cmd_graph)
 
     s = sub.add_parser("spectrum", help="compute a spectrum or characteristic polynomial")
     s.add_argument("--group", required=True, help=group_help)
@@ -270,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--compare", action="store_true",
         help="run all applicable methods and report agreement",
     )
-    s.set_defaults(func=cmd_spectrum)
 
     v = sub.add_parser("verify", help="run a claim verification suite")
     v.add_argument(
@@ -289,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--report", help="write the JSON report to this path")
     v.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per task (default: 1)")
-    v.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -300,7 +305,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        commands = {"graph": cmd_graph, "spectrum": cmd_spectrum, "verify": cmd_verify}
+        return commands[args.command](args)
     except SupergraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

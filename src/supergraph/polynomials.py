@@ -198,15 +198,13 @@ class PolynomialZ:
         return PolynomialZ(tuple(reversed(out))), rem
 
     def root_multiplicity(self, root: int) -> int:
-        """Exact multiplicity of an integer root (0 if not a root)."""
+        """Exact multiplicity of an integer root (0 if not a root, and 0 for
+        the zero polynomial). Horner tests the root; only a root deflates."""
         mult = 0
         p = self
-        while p:
-            q, rem = p.deflate(root)
-            if rem != 0:
-                break
+        while p and p(root) == 0:
+            p = p.deflate(root)[0]
             mult += 1
-            p = q
         return mult
 
     def to_json_dict(self) -> dict:

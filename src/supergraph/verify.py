@@ -261,6 +261,8 @@ class Claim:
         eigenvalue by eigenvalue where the computed char poly splits over Z."""
         form = self.form(params)
         if self.kind == "structure":
+            if computed == form:  # equal graphs have equal twin forms
+                return None
             built, claimed = twin_canonical_form(computed), twin_canonical_form(form)
             left, right = self.sides
             return None if built == claimed else (

@@ -463,6 +463,51 @@ def test_usage_error_exit_code():
     assert main(["verify", "--suite", "nope"]) == 1
 
 
+def test_in_process_calls_share_one_parser_and_no_state(in_tmp, capsys, monkeypatch):
+    from supergraph import cli
+
+    cli._build_parser.cache_clear()
+    spectrum = ["spectrum", "--group", "D:3", "--relation", "order", "--output", "s.json"]
+
+    def spectrum_call():
+        assert main(spectrum) == 0
+        return capsys.readouterr().out, (in_tmp / "s.json").read_bytes()
+
+    before = spectrum_call()
+    assert main(["--help"]) == 0
+    assert "usage: supergraph" in capsys.readouterr().out
+    assert spectrum_call() == before
+    assert main(["spectrum"]) == 1  # no --group
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: supergraph spectrum")
+    assert spectrum_call() == before
+
+    # --pq appends to a list: a second call must not see the first call's pairs
+    for report in ("r1.json", "r2.json"):
+        assert main(["verify", "--suite", "4.5", "--pq", "7,3", "--jobs", "1",
+                     "--report", report]) == 0
+        data = json.loads((in_tmp / report).read_text())
+        assert [e["params"] for e in data["reports"]] == [{"p": 7, "q": 3}]
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_graph", lambda args: seen.append(args.group) or 7)
+    assert main(["graph", "--group", "D:4"]) == 7
+    assert seen == ["D:4"]
+
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import supergraph.cli as cli; print(cli._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_group_error_reported(in_tmp, capsys):
     assert main(["graph", "--group", "D:2"]) == 1
     assert "error" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "layers.py"
 LAYERS = ["groups", "commuting_graph", "partitions", "super_graph", "twin_canonical_form",
           "quotient_polynomial", "quotient_spectrum", "numeric_eigenvalues", "exact_char_poly"]
+E2E = ["verify_all_s", "run_suite_s", "import_s", "spectrum_compare_s"]
 
 
 def test_layer_script_writes_a_bench_file_at_order_50(tmp_path):
@@ -18,7 +19,7 @@ def test_layer_script_writes_a_bench_file_at_order_50(tmp_path):
     bench = json.loads(path.read_text())
     assert set(bench) == {"env", "end_to_end", "layers", "cap_s", "runs"}
     assert set(bench["env"]) == {"python", "numpy", "platform", "git_rev"}
-    assert list(bench["end_to_end"]) == ["verify_all_s", "run_suite_s", "import_s"]
+    assert list(bench["end_to_end"]) == E2E
     assert all(seconds > 0 for seconds in bench["end_to_end"].values())
     assert list(bench["layers"]) == ["50"] and list(bench["layers"]["50"]) == LAYERS
     assert all(ms is not None and ms > 0 for ms in bench["layers"]["50"].values())
@@ -37,7 +38,7 @@ def test_layer_script_measures_a_second_checkout_in_alternate_rounds(tmp_path):
     benches = [json.loads(path.read_text()) for path in paths]
     assert benches[0]["env"] == benches[1]["env"]  # one checkout, measured twice
     for bench in benches:
-        assert list(bench["end_to_end"]) == ["verify_all_s", "run_suite_s", "import_s"]
+        assert list(bench["end_to_end"]) == E2E
         assert all(seconds > 0 for seconds in bench["end_to_end"].values())
         assert list(bench["layers"]) == ["50"] and list(bench["layers"]["50"]) == LAYERS
         assert all(ms is not None and ms > 0 for ms in bench["layers"]["50"].values())

@@ -21,6 +21,7 @@ from supergraph import (
     is_prime,
     order_partition,
     semidirect_pq,
+    spectrum_from_integer_charpoly,
     super_adjacency_charpoly,
     super_graph,
     super_laplacian_charpoly,
@@ -93,6 +94,35 @@ def test_from_roots_and_multiplicity():
 
 def test_deflating_the_zero_polynomial():
     assert PolynomialZ.zero().deflate(3) == (PolynomialZ.zero(), 0)
+
+
+def _deflation_multiplicity(poly, root):
+    """How many times (x - root) divides a nonzero ``poly`` with remainder 0,
+    by ``deflate`` alone; 0 for the zero polynomial."""
+    mult = 0
+    while poly:
+        poly, rem = poly.deflate(root)
+        if rem != 0:
+            break
+        mult += 1
+    return mult
+
+
+def test_root_multiplicity_matches_repeated_deflation():
+    rng = random.Random(34)
+    for _ in range(200):
+        planted = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        cofactor = PolynomialZ([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [1])
+        poly = cofactor * PolynomialZ.from_roots(planted)
+        for root in range(-8, 9):
+            assert poly.root_multiplicity(root) == _deflation_multiplicity(poly, root)
+            assert poly.root_multiplicity(root) >= sum(m for r, m in planted if r == root)
+    zero = PolynomialZ.zero()
+    assert zero.root_multiplicity(0) == zero.root_multiplicity(5) == 0
+    # degree 4 scans [-8, 8]: roots at both ends of the bound, one repeated
+    edges = PolynomialZ.from_roots([(-8, 1), (8, 2), (0, 1)])
+    assert [edges.root_multiplicity(r) for r in (-8, 8, 0, 7)] == [1, 2, 1, 0]
+    assert spectrum_from_integer_charpoly(edges).pairs == ((-8, 1), (0, 1), (8, 2))
 
 
 def _from_roots_reference(roots):

@@ -17,7 +17,8 @@ over ``--runs`` rounds (default 15). The files are written to ``--out``
 ``--root`` and ``BENCH_<label>-against.json`` for ``--against``, each as
 
     {"env": {"python", "numpy", "platform", "git_rev"},
-     "end_to_end": {"verify_all_s": ..., "run_suite_s": ..., "import_s": ...},
+     "end_to_end": {"verify_all_s": ..., "run_suite_s": ..., "import_s": ...,
+                    "spectrum_compare_s": ...},
      "layers": {order: {layer: ms}},
      "cap_s": ..., "runs": ...}
 
@@ -28,8 +29,13 @@ are included). The two parts of it that the program decides are timed
 apart: ``run_suite_s`` is the wall time of an in-process
 ``run_suite("all", seed=42)`` call after one untimed warm-up call, and
 ``import_s`` the time of the round's ``import supergraph`` (numpy included),
-timed inside its interpreter. At each group order the layers are timed on
-the dihedral group of that order, its conjugacy super graph and that graph's
+timed inside its interpreter. ``spectrum_compare_s`` is the wall time of the
+three in-process ``supergraph.cli.main`` calls of ``bench/run.py``'s
+spectrum-compare workload, ``spectrum --method quotient --compare`` on the
+D:49 order Laplacian, the Q:17 conjugacy adjacency and the PQ:19,3 order
+adjacency, after one untimed warm-up round of the three; a call that exits
+nonzero stops the round. At each group order the layers are timed on the
+dihedral group of that order, its conjugacy super graph and that graph's
 Laplacian:
 
     groups               dihedral(order // 2), built and fully validated
@@ -58,6 +64,7 @@ timer needs a POSIX system.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -65,6 +72,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -150,6 +158,31 @@ def run_suite_s(sg) -> float:
     return time.perf_counter() - start
 
 
+# (group, relation, matrix) of bench/run.py's spectrum-compare calls.
+SPECTRUM_CALLS = (("D:49", "order", "laplacian"), ("Q:17", "conjugacy", "adjacency"),
+                  ("PQ:19,3", "order", "adjacency"))
+
+
+def spectrum_compare_s() -> float:
+    """Wall seconds of the three ``spectrum --compare`` calls of
+    ``SPECTRUM_CALLS``, in process, after one untimed warm-up round; their
+    output goes to a temporary directory and their stdout is discarded."""
+    from supergraph.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as sink:
+        argvs = [["spectrum", "--group", group, "--relation", relation, "--matrix", matrix,
+                  "--method", "quotient", "--compare", "--output", str(Path(tmp, "s.json"))]
+                 for group, relation, matrix in SPECTRUM_CALLS]
+        for _ in range(2):
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(sink):
+                codes = [main(argv) for argv in argvs]
+            seconds = time.perf_counter() - start
+            if any(codes):
+                raise RuntimeError(f"spectrum --compare exit codes {codes}")
+    return seconds
+
+
 def one_round(root: str, orders) -> None:
     """Print, as one JSON line, one round of every figure for the checkout at
     ``root``, measured in this interpreter, which must not have imported
@@ -162,7 +195,7 @@ def one_round(root: str, orders) -> None:
     import_s = time.perf_counter() - start
     print(json.dumps({
         "end_to_end": {"verify_all_s": verify_all_s(root), "run_suite_s": run_suite_s(sg),
-                       "import_s": import_s},
+                       "import_s": import_s, "spectrum_compare_s": spectrum_compare_s()},
         "layers": {str(order): layers(sg, int(order), CAP_S) for order in orders},
     }))
 
