@@ -12,18 +12,21 @@ least-magnitude nonzero entry below the diagonal is the pivot, then one
 blocked similarity. Where the bound takes two primes or more, each matrix
 is first reduced over the integers, as long as every pivot divides the
 entries below it and no entry can wrap int64; most super graphs' matrices
-get there, and each diagonal block of the form is finished over Z. The
-other matrices are computed mod p (Dumas, Pernet & Wan, "Efficient
-computation of the characteristic polynomial", ISSAC 2005): each (matrix,
-prime) pair is one layer of a (P, n, n) stack of residues, run in the
-fewest equal chunks of at most 2^18 int64 entries (2 MiB), and each
-matrix's coefficients are rebuilt by Chinese remaindering. Integer numpy
-arrays are read as arrays. The result is exact at any size.
+get there, and each diagonal block of the form is finished over Z: the
+1 x 1 blocks, as (value, count) pairs, by one recurrence from the
+logarithmic derivative in O(D d) products for d distinct values of total
+count D. The other matrices are computed mod p (Dumas, Pernet & Wan,
+"Efficient computation of the characteristic polynomial", ISSAC 2005):
+each (matrix, prime) pair is one layer of a (P, n, n) stack of residues,
+run in the fewest equal chunks of at most 2^18 int64 entries (2 MiB) into
+one (matrices x primes, n + 1) array, and Garner's algorithm (Knuth,
+*TAOCP* vol. 2, 4.3.2) rebuilds the coefficients of all of a dimension's
+matrices in one array pass per prime. Integer numpy arrays are read as
+arrays. The result is exact at any size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import sys
@@ -46,11 +49,8 @@ class PolynomialZ:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = [c if type(c) is int else integer(c, "coefficient")
-              for c in items(coeffs, "coefficients")]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        self._coeffs = _trimmed(tuple(c if type(c) is int else integer(c, "coefficient")
+                                      for c in items(coeffs, "coefficients")))
 
     @classmethod
     def zero(cls) -> "PolynomialZ":
@@ -66,7 +66,20 @@ class PolynomialZ:
 
     @classmethod
     def from_roots(cls, roots: Iterable[tuple[int, int]]) -> "PolynomialZ":
-        """Monic polynomial with the given integer (root, multiplicity) pairs.
+        """Monic polynomial with the given integer (root, multiplicity) pairs,
+        each read by the integer rule, then expanded by ``_from_root_pairs``."""
+        pairs = []
+        for entry in items(roots, "roots"):
+            root, mult = pair(entry, "a (root, multiplicity) entry")
+            pairs.append((root if type(root) is int else integer(root, "root"),
+                          integer(mult, "multiplicity", least=0)))
+        return cls._from_root_pairs(pairs)
+
+    @classmethod
+    def _from_root_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "PolynomialZ":
+        """``from_roots`` on (root, multiplicity) pairs of Python ints with
+        multiplicities of at least 0, unchecked: the quotient route's clique
+        factors, whose pairs ``spectra._quotients`` computes.
 
         Equal roots are merged and zero multiplicities dropped, leaving d
         distinct roots r_j with multiplicities m_j and degree D = sum m_j. With
@@ -81,10 +94,7 @@ class PolynomialZ:
         products of a coefficient of R or S, small when d is, by one of Q.
         """
         merged: dict[int, int] = {}
-        for entry in items(roots, "roots"):
-            root, mult = pair(entry, "a (root, multiplicity) entry")
-            root = root if type(root) is int else integer(root, "root")
-            mult = integer(mult, "multiplicity", least=0)
+        for root, mult in pairs:
             merged[root] = merged.get(root, 0) + mult
         merged = {root: mult for root, mult in merged.items() if mult}
         total, d = sum(merged.values()), len(merged)
@@ -103,7 +113,15 @@ class PolynomialZ:
             for t in range(1, min(k, d) + 1):
                 acc += (r_coeffs[t] * (total - k + t) - s_coeffs[t]) * q[-t]
             q.append(acc // k)
-        return cls(reversed(q))
+        return cls._of(reversed(q))
+
+    @classmethod
+    def _of(cls, coeffs: Iterable[int]) -> "PolynomialZ":
+        """The polynomial of coefficients this module computed itself, Python
+        ints in ascending order, without the per-coefficient integer rule."""
+        poly = object.__new__(cls)
+        poly._coeffs = _trimmed(tuple(coeffs))
+        return poly
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -148,7 +166,8 @@ class PolynomialZ:
 
     def __mul__(self, other) -> "PolynomialZ":
         if isinstance(other, int):
-            return PolynomialZ(tuple(c * other for c in self._coeffs))
+            factor = int(other)
+            return PolynomialZ._of([c * factor for c in self._coeffs])
         if not isinstance(other, PolynomialZ):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
@@ -160,7 +179,7 @@ class PolynomialZ:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return PolynomialZ(out)
+        return PolynomialZ._of(out)
 
     def __rmul__(self, other) -> "PolynomialZ":
         return self.__mul__(other)
@@ -246,6 +265,14 @@ class PolynomialZ:
 
     def __repr__(self) -> str:
         return f"PolynomialZ({self._coeffs!r})"
+
+
+def _trimmed(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients without trailing zeros."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]
 
 
 def _decimal(c: int) -> str:
@@ -363,35 +390,39 @@ def _char_polys_modular(stack: np.ndarray, primes: list[int]) -> list[Polynomial
     ints, from its residues mod ``primes``, whose product must exceed twice
     every coefficient: every (layer, prime) pair is one layer of a stack of
     residues, run in the fewest chunks of at most ``_STACK_ENTRIES`` entries
-    by ``_char_poly_mod``, and each layer's coefficients are rebuilt by
-    Garner's algorithm into the symmetric range."""
+    by ``_char_poly_mod`` into one (m, primes, n + 1) array of residues, and
+    the coefficients of all layers are rebuilt together by Garner's
+    algorithm, one pass per prime, into the symmetric range."""
     if not len(stack):
         return []
     n = stack.shape[-1]
-    # Garner step k: the unique value mod moduli[k] * p_k that is c mod
-    # moduli[k] and r mod p_k is c + moduli[k] * ((r - c) * inverses[k] % p_k).
-    moduli = list(itertools.accumulate(primes, operator.mul, initial=1))
-    inverses = [pow(m, -1, p) for m, p in zip(moduli, primes)]
     layer_primes = np.array(primes, dtype=np.int64)
     count = len(primes)
     total = len(stack) * count
     chunks = -(-total // max(1, _STACK_ENTRIES // (n * n)))
     size = -(-total // chunks)
-    coeffs = [[0] * (n + 1) for _ in range(len(stack))]
+    residues = np.empty((total, n + 1), dtype=np.int64)  # row j * count + k: layer j mod p_k
     for lo in range(0, total, size):
-        layers = np.arange(lo, min(lo + size, total))
-        which, prime_index = np.divmod(layers, count)
+        which, prime_index = np.divmod(np.arange(lo, min(lo + size, total)), count)
         mods = layer_primes[prime_index]
-        residues = stack[which]  # a copy, reduced in place
-        np.remainder(residues, mods[:, None, None], out=residues)
-        polys = _char_poly_mod(residues.astype(np.int64, copy=False), mods).tolist()
-        del residues  # before the next chunk's copy is made
-        for j, k, p, row in zip(which.tolist(), prime_index.tolist(), mods.tolist(), polys):
-            m, inverse = moduli[k], inverses[k]
-            coeffs[j] = [c + m * ((r - c % p) * inverse % p) for c, r in zip(coeffs[j], row)]
-    modulus = moduli[-1]
-    half = modulus // 2
-    return [PolynomialZ(c - modulus if c > half else c for c in cs) for cs in coeffs]
+        chunk = stack[which]  # a copy, reduced in place
+        np.remainder(chunk, mods[:, None, None], out=chunk)
+        residues[lo:lo + size] = _char_poly_mod(chunk.astype(np.int64, copy=False), mods)
+        del chunk  # before the next chunk's copy is made
+    residues = residues.reshape(len(stack), count, n + 1)
+    # Garner step k: with c the coefficients mod modulus = p_0 ... p_(k-1),
+    # the unique value mod modulus * p_k that is c mod modulus and r mod p_k
+    # is c + modulus * ((r - c) modulus^-1 mod p_k). c is int64 after the
+    # first prime and Python ints after the second.
+    coeffs, modulus = residues[:, 0], 1
+    for k in range(1, count):
+        p = primes[k]
+        modulus *= primes[k - 1]
+        digits = (residues[:, k] - (coeffs % p).astype(np.int64)) * pow(modulus, -1, p) % p
+        coeffs = coeffs.astype(object, copy=False) + modulus * digits.astype(object)
+    modulus *= primes[-1]
+    coeffs = np.where(coeffs > modulus // 2, coeffs - modulus, coeffs)
+    return [PolynomialZ._of(row) for row in coeffs.tolist()]
 
 
 def _entry_limit(n: int) -> int:
@@ -483,10 +514,9 @@ def _stop(h: np.ndarray, ok: np.ndarray, stop: np.ndarray) -> None:
 def _split_char_poly(h: np.ndarray) -> PolynomialZ:
     """det(xI - H) of an upper Hessenberg integer matrix H over the integers:
     the product of its diagonal blocks' char polys, cut where the subdiagonal
-    is zero. It starts as (x - d)^m for the value d of the most 1 x 1 blocks,
-    by its binomial row; each other 1 x 1 block multiplies it by x - d, a
-    pass of small-by-large products, and each longer block by p_r of the
-    Hessenberg recurrence in Python ints (Cohen, Alg. 2.2.9) through
+    is zero. The 1 x 1 blocks are counted by value and multiplied out at once
+    by ``_linear_factors``; each longer block's p_r of the Hessenberg
+    recurrence in Python ints (Cohen, Alg. 2.2.9) is multiplied in by
     ``PolynomialZ.__mul__``: p_0 = 1 and, from 1 in the block,
     p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1).
     """
@@ -509,17 +539,41 @@ def _split_char_poly(h: np.ndarray) -> PolynomialZ:
                     row[:i + 1] = [r - weight * c for r, c in zip(row, polys[i])]
                 chain *= block[i][i - 1]  # block[0][-1] at i = 0, after the last term
             polys.append(row)
-        factors.append(PolynomialZ(polys[-1]))
-    d = max(ones, key=ones.get, default=0)
-    m = ones.pop(d, 0)
-    coeffs = [math.comb(m, k) * (-d) ** (m - k) for k in range(m + 1)]
-    for d, m in ones.items():
-        for _ in range(m):
-            coeffs = [a - d * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-    poly = PolynomialZ(coeffs)
+        factors.append(PolynomialZ._of(polys[-1]))
+    poly = _linear_factors(ones)
     for factor in factors:
         poly = poly * factor
     return poly
+
+
+def _linear_factors(counts: dict[int, int]) -> PolynomialZ:
+    """prod (x - v)^m over the (value v, count m > 0) items of ``counts``,
+    d of them, of degree D = sum m, in O(D d) products, by the recurrence
+    from the logarithmic derivative. With R = prod (x - v) and
+    S = sum m R / (x - v), in descending coefficients (S_t that of
+    x^(d-1-t), S_d = 0), Q = prod (x - v)^m has R Q' = S Q, so q_0 = 1 and
+
+        K q_K = sum_{t=1..min(K, d)} (R_t (D - K + t) - S_t) q_(K-t),
+
+    an exact division."""
+    total, d = sum(counts.values()), len(counts)
+    r = [1]
+    for v in counts:
+        r = [a - v * b for a, b in zip([*r, 0], [0, *r])]
+    s = [0] * (d + 1)
+    for v, m in counts.items():
+        acc = 0  # synthetic division of R by (x - v), descending
+        for t, c in enumerate(r[:d]):
+            acc = acc * v + c
+            s[t] += m * acc
+    terms = list(zip(range(1, d + 1), r[1:], s[1:]))
+    q = [1]
+    for k in range(1, total + 1):
+        acc = 0
+        for t, r_t, s_t in terms[:k]:
+            acc += (r_t * (total - k + t) - s_t) * q[-t]
+        q.append(acc // k)
+    return PolynomialZ._of(reversed(q))
 
 
 def _integer_array(matrix) -> np.ndarray:

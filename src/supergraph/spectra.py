@@ -218,7 +218,7 @@ def _quotients(cases, t: int) -> list[tuple]:
 def _quotient_charpoly(quotient: tuple) -> PolynomialZ:
     """The exact char poly of a super graph from its ``_quotients`` entry."""
     companion, _, cliques = quotient
-    return char_poly_integer(companion) * PolynomialZ.from_roots(cliques)
+    return char_poly_integer(companion) * PolynomialZ._from_root_pairs(cliques)
 
 
 def _quotient_spectrum(quotient: tuple) -> Spectrum:
@@ -254,9 +254,8 @@ def super_charpolys(cases, matrix: str) -> list[PolynomialZ]:
     quotients = _quotients([pair(case, "a (graph, partition) case")
                             for case in items(cases, "cases")], t)
     cores = char_poly_integers([companion for companion, _, _ in quotients])
-    return [
-        core * PolynomialZ.from_roots(cliques) for core, (_, _, cliques) in zip(cores, quotients)
-    ]
+    return [core * PolynomialZ._from_root_pairs(cliques)
+            for core, (_, _, cliques) in zip(cores, quotients)]
 
 
 def quotient_spectrum(graph: SimpleGraph, partition: Partition, matrix: str) -> Spectrum:

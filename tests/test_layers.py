@@ -17,13 +17,26 @@ def test_layer_script_writes_a_bench_file_at_order_50(tmp_path):
     path = tmp_path / "BENCH_check.json"
     assert run.stdout.strip() == str(path)
     bench = json.loads(path.read_text())
-    assert set(bench) == {"env", "end_to_end", "layers", "cap_s", "runs"}
+    assert set(bench) == {"env", "end_to_end", "layers", "spread", "cap_s", "runs"}
     assert set(bench["env"]) == {"python", "numpy", "platform", "git_rev"}
     assert list(bench["end_to_end"]) == E2E
     assert all(seconds > 0 for seconds in bench["end_to_end"].values())
     assert list(bench["layers"]) == ["50"] and list(bench["layers"]["50"]) == LAYERS
     assert all(ms is not None and ms > 0 for ms in bench["layers"]["50"].values())
+    _assert_spread_brackets_medians(bench)
     assert bench["cap_s"] >= 5 and bench["runs"] == 1
+
+
+def _assert_spread_brackets_medians(bench):
+    """``spread`` holds [q1, q3] for every figure, nested as the medians are,
+    with q1 <= median <= q3."""
+    spread = bench["spread"]
+    assert list(spread) == ["end_to_end", "layers"]
+    pairs = [(spread["end_to_end"][name], bench["end_to_end"][name]) for name in E2E]
+    for order, times in bench["layers"].items():
+        assert list(spread["layers"][order]) == list(times)
+        pairs += [(spread["layers"][order][name], ms) for name, ms in times.items()]
+    assert all(q1 <= median <= q3 for (q1, q3), median in pairs)
 
 
 def test_layer_script_measures_a_second_checkout_in_alternate_rounds(tmp_path):
@@ -42,6 +55,7 @@ def test_layer_script_measures_a_second_checkout_in_alternate_rounds(tmp_path):
         assert all(seconds > 0 for seconds in bench["end_to_end"].values())
         assert list(bench["layers"]) == ["50"] and list(bench["layers"]["50"]) == LAYERS
         assert all(ms is not None and ms > 0 for ms in bench["layers"]["50"].values())
+        _assert_spread_brackets_medians(bench)
         assert bench["runs"] == 1
 
 

@@ -1155,15 +1155,97 @@ def test_stage_runs_on_groups_that_need_two_primes_or_more(monkeypatch):
 
 
 def test_stage_never_builds_clique_factors(monkeypatch):
-    # from_roots builds the quotient route's clique factors; the explicit
-    # route's finish multiplies its own factors, so the two stay independent
-    def refused(cls, roots):
-        raise AssertionError("from_roots called")
+    # from_roots and the private kernels it calls build the quotient route's
+    # clique factors; the explicit route's finish multiplies out its own
+    # factors, so the two stay independent
+    from_roots = PolynomialZ.from_roots.__func__
+    kernels = [name for name in from_roots.__code__.co_names
+               if name.startswith("_") and callable(getattr(PolynomialZ, name, None))]
+    assert kernels  # from_roots expands its pairs in a private kernel
 
-    matrices = _bench_matrices()
+    def refused(cls, roots):
+        raise AssertionError("a clique-factor kernel was called")
+
+    matrices = [*_bench_matrices(), _conjugacy_laplacian(dihedral(200))]
     expected = char_poly_integers(matrices)
-    monkeypatch.setattr(PolynomialZ, "from_roots", classmethod(refused))
+    for name in ["from_roots", *kernels]:
+        monkeypatch.setattr(PolynomialZ, name, classmethod(refused))
     assert char_poly_integers(matrices) == expected
+
+
+def _conjugacy_laplacian(group):
+    return super_graph(commuting_graph(group), conjugacy_partition(group)).laplacian_matrix()
+
+
+def _companion(roots):
+    """An upper Hessenberg companion matrix with unit subdiagonal whose char
+    poly is prod (x - r) over ``roots``."""
+    coeffs = _from_roots_reference([(r, 1) for r in roots]).coeffs
+    size = len(roots)
+    return [[int(i == j + 1) for j in range(size - 1)] + [-coeffs[i]] for i in range(size)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_finish_multiplies_out_many_one_by_one_blocks(seed, monkeypatch):
+    # Block upper triangular: 1 x 1 blocks of a few values, 0 and negatives
+    # among them, one of them 300 times, and a few companion blocks of two to
+    # four rows, in a random order. The stage over the integers leaves the
+    # matrix as it is, so the finish gets every block.
+    rng = random.Random(seed)
+    values = [0, *rng.sample([v for v in range(-9, 10) if v], rng.randint(0, 3))]
+    ones = [v for k, v in enumerate(values) for _ in range(300 if k == 0 else rng.randint(1, 120))]
+    blocks = [[[v]] for v in ones]
+    roots = list(ones)
+    for size in rng.sample([2, 3, 4], rng.randint(0, 3)):
+        planted = [rng.randint(-6, 6) for _ in range(size)]
+        blocks.append(_companion(planted))
+        roots += planted
+    rng.shuffle(blocks)
+    n = sum(map(len, blocks))
+    m = np.triu(np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]), 1)
+    start = 0
+    for block in blocks:
+        m[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+
+    def refused(stack, primes):
+        assert not len(stack), "the modular route was taken"
+        return []
+
+    monkeypatch.setattr(polynomials, "_char_polys_modular", refused)
+    assert char_poly_integer(m) == _from_roots_reference([(r, 1) for r in roots])
+
+
+def _sympy_char_poly(matrix):
+    """det(xI - M) by sympy's ``Matrix.charpoly``, an oracle outside this
+    package."""
+    import sympy
+
+    coeffs = sympy.Matrix(matrix.tolist()).charpoly().all_coeffs()
+    return PolynomialZ([int(c) for c in reversed(coeffs)])
+
+
+@pytest.mark.parametrize("n, entries, count", [(1, 10 ** 6, 1), (4, 9, 1), (2, 10 ** 6, 2),
+                                               (6, 40, 2), (8, 100, 3), (12, 10 ** 3, 5),
+                                               (20, 10 ** 6, 15)])
+def test_array_crt_matches_sympy(n, entries, count, monkeypatch):
+    # Three matrices of mixed signs in one stack, whose coefficient bound
+    # takes ``count`` primes: at the default budget in one chunk, and at
+    # count - 1 layers to a chunk, where with two primes or more some chunk
+    # starts inside a matrix.
+    rng = random.Random(1000 * n + count)
+    stack = np.array([[[rng.randint(-entries, entries) for _ in range(n)] for _ in range(n)]
+                      for _ in range(3)])
+    assert (stack < 0).any() and (stack > 0).any()
+    primes = polynomials._covering_primes(stack)
+    assert len(primes) == count
+    expected = [_sympy_char_poly(m) for m in stack]
+    assert polynomials._char_polys_modular(stack, primes) == expected
+    monkeypatch.setattr(polynomials, "_STACK_ENTRIES", (count - 1) * n * n)
+    stacks = _recording_stacks(monkeypatch)
+    assert polynomials._char_polys_modular(stack, primes) == expected
+    assert len(stacks) > 1
+    assert any(chunk[0] != primes[0] for chunk in stacks) == (count > 1)
 
 
 @pytest.mark.parametrize("case", ["D98 order Laplacian", "Q68 conjugacy adjacency",

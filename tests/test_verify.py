@@ -855,15 +855,15 @@ def _exact_finish_coefficient_off(monkeypatch):
 
 
 def _clique_factor_low_coefficient_off(monkeypatch):
-    # PolynomialZ.from_roots builds the quotient route's clique factors; the
-    # explicit matrix's exact char poly never calls it
-    from_roots = PolynomialZ.from_roots.__func__
+    # PolynomialZ._from_root_pairs builds the quotient route's clique factors;
+    # the explicit matrix's exact char poly never calls it
+    from_root_pairs = PolynomialZ._from_root_pairs.__func__
 
-    def planted(cls, roots):
-        low, *rest = from_roots(cls, roots).coeffs
+    def planted(cls, pairs):
+        low, *rest = from_root_pairs(cls, pairs).coeffs
         return cls((low + 1, *rest))
 
-    monkeypatch.setattr(PolynomialZ, "from_roots", classmethod(planted))
+    monkeypatch.setattr(PolynomialZ, "_from_root_pairs", classmethod(planted))
 
 
 @pytest.fixture(scope="module")

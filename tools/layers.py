@@ -12,14 +12,18 @@ same invocation: the two checkouts alternate round by round, each first in
 every other round, so that a drift of the host's speed moves both alike. Every figure is measured in rounds. A
 round of one checkout is one new interpreter, which imports ``supergraph``
 from that checkout and measures each figure once; each figure is the median
-over ``--runs`` rounds (default 15). The files are written to ``--out``
-(default: the root of this script's checkout), ``BENCH_<label>.json`` for
-``--root`` and ``BENCH_<label>-against.json`` for ``--against``, each as
+over ``--runs`` rounds (default 15), and its first and third quartiles over
+the same rounds are written under ``spread``, nested as the medians are, so
+that a pair whose rounds drifted can be told from a real change. The files
+are written to ``--out`` (default: the root of this script's checkout),
+``BENCH_<label>.json`` for ``--root`` and ``BENCH_<label>-against.json`` for
+``--against``, each as
 
     {"env": {"python", "numpy", "platform", "git_rev"},
      "end_to_end": {"verify_all_s": ..., "run_suite_s": ..., "import_s": ...,
                     "spectrum_compare_s": ...},
      "layers": {order: {layer: ms}},
+     "spread": {"end_to_end": {name: [q1, q3]}, "layers": {order: {layer: [q1, q3]}}},
      "cap_s": ..., "runs": ...}
 
 ``git_rev`` is the measured checkout's commit. ``verify_all_s`` is the wall
@@ -200,12 +204,20 @@ def one_round(root: str, orders) -> None:
     }))
 
 
-def median_of(rounds: list):
-    """The median of each figure over the rounds, nested as each round is;
-    None where any round has None."""
+def each_figure(rounds: list, summary):
+    """``summary`` of each figure's values over the rounds, nested as each
+    round is; None where any round has None."""
     if isinstance(rounds[0], dict):
-        return {key: median_of([r[key] for r in rounds]) for key in rounds[0]}
-    return None if None in rounds else statistics.median(rounds)
+        return {key: each_figure([r[key] for r in rounds], summary) for key in rounds[0]}
+    return None if None in rounds else summary(rounds)
+
+
+def quartiles(values: list) -> list:
+    """The first and third quartiles of the values (the inclusive method, so
+    both are the value itself for one round)."""
+    if len(values) == 1:
+        return [values[0], values[0]]
+    return statistics.quantiles(values, n=4, method="inclusive")[::2]
 
 
 def git_rev(root: Path) -> str | None:
@@ -249,7 +261,8 @@ def main(argv=None) -> int:
         bench = {
             "env": {"python": platform.python_version(), "numpy": np.__version__,
                     "platform": platform.platform(), "git_rev": git_rev(root)},
-            **median_of(results),
+            **each_figure(results, statistics.median),
+            "spread": each_figure(results, quartiles),
             "cap_s": CAP_S,
             "runs": args.runs,
         }
